@@ -4,32 +4,23 @@ from __future__ import annotations
 
 from .functions import LatticeFunction
 from .hamiltonian import d_plus
-from .hecke import apply_Q_letter
+from .hecke import QWordEngine
 from . import weyl
-
-
-def _qword_cache(f, params):
-    """Word-suffix cache of Q-word applications, shared across lattice points."""
-    cache = {(): f}
-
-    def get(word):
-        g = cache.get(word)
-        if g is None:
-            g = apply_Q_letter(word[0], get(word[1:]), params)
-            cache[word] = g
-        return g
-
-    return get
 
 
 def propagate(f, params):
     """G(f)(x) = (Q_{w_x} f)(w_x x), with w_x the shortest element moving x
     into the dominant chamber.  On dominant points G(f) agrees with f."""
-    qword = _qword_cache(f, params)
+    return propagate_with(QWordEngine(f, params))
+
+
+def propagate_with(engine):
+    """G(f) evaluated through an existing Q-word engine for f, sharing its layers."""
+    params = engine.params
 
     def ev(x):
         w, word = weyl.shortest_element(x, params)
-        return qword(word)(weyl.act(w, x))
+        return engine.values(word, (weyl.act(w, x),))[0]
 
     return LatticeFunction(ev)
 
@@ -57,15 +48,16 @@ def verify_lemma_main(f, x, i, params, G=None, qword=None):
       = ((t_{v_sigma(i)} + (1-beta) sum_{j=1}^{d_i^+(x)} t_{v_{sigma(i)+j}}) Q_{w_x} f)(w_x x)
 
     where sigma is the coordinate permutation of w_x.  Returns True iff the
-    two sides agree exactly.  A shared G and Q-word cache may be passed in
-    when checking many points.
+    two sides agree exactly.  When checking many points, pass a shared
+    Q-word engine for f as ``qword`` and ``G = propagate_with(qword)``, so
+    that both sides read the same layers.
     """
     k = params.k
     alpha, beta = params.alpha, params.beta
-    if G is None:
-        G = propagate(f, params)
     if qword is None:
-        qword = _qword_cache(f, params)
+        qword = QWordEngine(f, params)
+    if G is None:
+        G = propagate_with(qword)
 
     w, word = weyl.shortest_element(x, params)
     dp = d_plus(i, x, params)
@@ -76,15 +68,17 @@ def verify_lemma_main(f, x, i, params, G=None, qword=None):
     if dp and alpha != 0:
         lhs -= alpha * dp * G(x)
 
-    g = qword(word)
     wx = weyl.act(w, x)
     sigma_i = w.perm[i - 1]  # 0-based slot of v_{sigma(i)}
-    y = list(wx)
-    y[sigma_i] -= 1
-    rhs = g(tuple(y))
+    slots = [sigma_i]
     if beta != 1:
-        for j in range(1, dp + 1):
-            y = list(wx)
-            y[(sigma_i + j) % k] -= 1
-            rhs += (1 - beta) * g(tuple(y))
+        slots += [(sigma_i + j) % k for j in range(1, dp + 1)]
+    points = []
+    for slot in slots:
+        y = list(wx)
+        y[slot] -= 1
+        points.append(tuple(y))
+    rhs, *rest = qword.values(word, points)
+    for value in rest:
+        rhs += (1 - beta) * value
     return lhs == rhs

@@ -173,8 +173,8 @@ def suite_lemma_main(params, window, seed):
     t0 = time.perf_counter()
     k = params.k
     f = random_rational_function("lemma-%s" % seed)
-    G = propagation.propagate(f, params)
-    qword = propagation._qword_cache(f, params)
+    qword = hecke.QWordEngine(f, params)
+    G = propagation.propagate_with(qword)
     checks = 0
     failures = []
     for x in window_points(k, window):

@@ -152,8 +152,10 @@ def inverse(w):
 
 def act(w, x):
     """Apply the group element w to the lattice point x."""
-    moved = _apply_perm(w.perm, x)
-    return tuple(m + t for m, t in zip(moved, w.trans))
+    out = list(w.trans)
+    for i, p in enumerate(w.perm):
+        out[p] += x[i]
+    return tuple(out)
 
 
 def act_on_function(w, f):

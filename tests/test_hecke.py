@@ -8,7 +8,7 @@ import pytest
 from conftest import rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
-from hecke_bose.hecke import apply_Q, apply_Q0, apply_Q_letter, apply_Qw
+from hecke_bose.hecke import QWordEngine, apply_Q, apply_Q0, apply_Q_letter, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
 from hecke_bose.weyl import Params
 
@@ -52,6 +52,74 @@ def test_duality_with_divided_difference(k, L):
         q = apply_Q(i, f, params)
         for x in window(k, 2):
             assert q(x) == pairing(f, apply_T_check(i, LaurentPolynomial.monomial(x), params))
+
+
+def _explicit_Q(i, f, params):
+    """The n-term sum of the apply_Q docstring, one point at a time, used
+    only as an oracle against the telescoped line sums."""
+    alpha, beta = params.alpha, params.beta
+    a, b = i - 1, i
+
+    def ev(x):
+        n = x[a] - x[b]
+        if n == 0:
+            return f(x)
+        sx = list(x)
+        sx[a], sx[b] = sx[b], sx[a]
+        total = f(tuple(sx))
+        sign, js = (1, range(1, n + 1)) if n > 0 else (-1, range(0, n, -1))
+        for j in js:
+            y = list(sx)
+            y[a] += j
+            y[b] -= j
+            y2 = list(y)
+            y2[b] += 1
+            total += sign * (alpha * f(tuple(y2)) + (1 - beta) * f(tuple(y)))
+        return total
+
+    return LatticeFunction(ev)
+
+
+def _line_points(k, i, rest, sums, reach):
+    """Points with a_i(x) = n for |n| <= reach on the lines x_i + x_{i+1} = s."""
+    out = []
+    for s in sums:
+        for n in range(-reach, reach + 1):
+            if (s + n) % 2 == 0:
+                x = list(rest)
+                x[i - 1 : i - 1] = [(s + n) // 2, (s - n) // 2]
+                out.append(tuple(x))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [
+        (Fraction(-2, 3), Fraction(5, 4)),
+        (Fraction(0), Fraction(7, 2)),
+        (Fraction(3, 5), Fraction(1)),
+        (Fraction(0), Fraction(1)),
+    ],
+)
+def test_Q_line_sums_match_n_term_sum(k, alpha, beta):
+    params = Params(k, 2, alpha, beta)
+    rng = random.Random("lines-%d-%s-%s" % (k, alpha, beta))
+    for i in range(1, k):
+        f = random_rational_function("lines-%d-%d-%s-%s" % (k, i, alpha, beta))
+        oracle = _explicit_Q(i, f, params)
+        rests = [()] if k == 2 else [(0,), (-3,)]
+        for rest in rests:
+            # |a_i(x)| up to 40 on an even and an odd line, including n = -1, 0, 1
+            points = _line_points(k, i, rest, (0, 7, -5), 41)
+            assert {x[i - 1] - x[i] for x in points} >= set(range(-40, 41))
+            # one point at a time, in an order that grows each line both ways
+            rng.shuffle(points)
+            q = apply_Q(i, f, params)
+            for x in points:
+                assert q(x) == oracle(x)
+            # and all at once, so that one evaluation extends each line
+            assert QWordEngine(f, params).values((i,), points) == [oracle(x) for x in points]
 
 
 def _explicit_Q0(f, params):

@@ -1,6 +1,7 @@
 """Propagation operator, plane waves, and the eigenfunction theorem."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,3 +123,29 @@ def test_lemma_exhaustive_window(k, L):
     for x in window(k, 3):
         for i in range(1, k + 1):
             assert verify_lemma_main(f, x, i, params, G=G)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_far_point_evaluation_is_recursion_free():
+    # the reduced word for (30, -30) has 59 letters; evaluating G there must
+    # not take stack frames in proportion to them
+    params = Params(2, 1, Fraction(1, 2), Fraction(2))
+    p = (Fraction(2, 3), Fraction(-5, 4))
+    x = (30, -30)
+    assert len(weyl.shortest_element(x, params)[1]) == 59
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        G = propagate(plane_wave(p), params)
+        lhs = apply_H(G, x, params)
+        rhs = sum(p) * G(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lhs == rhs
