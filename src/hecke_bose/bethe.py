@@ -75,63 +75,66 @@ class Partition:
         return v
 
 
-def bethe_residual(p, params):
-    """Defect vector of the Bethe equations:
-    p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
-    p = tuple(getattr(p, "p", p))
-    k, L = params.k, params.L
-    alpha, beta = params.alpha, params.beta
-    out = []
+def _bethe_system(p, L, alpha, beta):
+    """Residuals r_i = p_i^L - prod_{j != i} S_ij, with
+    S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha), and the
+    Jacobian dr_i/dp_j as a list of rows.
+
+    Plain arithmetic on the elements of p, so rational p gives exact
+    residuals.  The Jacobian uses the partial products over l != i, j rather
+    than dividing by S_ij, which may vanish.
+    """
+    k = len(p)
+    res = []
+    jac = []
     for i in range(k):
+        nums = [None] * k
+        dens = [None] * k
+        ratios = [None] * k
         prod = 1
         for j in range(k):
             if j == i:
                 continue
-            den = p[i] - beta * p[j] + alpha
-            if abs(complex(den)) < POLE_TOL:
+            nums[j] = beta * p[i] - p[j] - alpha
+            dens[j] = p[i] - beta * p[j] + alpha
+            if abs(complex(dens[j])) < POLE_TOL:
                 raise BetheSolverError(
                     "Bethe equation denominator vanishes at (i, j) = (%d, %d)"
                     % (i + 1, j + 1)
                 )
-            prod *= (beta * p[i] - p[j] - alpha) / den
-        out.append(p[i] ** L - prod)
-    return out
-
-
-def _residual_and_jacobian(p, L, a, b):
-    k = len(p)
-    res = np.empty(k, dtype=complex)
-    jac = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        nums = np.empty(k, dtype=complex)
-        dens = np.empty(k, dtype=complex)
-        ratios = np.ones(k, dtype=complex)
-        for j in range(k):
-            if j == i:
-                continue
-            nums[j] = b * p[i] - p[j] - a
-            dens[j] = p[i] - b * p[j] + a
-            if abs(dens[j]) < POLE_TOL:
-                raise BetheSolverError("denominator pole during continuation")
             ratios[j] = nums[j] / dens[j]
-        prod_all = np.prod(ratios)
-        res[i] = p[i] ** L - prod_all
-        jac[i, i] = L * p[i] ** (L - 1)
+            prod *= ratios[j]
+        res.append(p[i] ** L - prod)
+        row = [0] * k
+        row[i] = L * p[i] ** (L - 1)
         for j in range(k):
             if j == i:
                 continue
-            partial = np.prod(np.delete(ratios, j))  # prod over l != i, j
-            dr_dpi = (b * dens[j] - nums[j]) / dens[j] ** 2
-            dr_dpj = (-dens[j] + b * nums[j]) / dens[j] ** 2
-            jac[i, i] -= partial * dr_dpi
-            jac[i, j] = -partial * dr_dpj
+            partial = 1
+            for l in range(k):
+                if l != i and l != j:
+                    partial *= ratios[l]
+            dr_dpi = (beta * dens[j] - nums[j]) / dens[j] ** 2
+            dr_dpj = (-dens[j] + beta * nums[j]) / dens[j] ** 2
+            row[i] -= partial * dr_dpi
+            row[j] = -partial * dr_dpj
+        jac.append(row)
     return res, jac
 
 
+def bethe_residual(p, params):
+    """Defect vector of the Bethe equations:
+    p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
+    p = tuple(getattr(p, "p", p))
+    return _bethe_system(p, params.L, params.alpha, params.beta)[0]
+
+
 def _newton(p, L, a, b, max_iter=60):
+    # p stays a complex128 array: its elements divide and raise to powers
+    # the numpy way, which the solver's outcomes are pinned to
     p = np.array(p, dtype=complex)
     for _ in range(max_iter):
-        res, jac = _residual_and_jacobian(p, L, a, b)
+        res, jac = _bethe_system(p, L, a, b)
         defect = np.max(np.abs(res))
         if defect < NEWTON_TOL:
             return p
@@ -200,32 +203,36 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
     return SpectralPoint(final, residual)
 
 
-def _signed_scattering_sum(p, exps, alpha, beta):
-    """sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
-    * prod_i p_{sigma(i)}^{-exps_i}."""
-    k = len(p)
+def _symmetrize(z, exps, pair):
+    """sum_sigma prod_{i<j} pair[sigma(i)][sigma(j)] * prod_i z_{sigma(i)}^{exps_i},
+    for a k x k table of pair factors built once per call."""
+    k = len(z)
     total = 0
     for sigma in permutations(range(k)):
-        sign = _parity(sigma)
         coef = 1
         for i in range(k):
             for j in range(i + 1, k):
-                coef *= beta * p[sigma[i]] - p[sigma[j]] - alpha
+                coef *= pair[sigma[i]][sigma[j]]
         mono = 1
         for i in range(k):
-            mono *= p[sigma[i]] ** (-exps[i])
-        total += sign * coef * mono
+            mono *= z[sigma[i]] ** exps[i]
+        total += coef * mono
     return total
 
 
-def _parity(sigma):
-    inv = sum(
-        1
-        for i in range(len(sigma))
-        for j in range(i + 1, len(sigma))
-        if sigma[i] > sigma[j]
-    )
-    return -1 if inv % 2 else 1
+def _signed_scattering_sum(p, exps, alpha, beta):
+    """sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
+    * prod_i p_{sigma(i)}^{-exps_i}.
+
+    The factor of a pair (a, b) is negated when a > b, so every inversion of
+    sigma flips the sign once and the product carries sgn(sigma).
+    """
+    k = len(p)
+    pair = [[beta * p[a] - p[b] - alpha for b in range(k)] for a in range(k)]
+    for a in range(k):
+        for b in range(a):
+            pair[a][b] = -pair[a][b]
+    return _symmetrize(p, tuple(-e for e in exps), pair)
 
 
 def bethe_wave(p, x, params):
@@ -261,21 +268,15 @@ def hall_littlewood_R(lam, z, t):
     if len(exps) > k:
         raise ValueError("exponent tuple longer than variable list")
     exps = exps + (0,) * (k - len(exps))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if z[i] == z[j]:
-                raise ValueError("coincident variables z_%d = z_%d" % (i + 1, j + 1))
-    total = 0
-    for sigma in permutations(range(k)):
-        coef = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                coef *= (z[sigma[i]] - t * z[sigma[j]]) / (z[sigma[i]] - z[sigma[j]])
-        mono = 1
-        for i in range(k):
-            mono *= z[sigma[i]] ** exps[i]
-        total += coef * mono
-    return total
+    pair = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            if a == b:
+                continue
+            if z[a] == z[b]:
+                raise ValueError("coincident variables z_%d = z_%d" % (a + 1, b + 1))
+            pair[a][b] = (z[a] - t * z[b]) / (z[a] - z[b])
+    return _symmetrize(z, exps, pair)
 
 
 def hall_littlewood_P(lam, z, t):

@@ -7,7 +7,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -32,14 +31,10 @@ def _int_list(text):
     return tuple(int(part) for part in text.split(","))
 
 
-def _threads():
-    raw = os.environ.get("HECKE_BOSE_THREADS")
-    if raw is None:
-        return None
-    n = int(raw)
-    if n < 1:
-        raise SystemExit("HECKE_BOSE_THREADS must be a positive integer")
-    return n
+def _window(text):
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("window must be a non-negative integer, got %r" % text)
+    return int(text)
 
 
 def _emit(payload, out, fmt="json"):
@@ -64,15 +59,18 @@ def _scalar_cell(value):
 
 def cmd_verify(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
-    _threads()
     report = verify.run_suite(args.suite, params, args.window, args.seed)
+    vacuous = not report["checks_run"]  # a suite that checked nothing has not passed
+    if vacuous:
+        report["vacuous"] = True
     _emit(report, args.out)
+    if vacuous:
+        return 2
     return 0 if not report["failures"] else 1
 
 
 def cmd_bethe(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
-    _threads()
     t0 = time.perf_counter()
     try:
         root = bethe.solve_bethe(params, args.seeds, homotopy_steps=args.steps)
@@ -82,7 +80,7 @@ def cmd_bethe(args):
                 "schema": 1,
                 "error": str(err),
                 "failing_s": err.s,
-                "params": _params_dict(params),
+                "params": verify.params_dict(params),
             },
             args.out,
         )
@@ -103,7 +101,7 @@ def cmd_bethe(args):
 
     report = {
         "schema": 1,
-        "params": _params_dict(params),
+        "params": verify.params_dict(params),
         "seeds": list(args.seeds),
         "steps": args.steps,
         "window": args.window,
@@ -118,18 +116,8 @@ def cmd_bethe(args):
     return 0
 
 
-def _params_dict(params):
-    return {
-        "k": params.k,
-        "L": params.L,
-        "alpha": str(params.alpha),
-        "beta": str(params.beta),
-    }
-
-
 def cmd_wavefunction(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
-    _threads()
     if args.p_file:
         with open(args.p_file) as fh:
             data = json.load(fh)
@@ -157,7 +145,7 @@ def cmd_wavefunction(args):
         _emit(
             {
                 "schema": 1,
-                "params": _params_dict(params),
+                "params": verify.params_dict(params),
                 "window": args.window,
                 "rows": [{"x": x, "value": value} for x, value in rows],
             },
@@ -200,7 +188,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a named identity suite")
     p_verify.add_argument("suite", choices=verify.SUITES)
     _add_params(p_verify)
-    p_verify.add_argument("--window", type=int, default=3)
+    p_verify.add_argument("--window", type=_window, default=3)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -212,7 +200,7 @@ def build_parser():
         help="comma-separated indices of L-th roots of unity (k distinct values)",
     )
     p_bethe.add_argument("--steps", type=int, default=40)
-    p_bethe.add_argument("--window", type=int, default=4)
+    p_bethe.add_argument("--window", type=_window, default=4)
     p_bethe.add_argument("--out", default=None)
     p_bethe.set_defaults(func=cmd_bethe)
 
@@ -222,7 +210,7 @@ def build_parser():
                         help="comma-separated rational spectral parameters")
     p_wave.add_argument("--p-file", default=None,
                         help="JSON file with complex roots (output of the bethe command)")
-    p_wave.add_argument("--window", type=int, default=2)
+    p_wave.add_argument("--window", type=_window, default=2)
     p_wave.add_argument("--format", choices=("json", "csv"), default="json")
     p_wave.add_argument("--out", default=None)
     p_wave.set_defaults(func=cmd_wavefunction)
@@ -238,8 +226,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ZeroDivisionError) as err:
+        parser.exit(2, "hecke-bose: error: %s: %s\n" % (type(err).__name__, err))
 
 
 if __name__ == "__main__":

@@ -5,9 +5,17 @@ from __future__ import annotations
 from .weyl import eval_root, reflect, simple_root
 
 
-def _simple_values(x, params):
+def _d_count(x, params, start, step):
+    """Count p in 1..k-1 with a_{start}(x) + a_{start+step}(x) + ... (p terms,
+    root indices modulo k) a non-positive multiple of L; zero counts."""
     k, L = params.k, params.L
-    return [eval_root(simple_root(i, k), x, L) for i in range(k)]
+    count = 0
+    s = 0
+    for p in range(k - 1):
+        s += eval_root(simple_root((start + p * step) % k, k), x, L)
+        if s <= 0 and s % L == 0:
+            count += 1
+    return count
 
 
 def d_plus(i, x, params):
@@ -15,28 +23,12 @@ def d_plus(i, x, params):
 
     Root indices are read modulo k; zero counts as a non-positive multiple.
     """
-    k, L = params.k, params.L
-    vals = _simple_values(x, params)
-    count = 0
-    s = 0
-    for p in range(1, k):
-        s += vals[(i + p - 1) % k]
-        if s <= 0 and s % L == 0:
-            count += 1
-    return count
+    return _d_count(x, params, i, 1)
 
 
 def d_minus(i, x, params):
     """Count p in 1..k-1 with a_{i-p}(x) + ... + a_{i-1}(x) a non-positive multiple of L."""
-    k, L = params.k, params.L
-    vals = _simple_values(x, params)
-    count = 0
-    s = 0
-    for p in range(1, k):
-        s += vals[(i - p) % k]
-        if s <= 0 and s % L == 0:
-            count += 1
-    return count
+    return _d_count(x, params, i - 1, -1)
 
 
 def apply_H(f, x, params):

@@ -49,16 +49,21 @@ def random_distinct_fractions(rng, k):
     return tuple(vals)
 
 
+def params_dict(params):
+    """The report block naming the parameters, shared with the CLI reports."""
+    return {
+        "k": params.k,
+        "L": params.L,
+        "alpha": str(params.alpha),
+        "beta": str(params.beta),
+    }
+
+
 def _report(suite, params, window, seed, checks, failures, t0):
     return {
         "schema": 1,
         "suite": suite,
-        "params": {
-            "k": params.k,
-            "L": params.L,
-            "alpha": str(params.alpha),
-            "beta": str(params.beta),
-        },
+        "params": params_dict(params),
         "window": window,
         "seed": seed,
         "checks_run": checks,

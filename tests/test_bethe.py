@@ -3,7 +3,9 @@
 import cmath
 import random
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -26,6 +28,7 @@ from hecke_bose.bethe import (
     solve_bethe,
     verify_hl_identity,
 )
+from hecke_bose.bethe import POLE_TOL, _bethe_system
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.weyl import Params
 
@@ -251,3 +254,122 @@ def test_spectral_point_accessors():
     sp = SpectralPoint((1 + 0j, -1 + 0j), 0.0)
     assert sp.p == (1 + 0j, -1 + 0j)
     assert sp.residual == 0.0
+
+
+# -- independent references for the shared Bethe kernel ----------------------
+#
+# A direct numpy residual/Jacobian and a scattering sum with an explicit
+# permutation sign.  The kernel in bethe.py must agree with them exactly, so
+# that the solver's outcomes and every printed wave-function value stay fixed.
+
+
+def reference_residual_and_jacobian(p, L, a, b):
+    k = len(p)
+    res = np.empty(k, dtype=complex)
+    jac = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        nums = np.empty(k, dtype=complex)
+        dens = np.empty(k, dtype=complex)
+        ratios = np.ones(k, dtype=complex)
+        for j in range(k):
+            if j == i:
+                continue
+            nums[j] = b * p[i] - p[j] - a
+            dens[j] = p[i] - b * p[j] + a
+            if abs(dens[j]) < POLE_TOL:
+                raise BetheSolverError("denominator pole during continuation")
+            ratios[j] = nums[j] / dens[j]
+        prod_all = np.prod(ratios)
+        res[i] = p[i] ** L - prod_all
+        jac[i, i] = L * p[i] ** (L - 1)
+        for j in range(k):
+            if j == i:
+                continue
+            partial = np.prod(np.delete(ratios, j))  # prod over l != i, j
+            dr_dpi = (b * dens[j] - nums[j]) / dens[j] ** 2
+            dr_dpj = (-dens[j] + b * nums[j]) / dens[j] ** 2
+            jac[i, i] -= partial * dr_dpi
+            jac[i, j] = -partial * dr_dpj
+    return res, jac
+
+
+def reference_signed_scattering_sum(p, exps, alpha, beta):
+    k = len(p)
+    total = 0
+    for sigma in permutations(range(k)):
+        sign = reference_parity(sigma)
+        coef = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                coef *= beta * p[sigma[i]] - p[sigma[j]] - alpha
+        mono = 1
+        for i in range(k):
+            mono *= p[sigma[i]] ** (-exps[i])
+        total += sign * coef * mono
+    return total
+
+
+def reference_parity(sigma):
+    inv = sum(
+        1
+        for i in range(len(sigma))
+        for j in range(i + 1, len(sigma))
+        if sigma[i] > sigma[j]
+    )
+    return -1 if inv % 2 else 1
+
+
+def _corpus_coupling(rng, nonzero=False):
+    # a/b with |a| <= 6 and b <= 3, as in the solver corpus
+    while True:
+        v = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        if v or not nonzero:
+            return v
+
+
+def _kernel_cases():
+    rng = random.Random("bethe-kernel")
+    for k in (2, 3, 4):
+        for L in range(k, k + 3):
+            for _ in range(4):
+                params = Params(k, L, _corpus_coupling(rng), _corpus_coupling(rng, nonzero=True))
+                p = np.array(
+                    [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(k)],
+                    dtype=complex,
+                )
+                yield params, p
+
+
+def test_bethe_system_matches_reference_exactly():
+    for params, p in _kernel_cases():
+        a, b = complex(params.alpha), complex(params.beta)
+        res, jac = _bethe_system(p, params.L, a, b)
+        ref_res, ref_jac = reference_residual_and_jacobian(p, params.L, a, b)
+        assert [complex(r) for r in res] == list(ref_res)
+        assert [[complex(v) for v in row] for row in jac] == ref_jac.tolist()
+
+
+def test_bethe_wave_matches_reference_exactly():
+    for params, p in _kernel_cases():
+        pvals = tuple(complex(v) for v in p)
+        for x in window(params.k, 1):
+            dominant = x
+            if not weyl.is_dominant(x, params):
+                w, _ = weyl.shortest_element(x, params)
+                dominant = weyl.act(w, x)
+            expected = reference_signed_scattering_sum(pvals, dominant, params.alpha, params.beta)
+            assert bethe_wave(pvals, x, params) == expected
+
+
+def test_residual_exact_on_rational_p():
+    params = Params(3, 4, Fraction(-1, 3), Fraction(5, 2))
+    p = (Fraction(2), Fraction(-3, 7), Fraction(5, 4))
+    a, b = params.alpha, params.beta
+    res = bethe_residual(p, params)
+    for i in range(3):
+        prod = Fraction(1)
+        for j in range(3):
+            if j != i:
+                prod *= (b * p[i] - p[j] - a) / (p[i] - b * p[j] + a)
+        assert isinstance(res[i], Fraction)
+        assert res[i] == p[i] ** 4 - prod

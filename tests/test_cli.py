@@ -100,15 +100,6 @@ def test_verify_out_file(capsys, tmp_path):
     assert report["failures"] == []
 
 
-def test_thread_cap_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("HECKE_BOSE_THREADS", "0")
-    with pytest.raises(SystemExit):
-        main(["verify", "d-change", "--k", "2", "--L", "2", "--window", "1"])
-    monkeypatch.setenv("HECKE_BOSE_THREADS", "2")
-    code, _ = _run(capsys, ["verify", "d-change", "--k", "2", "--L", "2", "--window", "1"])
-    assert code == 0
-
-
 def test_bethe_command_reports_solution(capsys):
     code, out = _run(
         capsys,
@@ -129,8 +120,53 @@ def test_bethe_command_reports_solution(capsys):
 
 
 def test_bethe_command_rejects_bad_seed_count(capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["bethe", "--k", "2", "--L", "2", "--seeds", "0"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavefunction", "--k", "2", "--L", "2", "--p", "0,5"],
+        ["verify", "theorem", "--k", "1", "--L", "2"],
+        ["verify", "theorem", "--k", "2", "--L", "2", "--beta", "0"],
+        ["bethe", "--k", "2", "--L", "0", "--seeds", "0,1"],
+        ["hall-littlewood", "--lam", "1", "--z", "2,2", "--t", "1/2"],
+        ["hall-littlewood", "--lam", "1,2", "--z", "2,3", "--t", "1/2"],
+    ],
+)
+def test_bad_input_exits_without_traceback(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("hecke-bose: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "theorem"], ["bethe", "--seeds", "0,1"], ["wavefunction", "--p", "2,5"]],
+)
+def test_negative_window_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--k", "2", "--L", "2", "--window", "-1"])
+    assert exc.value.code == 2
+    assert "window" in capsys.readouterr().err
+
+
+def test_verify_without_checks_is_vacuous(capsys):
+    # with k > L no point is regular, so w-invariance has nothing to check
+    code, out = _run(capsys, ["verify", "w-invariance", "--k", "3", "--L", "2", "--window", "1"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["checks_run"] == 0
+    assert report["vacuous"] is True
+    code, out = _run(capsys, ["verify", "d-change", "--k", "2", "--L", "2", "--window", "1"])
+    assert code == 0
+    assert "vacuous" not in json.loads(out)
 
 
 def test_wavefunction_json_round_trips_exact_rationals(capsys):
