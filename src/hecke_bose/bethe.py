@@ -75,10 +75,32 @@ class Partition:
         return v
 
 
+def _scattering_row(p, i, alpha, beta):
+    """The factors S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)
+    of row i as numerators, denominators and ratios (None at j = i), and
+    their product over j != i.  Raises at a vanishing denominator."""
+    k = len(p)
+    nums = [None] * k
+    dens = [None] * k
+    ratios = [None] * k
+    prod = 1
+    for j in range(k):
+        if j == i:
+            continue
+        nums[j] = beta * p[i] - p[j] - alpha
+        dens[j] = p[i] - beta * p[j] + alpha
+        if abs(complex(dens[j])) < POLE_TOL:
+            raise BetheSolverError(
+                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)
+            )
+        ratios[j] = nums[j] / dens[j]
+        prod *= ratios[j]
+    return nums, dens, ratios, prod
+
+
 def _bethe_system(p, L, alpha, beta):
-    """Residuals r_i = p_i^L - prod_{j != i} S_ij, with
-    S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha), and the
-    Jacobian dr_i/dp_j as a list of rows.
+    """Residuals r_i = p_i^L - prod_{j != i} S_ij and the Jacobian
+    dr_i/dp_j as a list of rows.
 
     Plain arithmetic on the elements of p, so rational p gives exact
     residuals.  The Jacobian uses the partial products over l != i, j rather
@@ -88,22 +110,7 @@ def _bethe_system(p, L, alpha, beta):
     res = []
     jac = []
     for i in range(k):
-        nums = [None] * k
-        dens = [None] * k
-        ratios = [None] * k
-        prod = 1
-        for j in range(k):
-            if j == i:
-                continue
-            nums[j] = beta * p[i] - p[j] - alpha
-            dens[j] = p[i] - beta * p[j] + alpha
-            if abs(complex(dens[j])) < POLE_TOL:
-                raise BetheSolverError(
-                    "Bethe equation denominator vanishes at (i, j) = (%d, %d)"
-                    % (i + 1, j + 1)
-                )
-            ratios[j] = nums[j] / dens[j]
-            prod *= ratios[j]
+        nums, dens, ratios, prod = _scattering_row(p, i, alpha, beta)
         res.append(p[i] ** L - prod)
         row = [0] * k
         row[i] = L * p[i] ** (L - 1)
@@ -126,7 +133,8 @@ def bethe_residual(p, params):
     """Defect vector of the Bethe equations:
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
     p = tuple(getattr(p, "p", p))
-    return _bethe_system(p, params.L, params.alpha, params.beta)[0]
+    alpha, beta = params.alpha, params.beta
+    return [p[i] ** params.L - _scattering_row(p, i, alpha, beta)[3] for i in range(len(p))]
 
 
 def _newton(p, L, a, b, max_iter=60):

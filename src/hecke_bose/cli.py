@@ -4,6 +4,7 @@ tables, and Hall-Littlewood evaluation, with machine-readable output."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -116,18 +117,31 @@ def cmd_bethe(args):
     return 0
 
 
+def _read_roots(path):
+    """The finite complex roots of a ``bethe`` report, as ``--p-file`` reads them."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        p = tuple(complex(re, im) for re, im in data["roots"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(
+            "%s holds no list of [re, im] roots (%s: %s)" % (path, type(err).__name__, err)
+        )
+    if not all(cmath.isfinite(v) for v in p):
+        raise ValueError("%s holds a non-finite root" % path)
+    return p
+
+
 def cmd_wavefunction(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
     if args.p_file:
-        with open(args.p_file) as fh:
-            data = json.load(fh)
-        p = tuple(complex(re, im) for re, im in data["roots"])
+        p = _read_roots(args.p_file)
     elif args.p:
         p = args.p
     else:
-        raise SystemExit("wavefunction requires --p or --p-file")
+        raise ValueError("wavefunction requires --p or --p-file")
     if len(p) != params.k:
-        raise SystemExit("need exactly k spectral parameters")
+        raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
 
     h = bethe_wave_function(p, params)
     rows = [(list(x), _scalar_cell(h(x))) for x in verify.window_points(params.k, args.window)]
@@ -230,7 +244,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as err:
+    except (OSError, ValueError, ZeroDivisionError) as err:
         parser.exit(2, "hecke-bose: error: %s: %s\n" % (type(err).__name__, err))
 
 

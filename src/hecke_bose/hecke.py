@@ -3,7 +3,10 @@ that evaluates them."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import partial
+from numbers import Rational
 
 from .functions import LatticeFunction
 from . import weyl
@@ -29,13 +32,14 @@ class _Reflection:
     the source is read at pi^{-1} y.
     """
 
-    __slots__ = ("a", "enter", "leave", "terms", "memo", "lines", "above")
+    __slots__ = ("a", "enter", "leave", "unit", "terms", "memo", "lines", "above")
 
-    def __init__(self, a, enter, leave, terms):
+    def __init__(self, a, enter, leave, unit, terms):
         self.a = a  # 0-based coordinate slots (a, a + 1) of the root
         self.enter = enter
         self.leave = leave
-        self.terms = terms  # (coefficient, shift of slot a + 1) per nonzero term of h
+        self.unit = unit  # D, the common denominator of alpha and 1 - beta
+        self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
         self.memo = {}
         self.lines = {}  # (s, other coordinates) -> (up, down)
         self.above = {}  # letter c -> the layer of Q_c applied to this one
@@ -93,7 +97,9 @@ class _Reflection:
         ``source`` must answer at every point that ``needs`` yields.  With
         s = z_a + z_b, the value is the telescoped sum
         (Q f)(x) = f(s_a z) + C_s(z_a) - C_s(z_b): f(s_a z) plus or minus the
-        sum of h from min(z_a, z_b) + 1 to max(z_a, z_b).
+        sum of h from min(z_a, z_b) + 1 to max(z_a, z_b).  Source values are
+        ints over some scale S; the line sums and the values are ints over
+        S * D, because the terms carry their coefficients times D.
         """
         leave, terms = self.leave, self.terms
         for sums, ts, s, head, tail in self._extensions(want):
@@ -102,9 +108,9 @@ class _Reflection:
                 for c, shift in terms:
                     total += c * source(leave(head + (t, s - t + shift) + tail))
                 sums.append(total)
-        a, lines, memo = self.a, self.lines, self.memo
+        a, lines, memo, unit = self.a, self.lines, self.memo, self.unit
         for x, z, key in entered:
-            v = source(self._reflected(z))
+            v = unit * source(self._reflected(z))
             if key is not None:
                 za, zb = z[a], z[a + 1]
                 lo, hi = (zb, za) if za > zb else (za, zb)
@@ -114,6 +120,15 @@ class _Reflection:
                 v = v + d if za > zb else v - d
             memo[x] = v
 
+    def rescale(self, m):
+        """Multiply every stored value and line sum by m."""
+        memo = self.memo
+        for x, v in memo.items():
+            memo[x] = v * m
+        for sides in self.lines.values():
+            for sums in sides:
+                sums[:] = [v * m for v in sums]
+
 
 class QWordEngine:
     """Evaluates Q_w f = Q_{w[0]} ... Q_{w[-1]} f for words w, without recursion.
@@ -122,24 +137,42 @@ class QWordEngine:
     letter to the layer of the rest, so words that share a suffix share its
     evaluated points and line sums.  An evaluation collects the points each
     layer is missing from the top layer down, then fills them from the
-    bottom up in plain loops; only the bottom layer calls f.
+    bottom up in plain loops.
+
+    All arithmetic is on Python ints.  f is read once per point, into a
+    table of the ints f(x) * S with S the least common multiple of the
+    denominators read so far; a layer of height h holds its values and line
+    sums as ints over S * D^h, with D the common denominator of alpha and
+    1 - beta.  When a read brings a new denominator, S grows by a factor m
+    and every stored int is multiplied by m.  So alpha, beta and the values
+    of f must be rationals (ints or Fractions); ``values`` returns Fractions.
     """
 
     def __init__(self, f, params):
+        for name in ("alpha", "beta"):
+            value = getattr(params, name)
+            if not isinstance(value, Rational):
+                raise TypeError(
+                    "the Q-word engine computes exactly and needs a rational %s, got %r"
+                    % (name, value)
+                )
         self.f = f
         self.params = params
         terms = ((params.alpha, 1), (1 - params.beta, 0))
-        self._terms = [(c, shift) for c, shift in terms if c != 0]
+        self._unit = math.lcm(*(c.denominator for c, _ in terms))  # D
+        self._terms = [(int(c * self._unit), shift) for c, shift in terms if c != 0]
+        self._scale = 1  # S
+        self._base = {}  # point -> f(point) * S
         self._rotation = None  # (pi, pi^{-1}) on points, made with the first Q_0 layer
         self._bottom = {}  # letter c -> the layer of the one-letter word (c,)
 
     def _new_layer(self, letter):
         if letter != 0:
-            return _Reflection(letter - 1, _same, _same, self._terms)
+            return _Reflection(letter - 1, _same, _same, self._unit, self._terms)
         if self._rotation is None:
             pi = weyl.pi_element(self.params.k, self.params.L)
             self._rotation = (partial(weyl.act, pi), partial(weyl.act, weyl.inverse(pi)))
-        return _Reflection(0, *self._rotation, self._terms)
+        return _Reflection(0, *self._rotation, self._unit, self._terms)
 
     def layers(self, word):
         """The layers of word[d:] for d = 0, 1, ..., top first."""
@@ -155,26 +188,52 @@ class QWordEngine:
         return layers
 
     def values(self, word, points):
-        """The values (Q_word f)(x) at the given points (integer tuples)."""
-        if not word:
-            return [self.f(x) for x in points]
+        """The values (Q_word f)(x) at the given points (integer tuples), as
+        Fractions."""
         layers = self.layers(tuple(word))
-        top = layers[0].memo
-        missing = {x for x in points if x not in top}
+        memos = [layer.memo for layer in layers] + [self._base]
+        missing = {x for x in points if x not in memos[0]}
         plans = []
-        for depth, layer in enumerate(layers):
+        for layer, below in zip(layers, memos[1:]):
             if not missing:
                 break
             entered, want = layer.plan(missing)
-            plans.append((layer, entered, want))
-            if depth + 1 < len(layers):
-                below = layers[depth + 1].memo
-                missing = {y for y in layer.needs(entered, want) if y not in below}
-        for depth in range(len(plans) - 1, -1, -1):
-            layer, entered, want = plans[depth]
-            source = layers[depth + 1].memo.__getitem__ if depth + 1 < len(layers) else self.f
-            layer.fill(entered, want, source)
-        return [top[x] for x in points]
+            plans.append((layer, entered, want, below))
+            missing = {y for y in layer.needs(entered, want) if y not in below}
+        self._read(missing)  # nonempty only when the plan reached f
+        for layer, entered, want, below in reversed(plans):
+            layer.fill(entered, want, below.__getitem__)
+        top, scale = memos[0], self._scale * self._unit ** len(layers)
+        return [Fraction(top[x], scale) for x in points]
+
+    def _read(self, points):
+        """Read f at the given points, none of them in the table yet, in one
+        pass: at most one rescale however many new denominators they bring."""
+        read = [(x, self.f(x)) for x in points]
+        for x, v in read:
+            if not isinstance(v, Rational):
+                raise TypeError(
+                    "the Q-word engine computes exactly and needs rational values, got f%s = %r"
+                    % (x, v)
+                )
+        scale = math.lcm(self._scale, *{v.denominator for _, v in read})
+        if scale != self._scale:
+            self._rescale(scale // self._scale)
+            self._scale = scale
+        base = self._base
+        for x, v in read:
+            base[x] = v.numerator * (scale // v.denominator)
+
+    def _rescale(self, m):
+        """Multiply every stored int, f's table and each layer's, by m."""
+        base = self._base
+        for x, v in base.items():
+            base[x] = v * m
+        stack = list(self._bottom.values())
+        while stack:
+            layer = stack.pop()
+            layer.rescale(m)
+            stack.extend(layer.above.values())
 
 
 def apply_Q(i, f, params):
@@ -219,10 +278,4 @@ def apply_Qw(word, f, params):
     if not all(0 <= letter < params.k for letter in word):
         raise ValueError("Q_i index must satisfy 0 <= i < k")
     engine = QWordEngine(f, params)
-    memo = engine.layers(word)[0].memo
-
-    def ev(x):
-        v = memo.get(x)
-        return engine.values(word, (x,))[0] if v is None else v
-
-    return LatticeFunction(ev, memoize=False)
+    return LatticeFunction(lambda x: engine.values(word, (x,))[0], memoize=False)

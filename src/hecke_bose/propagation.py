@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .functions import LatticeFunction
 from .hamiltonian import d_plus
 from .hecke import QWordEngine
@@ -27,8 +29,9 @@ def propagate_with(engine):
 
 def plane_wave(p):
     """The plane wave x -> prod_i p_i^{-x_i}; eigenfunction of sum_i t_{v_i}
-    with eigenvalue sum_i p_i."""
-    p = tuple(p)
+    with eigenvalue sum_i p_i.  Integer p_i become Fractions, so that the
+    values stay exact where x_i > 0."""
+    p = tuple(Fraction(v) if isinstance(v, int) else v for v in p)
     if any(v == 0 for v in p):
         raise ValueError("plane wave requires all p_i nonzero")
 

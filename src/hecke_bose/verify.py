@@ -76,46 +76,50 @@ def _fail(failures, x, detail):
     failures.append({"x": list(x), "detail": detail})
 
 
+def _compare(f, params, lhs, rhs, points, failures, detail):
+    """Check Q_lhs f = Q_rhs f at the points through one engine; returns the
+    number of checks."""
+    engine = hecke.QWordEngine(f, params)
+    for x, left, right in zip(points, engine.values(lhs, points), engine.values(rhs, points)):
+        if left != right:
+            _fail(failures, x, detail)
+    return len(points)
+
+
 def suite_hecke(params, window, seed):
-    """Quadratic relations for all Q_i and braid/commutation relations."""
+    """Quadratic relations for all Q_i and braid/commutation relations.
+
+    Each relation evaluates its Q-words over the whole window through one
+    engine for f, dropped once the relation is checked."""
     t0 = time.perf_counter()
     k, beta = params.k, params.beta
     f = random_rational_function("hecke-%s" % seed)
+    points = list(window_points(k, window))
+    f_values = [f(x) for x in points]
     checks = 0
     failures = []
 
     for i in range(k):
-        g = hecke.apply_Q_letter(i, f, params)
-        h = hecke.apply_Q_letter(i, g, params)
-        for x in window_points(k, window):
-            checks += 1
-            if h(x) + (beta - 1) * g(x) - beta * f(x) != 0:
+        engine = hecke.QWordEngine(f, params)
+        h = engine.values((i, i), points)
+        g = engine.values((i,), points)
+        checks += len(points)
+        for x, hx, gx, fx in zip(points, h, g, f_values):
+            if hx + (beta - 1) * gx - beta * fx != 0:
                 _fail(failures, x, "quadratic relation fails for Q_%d" % i)
 
     if k >= 3:
         for i in range(k):
             j = (i + 1) % k
-            lhs = hecke.apply_Q_letter(
-                i, hecke.apply_Q_letter(j, hecke.apply_Q_letter(i, f, params), params), params
-            )
-            rhs = hecke.apply_Q_letter(
-                j, hecke.apply_Q_letter(i, hecke.apply_Q_letter(j, f, params), params), params
-            )
-            for x in window_points(k, window):
-                checks += 1
-                if lhs(x) != rhs(x):
-                    _fail(failures, x, "braid relation fails for (Q_%d, Q_%d)" % (i, j))
+            detail = "braid relation fails for (Q_%d, Q_%d)" % (i, j)
+            checks += _compare(f, params, (i, j, i), (j, i, j), points, failures, detail)
 
     for i in range(k):
         for j in range(i + 1, k):
             if (j - i) % k in (1, k - 1):
                 continue  # adjacent on the affine Dynkin cycle
-            lhs = hecke.apply_Q_letter(i, hecke.apply_Q_letter(j, f, params), params)
-            rhs = hecke.apply_Q_letter(j, hecke.apply_Q_letter(i, f, params), params)
-            for x in window_points(k, window):
-                checks += 1
-                if lhs(x) != rhs(x):
-                    _fail(failures, x, "commutation fails for (Q_%d, Q_%d)" % (i, j))
+            detail = "commutation fails for (Q_%d, Q_%d)" % (i, j)
+            checks += _compare(f, params, (i, j), (j, i), points, failures, detail)
 
     return _report("hecke", params, window, seed, checks, failures, t0)
 

@@ -229,6 +229,33 @@ def test_wavefunction_requires_spectral_parameters():
         main(["wavefunction", "--k", "2", "--L", "2", "--p", "2", "--window", "1"])
 
 
+@pytest.mark.parametrize(
+    "p_file,argv",
+    [
+        ('{"roots": [[NaN, 0], [1, 0]]}', ["--p-file", "roots.json"]),
+        ('{"roots": [[1, 0], [Infinity, 2]]}', ["--p-file", "roots.json"]),
+        ('{"residual": 0.0}', ["--p-file", "roots.json"]),
+        ('{"roots": [1, 2]}', ["--p-file", "roots.json"]),
+        (None, ["--p-file", "roots.json"]),
+        ('{"roots": [[1, 0], [0, 1], [-1, 0]]}', ["--p-file", "roots.json"]),
+        (None, ["--p", "2,3,5"]),
+        (None, []),
+    ],
+    ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count", "p-count", "no-p"],
+)
+def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
+    monkeypatch.chdir(tmp_path)
+    if p_file is not None:
+        (tmp_path / "roots.json").write_text(p_file)
+    with pytest.raises(SystemExit) as exc:
+        main(["wavefunction", "--k", "2", "--L", "2", "--window", "1"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("hecke-bose: error: ")
+
+
 def test_hall_littlewood_command(capsys):
     code, out = _run(
         capsys,

@@ -1,6 +1,8 @@
 """Integral-reflection operators and their Hecke relations."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,87 @@ def _explicit_Q0(f, params):
         return total
 
     return LatticeFunction(ev)
+
+
+def _explicit_word(word, f, params):
+    """Q_word f from the n-term oracles, one letter at a time."""
+    for letter in reversed(word):
+        f = _explicit_Q0(f, params) if letter == 0 else _explicit_Q(letter, f, params)
+    return f
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [
+        (Fraction(-2, 3), Fraction(5, 4)),
+        (Fraction(0), Fraction(7, 2)),
+        (Fraction(3, 5), Fraction(1)),
+        (Fraction(0), Fraction(1)),
+    ],
+)
+def test_engine_words_match_n_term_oracle(k, alpha, beta):
+    # every letter, Q_0 included, alone and in two-letter words, through one engine
+    params = Params(k, 2, alpha, beta)
+    f = random_rational_function("words-%d-%s-%s" % (k, alpha, beta))
+    engine = QWordEngine(f, params)
+    points = list(window(k, 2))
+    words = [(i,) for i in range(k)] + [(i, j) for i in range(k) for j in range(k)]
+    for word in words:
+        oracle = _explicit_word(word, f, params)
+        assert engine.values(word, points) == [oracle(x) for x in points]
+
+
+def _far_denominators(seed, reads=None):
+    """A rational lattice function whose denominators grow with max_j |x_j|,
+    counting its evaluations per point in ``reads`` when given."""
+    base = random_rational_function(seed)
+
+    def ev(x):
+        if reads is not None:
+            reads[x] += 1
+        return base(x) / (1 + max(abs(c) for c in x))
+
+    return ev
+
+
+@pytest.mark.parametrize("word", [(1,), (0, 1), (1, 0, 1)])
+def test_engine_rescales_when_new_denominators_arrive(word):
+    params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
+    reads = Counter()
+    engine = QWordEngine(_far_denominators("rescale", reads), params)
+    plain = LatticeFunction(_far_denominators("rescale"))
+    oracle = _explicit_word(word, plain, params)
+    near = list(window(2, 1))
+    far = [(9, -8), (-7, 10), (12, 3)]
+
+    assert engine.values(word, near) == [oracle(x) for x in near]
+    scale = math.lcm(*(plain(x).denominator for x in reads))
+    first = set(reads)
+    assert engine.values(word, far) == [oracle(x) for x in far]
+    # the far points bring denominators the first read had not seen
+    assert any(scale % plain(x).denominator for x in reads if x not in first)
+    assert QWordEngine(plain, params).values(word, far) == [oracle(x) for x in far]
+    # values stored before the rescale still read correctly, and f is read
+    # once per point across both batches
+    assert engine.values(word, near + far) == [oracle(x) for x in near + far]
+    assert set(reads.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,value",
+    [
+        (0.5, Fraction(2), Fraction(1, 3)),
+        (Fraction(1, 2), complex(2, 1), Fraction(1, 3)),
+        (Fraction(1, 2), Fraction(2), 0.25),
+        (Fraction(1, 2), Fraction(2), 1j),
+    ],
+)
+def test_engine_rejects_inexact_input(alpha, beta, value):
+    params = Params(2, 2, alpha, beta)
+    for word in [(), (1,), (0, 1)]:
+        with pytest.raises(TypeError):
+            QWordEngine(lambda x: value, params).values(word, [(2, -1)])
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2)])

@@ -52,6 +52,17 @@ def test_plane_wave_basics():
         assert g((x[0] - 1, x[1])) + g((x[0], x[1] - 1)) == (p[0] + p[1]) * g(x)
 
 
+def test_plane_wave_exact_on_integer_p():
+    g = plane_wave((2, 3))
+    for x in window(2, 2):
+        assert g(x) == Fraction(2) ** -x[0] * Fraction(3) ** -x[1]
+        assert isinstance(g(x), Fraction)
+    params = Params(2, 2, Fraction(1, 2), Fraction(2))
+    G = propagate(g, params)
+    for x in window(2, 2):
+        assert apply_H(G, x, params) == 5 * G(x)
+
+
 @pytest.mark.parametrize("k,L", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_eigenfunction_theorem(k, L):
     rng = random.Random("thm-%d-%d" % (k, L))
