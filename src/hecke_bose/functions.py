@@ -36,20 +36,23 @@ def constant_function(value):
     return LatticeFunction(lambda x: value)
 
 
-def random_rational_function(seed, lo=-9, hi=9, max_den=6):
+def random_fraction(rng, nonzero=False):
+    """A random a/b with |a| <= 9 and 1 <= b <= 6, drawn from ``rng``."""
+    while True:
+        v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if v != 0 or not nonzero:
+            return v
+
+
+def random_rational_function(seed):
     """A deterministic pseudo-random rational-valued lattice function.
 
     The value at each point is derived from (seed, point) alone, so the
     function is reproducible across runs and processes.
     """
-
-    def ev(x):
-        rng = random.Random("%s|%s" % (seed, ",".join(map(str, x))))
-        num = rng.randint(lo, hi)
-        den = rng.randint(1, max_den)
-        return Fraction(num, den)
-
-    return LatticeFunction(ev)
+    return LatticeFunction(
+        lambda x: random_fraction(random.Random("%s|%s" % (seed, ",".join(map(str, x)))))
+    )
 
 
 def linear_combination(coeffs_and_functions):

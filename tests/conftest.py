@@ -2,27 +2,10 @@
 
 import itertools
 import random
-from fractions import Fraction
 
-
-def window(k, radius):
-    return itertools.product(range(-radius, radius + 1), repeat=k)
-
-
-def rand_fraction(rng, nonzero=False):
-    while True:
-        v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        if v != 0 or not nonzero:
-            return v
-
-
-def rand_distinct_fractions(rng, k):
-    out = []
-    while len(out) < k:
-        v = rand_fraction(rng, nonzero=True)
-        if v not in out:
-            out.append(v)
-    return tuple(out)
+from hecke_bose.functions import random_fraction as rand_fraction
+from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
+from hecke_bose.verify import window_points as window
 
 
 def rand_params_pair(rng):

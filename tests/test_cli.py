@@ -157,6 +157,17 @@ def test_negative_window_rejected(capsys, command):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-5", "x"])
+def test_steps_must_be_positive(capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        main(["bethe", "--k", "2", "--L", "2", "--seeds", "0,1", "--steps", steps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "hecke-bose bethe: error: argument --steps: steps must be a positive integer, got %r" % steps
+    ]
+
+
 def test_verify_without_checks_is_vacuous(capsys):
     # with k > L no point is regular, so w-invariance has nothing to check
     code, out = _run(capsys, ["verify", "w-invariance", "--k", "3", "--L", "2", "--window", "1"])
