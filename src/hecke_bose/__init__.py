@@ -9,13 +9,12 @@ from .weyl import (
     act,
     act_on_function,
     eval_root,
-    inversion_set,
     is_dominant,
     reflect,
     shortest_element,
 )
-from .functions import LatticeFunction, constant_function, random_rational_function
-from .laurent import LaurentPolynomial, apply_T_check, apply_pi_check, pairing, weyl_act_poly
+from .functions import LatticeFunction, random_rational_function
+from .laurent import LaurentPolynomial, apply_T_check, pairing, weyl_act_poly
 from .hamiltonian import apply_H, apply_H_tilde, d_minus, d_plus, verify_d_change
 from .hecke import apply_Q, apply_Q0, apply_Qw
 from .propagation import plane_wave, propagate, verify_lemma_main

@@ -203,8 +203,10 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
         s = s_next
 
     final = tuple(complex(v) for v in p)
-    residual = max(abs(complex(r)) for r in bethe_residual(final, params))
-    if residual > ACCEPT_RESIDUAL:
+    residuals = [abs(complex(r)) for r in bethe_residual(final, params)]
+    # max() passes over a NaN after the first slot, and NaN > x is False
+    residual = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, final))):
         raise BetheSolverError(
             "final residual %.3g above acceptance threshold" % residual, s=1.0
         )

@@ -32,10 +32,6 @@ class LatticeFunction:
         return v
 
 
-def constant_function(value):
-    return LatticeFunction(lambda x: value)
-
-
 def random_fraction(rng, nonzero=False):
     """A random a/b with |a| <= 9 and 1 <= b <= 6, drawn from ``rng``."""
     while True:
@@ -53,9 +49,3 @@ def random_rational_function(seed):
     return LatticeFunction(
         lambda x: random_fraction(random.Random("%s|%s" % (seed, ",".join(map(str, x)))))
     )
-
-
-def linear_combination(coeffs_and_functions):
-    """Pointwise linear combination of lattice functions."""
-    pairs = list(coeffs_and_functions)
-    return LatticeFunction(lambda x: sum(c * f(x) for c, f in pairs))

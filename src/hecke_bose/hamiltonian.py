@@ -5,16 +5,23 @@ from __future__ import annotations
 from .weyl import eval_root, reflect, simple_root
 
 
-def _d_count(x, params, start, step):
-    """Count p in 1..k-1 with a_{start}(x) + a_{start+step}(x) + ... (p terms,
-    root indices modulo k) a non-positive multiple of L; zero counts."""
-    k, L = params.k, params.L
+def _d_count(x, params, i, sign):
+    """d_i^+ (sign 1) or d_i^- (sign -1), read off the coordinates.
+
+    With r = i - 1 mod k, the partial sums a_i(x) + a_{i+1}(x) + ...
+    telescope to x_r - x_j, plus L once the run passes a_0.  So d_i^+ counts
+    the multiples of L among the x_j - x_r, non-negative ones for j > r and
+    positive ones for j < r; d_i^- counts the x_r - x_j with the sides swapped.
+    """
+    r = (i - 1) % params.k
+    L, xr = params.L, x[r]
+    weak, strict = (x[r + 1 :], x[:r]) if sign > 0 else (x[:r], x[r + 1 :])
     count = 0
-    s = 0
-    for p in range(k - 1):
-        s += eval_root(simple_root((start + p * step) % k, k), x, L)
-        if s <= 0 and s % L == 0:
-            count += 1
+    for ys, least in ((weak, 0), (strict, 1)):
+        for y in ys:
+            d = sign * (y - xr)
+            if d >= least and d % L == 0:
+                count += 1
     return count
 
 
@@ -28,7 +35,7 @@ def d_plus(i, x, params):
 
 def d_minus(i, x, params):
     """Count p in 1..k-1 with a_{i-p}(x) + ... + a_{i-1}(x) a non-positive multiple of L."""
-    return _d_count(x, params, i - 1, -1)
+    return _d_count(x, params, i, -1)
 
 
 def apply_H(f, x, params):
@@ -72,11 +79,6 @@ def apply_H_tilde(f, x, params):
     return total + pairs * fx
 
 
-def _index_from_residue(r, k):
-    r %= k
-    return r if r >= 1 else k
-
-
 def verify_d_change(x, i, j, params):
     """Check how d_i^{+-} transform under the simple reflection s_j.
 
@@ -85,14 +87,15 @@ def verify_d_change(x, i, j, params):
     Returns True iff both signs match.
     """
     k, L = params.k, params.L
-    sx = reflect(simple_root(j, k), x, L)
-    theta = 1 if eval_root(simple_root(j, k), x, L) == 0 else 0
+    a = simple_root(j, k)
+    sx = reflect(a, x, L)
+    theta = 1 if eval_root(a, x, L) == 0 else 0
     for d, sign in ((d_plus, 1), (d_minus, -1)):
         got = d(i, sx, params)
         if i % k == j % k:
-            expected = d(_index_from_residue(j + 1, k), x, params) + sign * theta
+            expected = d(j + 1, x, params) + sign * theta
         elif i % k == (j + 1) % k:
-            expected = d(_index_from_residue(j, k), x, params) - sign * theta
+            expected = d(j, x, params) - sign * theta
         else:
             expected = d(i, x, params)
         if got != expected:

@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from numbers import Rational
 
 from .functions import LatticeFunction
-from . import weyl
 
 
-def _same(x):
-    return x
+def _rotate(x, L):
+    """The diagram rotation on points: pi x = (x_k + L, x_1, ..., x_{k-1})."""
+    return (x[-1] + L,) + x[:-1]
+
+
+def _unrotate(y, L):
+    """Its inverse: pi^{-1} y = (y_2, ..., y_k, y_1 - L)."""
+    return y[1:] + (y[0] - L,)
 
 
 class _Reflection:
@@ -29,15 +33,15 @@ class _Reflection:
     source points as the n-term sums would.
 
     The letter 0 is Q_1 in rotated coordinates: a point x enters as pi x and
-    the source is read at pi^{-1} y.
+    the source is read at pi^{-1} y.  ``rotation`` is L for it and None for
+    the other letters, whose layers use the points as they are.
     """
 
-    __slots__ = ("a", "enter", "leave", "unit", "terms", "memo", "lines", "above")
+    __slots__ = ("a", "rotation", "unit", "terms", "memo", "lines", "above")
 
-    def __init__(self, a, enter, leave, unit, terms):
+    def __init__(self, a, rotation, unit, terms):
         self.a = a  # 0-based coordinate slots (a, a + 1) of the root
-        self.enter = enter
-        self.leave = leave
+        self.rotation = rotation
         self.unit = unit  # D, the common denominator of alpha and 1 - beta
         self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
         self.memo = {}
@@ -49,15 +53,16 @@ class _Reflection:
         Returns the entered points as (x, z, line) triples, with line None
         where z_a = z_b, and the lines as {line: (lo, hi)}: the line's sums
         must reach from lo to hi."""
-        a, enter = self.a, self.enter
+        a, rotation = self.a, self.rotation
         entered = []
         want = {}
         for x in points:
-            z = enter(x)
-            lo, hi = sorted(z[a : a + 2])
-            if lo == hi:
+            z = x if rotation is None else _rotate(x, rotation)
+            za, zb = z[a], z[a + 1]
+            if za == zb:
                 entered.append((x, z, None))
                 continue
+            lo, hi = (zb, za) if za > zb else (za, zb)
             key = (lo + hi,) + z[:a] + z[a + 2 :]
             entered.append((x, z, key))
             prev_lo, prev_hi = want.get(key, (lo, hi))
@@ -78,18 +83,20 @@ class _Reflection:
 
     def _reflected(self, z):
         """The source point at which the f(s_a z) term reads."""
-        a = self.a
-        return self.leave(z[:a] + (z[a + 1], z[a]) + z[a + 2 :])
+        a, rotation = self.a, self.rotation
+        y = z[:a] + (z[a + 1], z[a]) + z[a + 2 :]
+        return y if rotation is None else _unrotate(y, rotation)
 
     def needs(self, entered, want):
         """The source points that ``fill(entered, want, source)`` reads."""
-        leave, terms = self.leave, self.terms
+        rotation, terms = self.rotation, self.terms
         for _, z, _ in entered:
             yield self._reflected(z)
         for _, ts, s, head, tail in self._extensions(want):
             for t in ts:
                 for _, shift in terms:
-                    yield leave(head + (t, s - t + shift) + tail)
+                    y = head + (t, s - t + shift) + tail
+                    yield y if rotation is None else _unrotate(y, rotation)
 
     def fill(self, entered, want, source):
         """Evaluate at the entered points, first extending the lines in ``want``.
@@ -101,12 +108,13 @@ class _Reflection:
         ints over some scale S; the line sums and the values are ints over
         S * D, because the terms carry their coefficients times D.
         """
-        leave, terms = self.leave, self.terms
+        rotation, terms = self.rotation, self.terms
         for sums, ts, s, head, tail in self._extensions(want):
             total = sums[-1]
             for t in ts:
                 for c, shift in terms:
-                    total += c * source(leave(head + (t, s - t + shift) + tail))
+                    y = head + (t, s - t + shift) + tail
+                    total += c * source(y if rotation is None else _unrotate(y, rotation))
                 sums.append(total)
         a, lines, memo, unit = self.a, self.lines, self.memo, self.unit
         for x, z, key in entered:
@@ -163,16 +171,7 @@ class QWordEngine:
         self._terms = [(int(c * self._unit), shift) for c, shift in terms if c != 0]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
-        self._rotation = None  # (pi, pi^{-1}) on points, made with the first Q_0 layer
         self._bottom = {}  # letter c -> the layer of the one-letter word (c,)
-
-    def _new_layer(self, letter):
-        if letter != 0:
-            return _Reflection(letter - 1, _same, _same, self._unit, self._terms)
-        if self._rotation is None:
-            pi = weyl.pi_element(self.params.k, self.params.L)
-            self._rotation = (partial(weyl.act, pi), partial(weyl.act, weyl.inverse(pi)))
-        return _Reflection(0, *self._rotation, self._unit, self._terms)
 
     def layers(self, word):
         """The layers of word[d:] for d = 0, 1, ..., top first."""
@@ -181,7 +180,8 @@ class QWordEngine:
         for letter in reversed(word):
             layer = above.get(letter)
             if layer is None:
-                layer = above[letter] = self._new_layer(letter)
+                a, rotation = (letter - 1, None) if letter else (0, self.params.L)
+                layer = above[letter] = _Reflection(a, rotation, self._unit, self._terms)
             layers.append(layer)
             above = layer.above
         layers.reverse()

@@ -150,11 +150,6 @@ def apply_T_check(i, p, params):
     return reflected + factor * tele
 
 
-def apply_pi_check(p, params):
-    """Action of the rotation pi on Laurent polynomials."""
-    return weyl_act_poly(weyl.pi_element(params.k, params.L), p)
-
-
 def pairing(f, p):
     """Bilinear pairing of a lattice function with a polynomial: (f, e^x) = f(x)."""
     return sum(coeff * f(exp) for exp, coeff in p.terms.items())

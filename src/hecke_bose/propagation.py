@@ -16,15 +16,32 @@ def propagate(f, params):
     return propagate_with(QWordEngine(f, params))
 
 
-def propagate_with(engine):
-    """G(f) evaluated through an existing Q-word engine for f, sharing its layers."""
-    params = engine.params
+def propagate_with(engine, points=()):
+    """G(f) evaluated through an existing Q-word engine for f, sharing its
+    layers.  Its values at ``points`` are computed up front by
+    ``propagate_many``; other points are evaluated one at a time."""
+    known = propagate_many(engine, points)
 
     def ev(x):
-        w, word = weyl.shortest_element(x, params)
-        return engine.values(word, (weyl.act(w, x),))[0]
+        value = known.pop(x, None)
+        return value if value is not None else propagate_many(engine, (x,))[x]
 
     return LatticeFunction(ev)
+
+
+def propagate_many(engine, points):
+    """G(f) at many points, as {x: G(f)(x)}.  The points are grouped by their
+    reduced word w_x, and each group takes one engine call."""
+    params = engine.params
+    groups = {}  # w_x -> [(x, w_x x)]
+    for x in points:
+        w, word = weyl.shortest_element(x, params)
+        groups.setdefault(word, []).append((x, weyl.act(w, x)))
+    values = {}
+    for word, pairs in groups.items():
+        xs, moved = zip(*pairs)
+        values.update(zip(xs, engine.values(word, moved)))
+    return values
 
 
 def plane_wave(p):
@@ -44,7 +61,7 @@ def plane_wave(p):
     return LatticeFunction(ev)
 
 
-def verify_lemma_main(f, x, i, params, G=None, qword=None):
+def verify_lemma_main(f, x, i, params, G=None, qword=None, descent=None):
     """Check the key commutation identity behind the eigenfunction theorem:
 
     ((t_{v_i} - alpha d_i^+) G(f))(x)
@@ -53,7 +70,8 @@ def verify_lemma_main(f, x, i, params, G=None, qword=None):
     where sigma is the coordinate permutation of w_x.  Returns True iff the
     two sides agree exactly.  When checking many points, pass a shared
     Q-word engine for f as ``qword`` and ``G = propagate_with(qword)``, so
-    that both sides read the same layers.
+    that both sides read the same layers; when checking every i at x, pass
+    ``descent = weyl.shortest_element(x, params)``, so that x descends once.
     """
     k = params.k
     alpha, beta = params.alpha, params.beta
@@ -62,7 +80,7 @@ def verify_lemma_main(f, x, i, params, G=None, qword=None):
     if G is None:
         G = propagate_with(qword)
 
-    w, word = weyl.shortest_element(x, params)
+    w, word = descent or weyl.shortest_element(x, params)
     dp = d_plus(i, x, params)
 
     shifted = list(x)

@@ -8,17 +8,19 @@ equality, never a tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
 import time
+from fractions import Fraction
 
 from . import hamiltonian, hecke, laurent, propagation, weyl
 from .bethe import verify_hl_identity
 from .functions import random_fraction, random_rational_function
 from .laurent import LaurentPolynomial
 
-_CHECKS = {}  # suite name -> check generator, in registration order
+_CHECKS = {}  # suite name -> (check generator, pinned params), in registration order
 
 
 def window_points(k, window):
@@ -48,9 +50,10 @@ def params_dict(params):
 def run_suite(name, params, window, seed):
     """Run the named suite and report its checks; a run with none is vacuous."""
     try:
-        checks = _CHECKS[name]
+        checks, pinned = _CHECKS[name]
     except KeyError:
         raise ValueError("unknown suite %r; choose from %s" % (name, ", ".join(SUITES)))
+    params = dataclasses.replace(params, **pinned)
     t0 = time.perf_counter()
     count = 0
     failures = []
@@ -73,11 +76,12 @@ def run_suite(name, params, window, seed):
     return report
 
 
-def _suite(name):
-    """Register a check generator; its name becomes the suite returning the report."""
+def _suite(name, **pinned):
+    """Register a check generator; its name becomes the suite returning the
+    report.  The suite runs, and reports, the ``pinned`` parameter values."""
 
     def register(checks):
-        _CHECKS[name] = checks
+        _CHECKS[name] = checks, pinned
 
         @functools.wraps(checks)
         def suite(params, window, seed):
@@ -86,6 +90,13 @@ def _suite(name):
         return suite
 
     return register
+
+
+def _with_neighbours(points):
+    """The points with their neighbours x - v_i: where H and the lemma read G."""
+    return set(points).union(
+        x[:i] + (x[i] - 1,) + x[i + 1 :] for x in points for i in range(len(x))
+    )
 
 
 def _compare(f, params, lhs, rhs, points, detail):
@@ -172,28 +183,35 @@ def suite_lemma_main(params, window, seed):
     """The shift/propagation commutation identity, exhaustively on the window."""
     k = params.k
     f = random_rational_function("lemma-%s" % seed)
+    points = list(window_points(k, window))
     qword = hecke.QWordEngine(f, params)
-    G = propagation.propagate_with(qword)
+    G = propagation.propagate_with(qword, _with_neighbours(points))
     details = [(i, "lemma identity fails for i = %d" % i) for i in range(1, k + 1)]
-    for x in window_points(k, window):
+    for x in points:
+        descent = weyl.shortest_element(x, params)
         for i, detail in details:
-            yield x, propagation.verify_lemma_main(f, x, i, params, G=G, qword=qword), detail
+            ok = propagation.verify_lemma_main(f, x, i, params, G=G, qword=qword, descent=descent)
+            yield x, ok, detail
 
 
 @_suite("theorem")
 def suite_theorem(params, window, seed):
     """H G(g_p) = (sum p_i) G(g_p) for a random rational plane wave, exactly."""
     p = random_distinct_fractions(random.Random("theorem-%s" % seed), params.k)
-    G = propagation.propagate(propagation.plane_wave(p), params)
+    points = list(window_points(params.k, window))
+    engine = hecke.QWordEngine(propagation.plane_wave(p), params)
+    G = propagation.propagate_with(engine, _with_neighbours(points))
     lam = sum(p)
     detail = "eigenfunction identity fails, p = %s" % (p,)
-    for x in window_points(params.k, window):
+    for x in points:
         yield x, hamiltonian.apply_H(G, x, params) == lam * G(x), detail
 
 
-@_suite("hl-identity")
+@_suite("hl-identity", alpha=Fraction(0))
 def suite_hl_identity(params, window, seed):
-    """alpha = 0 Bethe sum vs Hall-Littlewood R, exactly on dominant points."""
+    """alpha = 0 Bethe sum vs Hall-Littlewood R, exactly on dominant points.
+    The identity is stated at alpha = 0, so the suite runs and reports alpha = 0
+    whatever alpha it is given."""
     p = random_distinct_fractions(random.Random("hl-%s" % seed), params.k)
     detail = "HL identity fails, p = %s" % (p,)
     for x in window_points(params.k, window):

@@ -51,10 +51,6 @@ class AffineRoot:
         if self.i == self.j:
             raise ValueError("affine root requires i != j")
 
-    def is_positive(self):
-        # basis {a_0, ..., a_{k-1}}: positive iff m > 0, or m = 0 and i < j
-        return self.m > 0 or (self.m == 0 and self.i < self.j)
-
 
 def simple_root(i, k):
     """The simple affine root a_i, 0 <= i < k (a_0 = -alpha_{1k} + L*delta)."""
@@ -91,9 +87,6 @@ class AffineWeylElement:
     @property
     def k(self):
         return len(self.perm)
-
-    def in_affine_weyl_group(self, L):
-        return sum(self.trans) == 0 and all(t % L == 0 for t in self.trans)
 
 
 def identity_element(k):
@@ -173,9 +166,9 @@ def from_word(word, k, L):
 
 
 def is_dominant(x, params):
-    """True iff a_i(x) >= 0 for every simple affine root a_i."""
-    k, L = params.k, params.L
-    return all(eval_root(simple_root(i, k), x, L) >= 0 for i in range(k))
+    """True iff a_i(x) >= 0 for every simple affine root a_i, that is
+    x_1 >= x_2 >= ... >= x_k >= x_1 - L."""
+    return x[-1] + params.L >= x[0] and all(a >= b for a, b in zip(x, x[1:]))
 
 
 def shortest_element(x, params):
@@ -183,40 +176,34 @@ def shortest_element(x, params):
 
     Greedy descent: repeatedly apply the smallest-index simple reflection
     whose root is negative at the current point.  The collected letters,
-    reversed, form a reduced word read left to right.
+    reversed, form a reduced word read left to right.  The descent moves
+    the coordinates of x between slots, so it tracks which coordinate sits
+    in each slot; w's permutation is read off that and its translation is
+    w(x) - perm(x).
     """
     k, L = params.k, params.L
-    simples = [simple_root(i, k) for i in range(k)]
+    y = list(x)
+    src = list(range(k))  # src[s]: the coordinate of x now in slot s
     letters = []
-    y = x
     while True:
-        for i in range(k):
-            if eval_root(simples[i], y, L) < 0:
-                letters.append(i)
-                y = reflect(simples[i], y, L)
-                break
+        if y[-1] - y[0] + L < 0:  # a_0(y) < 0
+            letter, a, b = 0, 0, k - 1
+            y[0], y[-1] = y[-1] + L, y[0] - L
         else:
-            break
-    word = tuple(reversed(letters))
-    return from_word(word, k, L), word
-
-
-def inversion_set(x, params):
-    """All positive affine roots negative at x (a finite set)."""
-    k, L = params.k, params.L
-    out = set()
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j:
-                continue
-            diff = x[j - 1] - x[i - 1]  # a(x) < 0 iff m*L < diff
-            if i < j and diff > 0:
-                out.add(AffineRoot(i, j, 0))
-            m = 1
-            while m * L < diff:
-                out.add(AffineRoot(i, j, m))
-                m += 1
-    return out
+            for a in range(k - 1):
+                if y[a] < y[a + 1]:  # a_{a+1}(y) < 0
+                    break
+            else:
+                break
+            letter, b = a + 1, a + 1
+            y[a], y[b] = y[b], y[a]
+        src[a], src[b] = src[b], src[a]
+        letters.append(letter)
+    perm = [0] * k
+    for slot, j in enumerate(src):
+        perm[j] = slot
+    trans = tuple(y[slot] - x[j] for slot, j in enumerate(src))
+    return AffineWeylElement(tuple(perm), trans), tuple(reversed(letters))
 
 
 def is_regular(x, params):

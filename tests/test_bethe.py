@@ -14,7 +14,7 @@ from conftest import (
     schur,
     window,
 )
-from hecke_bose import weyl
+from hecke_bose import bethe, weyl
 from hecke_bose.bethe import (
     BetheSolverError,
     Partition,
@@ -373,3 +373,21 @@ def test_residual_exact_on_rational_p():
                 prod *= (b * p[i] - p[j] - a) / (p[i] - b * p[j] + a)
         assert isinstance(res[i], Fraction)
         assert res[i] == p[i] ** 4 - prod
+
+
+@pytest.mark.parametrize(
+    "slot,value", [(0, complex("nan")), (-1, complex("nan")), (0, complex("inf"))]
+)
+def test_solver_rejects_non_finite_roots(monkeypatch, slot, value):
+    # a Newton step that "converges" to a non-finite root must not pass the
+    # final acceptance test: NaN compares false, and max() skips a NaN that
+    # is not in the first slot
+    def newton(p, L, a, b, max_iter=60):
+        q = np.array(p, dtype=complex)
+        q[slot] = value
+        return q
+
+    monkeypatch.setattr(bethe, "_newton", newton)
+    params = Params(2, 3, Fraction(-1, 2), Fraction(3, 4))
+    with np.errstate(all="ignore"), pytest.raises(BetheSolverError, match="^final residual"):
+        solve_bethe(params, (0, 1), 4)

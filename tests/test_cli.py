@@ -64,6 +64,24 @@ def test_verify_is_deterministic(capsys):
     assert strip(first) == strip(second)
 
 
+def test_hl_identity_reports_the_alpha_it_checks(capsys):
+    # the identity is stated at alpha = 0; the report says so whatever alpha
+    # was given, and the run is the same
+    reports = []
+    for alpha in ("--alpha", "0"), ("--alpha=-2/3",):
+        code, out = _run(
+            capsys,
+            ["verify", "hl-identity", "--k", "3", "--L", "2", *alpha,
+             "--beta", "3", "--window", "2", "--seed", "1"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["params"]["alpha"] == "0"
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_verify_detects_injected_defect(capsys, monkeypatch):
     # corrupt the counting function; the identity suite must notice and
     # report a nonzero exit code with populated failure records

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rand_params_pair, window
 from hecke_bose import weyl
-from hecke_bose.functions import constant_function, random_rational_function
+from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import (
     apply_H,
     apply_H_tilde,
@@ -16,6 +16,10 @@ from hecke_bose.hamiltonian import (
     verify_d_change,
 )
 from hecke_bose.weyl import Params, eval_root, simple_root
+
+
+def constant_function(value):
+    return LatticeFunction(lambda x: value)
 
 
 def test_d_examples():
@@ -145,3 +149,25 @@ def test_memoized_and_unmemoized_agree():
     raw = LatticeFunction(ev, memoize=False)
     for x in window(2, 3):
         assert memo(x) == raw(x) == memo(x)
+
+
+def _d_count_by_roots(x, params, start, step):
+    """d_i^{+-} summed root by root over AffineRoot objects: the reference
+    for the counts read off the coordinates."""
+    k, L = params.k, params.L
+    count = 0
+    s = 0
+    for p in range(k - 1):
+        s += eval_root(simple_root((start + p * step) % k, k), x, L)
+        if s <= 0 and s % L == 0:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
+def test_d_counts_match_root_sums(k, L):
+    params = Params(k, L)
+    for x in window(k, 3):
+        for i in range(1, k + 1):
+            assert d_plus(i, x, params) == _d_count_by_roots(x, params, i, 1)
+            assert d_minus(i, x, params) == _d_count_by_roots(x, params, i - 1, -1)

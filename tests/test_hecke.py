@@ -10,7 +10,7 @@ import pytest
 from conftest import rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
-from hecke_bose.hecke import QWordEngine, apply_Q, apply_Q0, apply_Q_letter, apply_Qw
+from hecke_bose.hecke import QWordEngine, _rotate, _unrotate, apply_Q, apply_Q0, apply_Q_letter, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
 from hecke_bose.weyl import Params
 
@@ -367,3 +367,16 @@ def test_laplacian_commutes_with_Qw(k, L):
         rhs = apply_Qw(word, laplacian(f), params)
         for x in window(k, 2):
             assert lhs(x) == rhs(x)
+
+
+@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
+def test_sliced_rotation_is_pi(k, L):
+    # the Q_0 layers rotate points by slicing; that must be the group's pi
+    pi = weyl.pi_element(k, L)
+    pi_inv = weyl.inverse(pi)
+    rng = random.Random("rotation-%d-%d" % (k, L))
+    for _ in range(200):
+        x = tuple(rng.randint(-9, 9) for _ in range(k))
+        assert _rotate(x, L) == weyl.act(pi, x)
+        assert _unrotate(x, L) == weyl.act(pi_inv, x)
+        assert _unrotate(_rotate(x, L), L) == x

@@ -13,11 +13,15 @@ from hecke_bose.functions import random_rational_function
 from hecke_bose.laurent import (
     LaurentPolynomial,
     apply_T_check,
-    apply_pi_check,
     pairing,
     weyl_act_poly,
 )
 from hecke_bose.weyl import Params
+
+
+def apply_pi_check(p, params):
+    """Action of the rotation pi on Laurent polynomials."""
+    return weyl_act_poly(weyl.pi_element(params.k, params.L), p)
 
 coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 exponents = st.tuples(*([st.integers(-3, 3)] * 3))

@@ -8,10 +8,17 @@ import pytest
 
 from conftest import rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
-from hecke_bose.functions import LatticeFunction, linear_combination, random_rational_function
+from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import apply_H, d_plus
-from hecke_bose.propagation import plane_wave, propagate, verify_lemma_main
+from hecke_bose.hecke import QWordEngine
+from hecke_bose.propagation import plane_wave, propagate, propagate_many, verify_lemma_main
 from hecke_bose.weyl import Params
+
+
+def linear_combination(coeffs_and_functions):
+    """Pointwise linear combination of lattice functions."""
+    pairs = list(coeffs_and_functions)
+    return LatticeFunction(lambda x: sum(c * f(x) for c, f in pairs))
 
 
 def _params(k, L, seed):
@@ -160,3 +167,13 @@ def test_far_point_evaluation_is_recursion_free():
     finally:
         sys.setrecursionlimit(limit)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3)])
+def test_grouped_propagation_matches_per_point(k, L):
+    params = _params(k, L, "grouped-%d-%d" % (k, L))
+    f = random_rational_function("grouped-%d-%d" % (k, L))
+    points = list(window(k, 2))
+    grouped = propagate_many(QWordEngine(f, params), points)
+    G = propagate(f, params)
+    assert grouped == {x: G(x) for x in points}

