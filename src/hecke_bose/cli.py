@@ -245,7 +245,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, ZeroDivisionError) as err:
+    except (OSError, ValueError, ArithmeticError) as err:
         parser.exit(2, "hecke-bose: error: %s: %s\n" % (type(err).__name__, err))
 
 

@@ -10,21 +10,19 @@ class LatticeFunction:
     """A function on the lattice, wrapped with a transparent memo cache.
 
     The evaluator must be deterministic; the cache only ever stores values
-    the evaluator returned, so memoized and unmemoized evaluation agree.
+    the evaluator returned, so the wrapper agrees with the evaluator.
     Values may be exact rationals or complex floats, by caller's choice.
     """
 
     __slots__ = ("_eval", "_memo")
 
-    def __init__(self, evaluator, memoize=True):
+    def __init__(self, evaluator):
         self._eval = evaluator
-        self._memo = {} if memoize else None
+        self._memo = {}
 
     def __call__(self, x):
         x = tuple(x)
         memo = self._memo
-        if memo is None:
-            return self._eval(x)
         v = memo.get(x)
         if v is None:
             v = self._eval(x)

@@ -261,21 +261,14 @@ def apply_Q(i, f, params):
     return apply_Qw((i,), f, params)
 
 
-def apply_Q0(f, params):
-    """Q_0 = pi^{-1} Q_1 pi, by conjugation with the diagram rotation."""
-    return apply_Qw((0,), f, params)
-
-
-def apply_Q_letter(letter, f, params):
-    return apply_Qw((letter,), f, params)
-
-
 def apply_Qw(word, f, params):
-    """Q_w = Q_{word[0]} ... Q_{word[-1]} for a reduced word, applied to f."""
+    """Q_w = Q_{word[0]} ... Q_{word[-1]} for a reduced word, applied to f.
+    The letters run over 0, ..., k-1; the letter 0 is Q_0 = pi^{-1} Q_1 pi,
+    conjugated by the diagram rotation."""
     word = tuple(word)
     if not word:
         return f
     if not all(0 <= letter < params.k for letter in word):
         raise ValueError("Q_i index must satisfy 0 <= i < k")
     engine = QWordEngine(f, params)
-    return LatticeFunction(lambda x: engine.values(word, (x,))[0], memoize=False)
+    return LatticeFunction(lambda x: engine.values(word, (x,))[0])

@@ -13,20 +13,8 @@ from . import weyl
 def propagate(f, params):
     """G(f)(x) = (Q_{w_x} f)(w_x x), with w_x the shortest element moving x
     into the dominant chamber.  On dominant points G(f) agrees with f."""
-    return propagate_with(QWordEngine(f, params))
-
-
-def propagate_with(engine, points=()):
-    """G(f) evaluated through an existing Q-word engine for f, sharing its
-    layers.  Its values at ``points`` are computed up front by
-    ``propagate_many``; other points are evaluated one at a time."""
-    known = propagate_many(engine, points)
-
-    def ev(x):
-        value = known.pop(x, None)
-        return value if value is not None else propagate_many(engine, (x,))[x]
-
-    return LatticeFunction(ev)
+    engine = QWordEngine(f, params)
+    return LatticeFunction(lambda x: propagate_many(engine, (x,))[x])
 
 
 def propagate_many(engine, points):
@@ -61,45 +49,53 @@ def plane_wave(p):
     return LatticeFunction(ev)
 
 
-def verify_lemma_main(f, x, i, params, G=None, qword=None, descent=None):
+def with_neighbours(points):
+    """The points with their neighbours x - v_i: where H and the lemma read G."""
+    return set(points).union(
+        x[:i] + (x[i] - 1,) + x[i + 1 :] for x in points for i in range(len(x))
+    )
+
+
+def verify_lemma_main(f, points, params):
     """Check the key commutation identity behind the eigenfunction theorem:
 
     ((t_{v_i} - alpha d_i^+) G(f))(x)
       = ((t_{v_sigma(i)} + (1-beta) sum_{j=1}^{d_i^+(x)} t_{v_{sigma(i)+j}}) Q_{w_x} f)(w_x x)
 
-    where sigma is the coordinate permutation of w_x.  Returns True iff the
-    two sides agree exactly.  When checking many points, pass a shared
-    Q-word engine for f as ``qword`` and ``G = propagate_with(qword)``, so
-    that both sides read the same layers; when checking every i at x, pass
-    ``descent = weyl.shortest_element(x, params)``, so that x descends once.
+    where sigma is the coordinate permutation of w_x.  Yields (x, i, ok) for
+    every point x (an integer tuple) and i = 1, ..., k, x-major, with ok True
+    iff the two sides agree exactly.
+
+    One Q-word engine for f serves both sides: G comes from one
+    ``propagate_many`` over the points and their neighbours, each x descends
+    once, and the right-hand sides of the points sharing a reduced word w_x
+    take one engine call.
     """
-    k = params.k
-    alpha, beta = params.alpha, params.beta
-    if qword is None:
-        qword = QWordEngine(f, params)
-    if G is None:
-        G = propagate_with(qword)
+    k, alpha, beta = params.k, params.alpha, params.beta
+    points = list(points)
+    engine = QWordEngine(f, params)
+    G = propagate_many(engine, with_neighbours(points))
+    groups = {}  # w_x -> [(position of x, x, w_x x, sigma)]
+    for n, x in enumerate(points):
+        w, word = weyl.shortest_element(x, params)
+        groups.setdefault(word, []).append((n, x, weyl.act(w, x), w.perm))
 
-    w, word = descent or weyl.shortest_element(x, params)
-    dp = d_plus(i, x, params)
-
-    shifted = list(x)
-    shifted[i - 1] -= 1
-    lhs = G(tuple(shifted))
-    if dp and alpha != 0:
-        lhs -= alpha * dp * G(x)
-
-    wx = weyl.act(w, x)
-    sigma_i = w.perm[i - 1]  # 0-based slot of v_{sigma(i)}
-    slots = [sigma_i]
-    if beta != 1:
-        slots += [(sigma_i + j) % k for j in range(1, dp + 1)]
-    points = []
-    for slot in slots:
-        y = list(wx)
-        y[slot] -= 1
-        points.append(tuple(y))
-    rhs, *rest = qword.values(word, points)
-    for value in rest:
-        rhs += (1 - beta) * value
-    return lhs == rhs
+    results = [[] for _ in points]  # ok for i = 1, ..., k, per point
+    for word, cases in groups.items():
+        sides = []  # (position of x, lhs, the right-hand points, v_sigma(i) first)
+        for n, x, wx, sigma in cases:
+            for i in range(1, k + 1):
+                dp = d_plus(i, x, params)
+                lhs = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]
+                if dp and alpha != 0:
+                    lhs -= alpha * dp * G[x]
+                terms = dp + 1 if beta != 1 else 1  # at beta = 1 only t_{v_sigma(i)} is left
+                slots = [(sigma[i - 1] + j) % k for j in range(terms)]
+                sides.append((n, lhs, [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]))
+        needed = [y for *_, ys in sides for y in ys]
+        Q = dict(zip(needed, engine.values(word, needed)))
+        for n, lhs, (y, *rest) in sides:
+            results[n].append(lhs == Q[y] + (1 - beta) * sum(Q[z] for z in rest))
+    for x, oks in zip(points, results):
+        for i, ok in enumerate(oks, 1):
+            yield x, i, ok

@@ -92,13 +92,6 @@ def _suite(name, **pinned):
     return register
 
 
-def _with_neighbours(points):
-    """The points with their neighbours x - v_i: where H and the lemma read G."""
-    return set(points).union(
-        x[:i] + (x[i] - 1,) + x[i + 1 :] for x in points for i in range(len(x))
-    )
-
-
 def _compare(f, params, lhs, rhs, points, detail):
     """Check Q_lhs f = Q_rhs f at the points through one engine."""
     engine = hecke.QWordEngine(f, params)
@@ -144,12 +137,13 @@ def suite_duality(params, window, seed):
     """(Q_i f)(x) = (f, T^check_i e^x): the defining duality, cross-module."""
     k = params.k
     f = random_rational_function("duality-%s" % seed)
+    points = list(window_points(k, window))
     for i in range(1, k):
-        qf = hecke.apply_Q(i, f, params)
+        qf = hecke.QWordEngine(f, params).values((i,), points)
         detail = "duality fails for i = %d" % i
-        for x in window_points(k, window):
+        for x, qx in zip(points, qf):
             rhs = laurent.pairing(f, laurent.apply_T_check(i, LaurentPolynomial.monomial(x), params))
-            yield x, qf(x) == rhs, detail
+            yield x, qx == rhs, detail
 
 
 @_suite("d-change")
@@ -181,17 +175,10 @@ def suite_w_invariance(params, window, seed):
 @_suite("lemma-main")
 def suite_lemma_main(params, window, seed):
     """The shift/propagation commutation identity, exhaustively on the window."""
-    k = params.k
     f = random_rational_function("lemma-%s" % seed)
-    points = list(window_points(k, window))
-    qword = hecke.QWordEngine(f, params)
-    G = propagation.propagate_with(qword, _with_neighbours(points))
-    details = [(i, "lemma identity fails for i = %d" % i) for i in range(1, k + 1)]
-    for x in points:
-        descent = weyl.shortest_element(x, params)
-        for i, detail in details:
-            ok = propagation.verify_lemma_main(f, x, i, params, G=G, qword=qword, descent=descent)
-            yield x, ok, detail
+    points = window_points(params.k, window)
+    for x, i, ok in propagation.verify_lemma_main(f, points, params):
+        yield x, ok, "lemma identity fails for i = %d" % i
 
 
 @_suite("theorem")
@@ -200,11 +187,11 @@ def suite_theorem(params, window, seed):
     p = random_distinct_fractions(random.Random("theorem-%s" % seed), params.k)
     points = list(window_points(params.k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
-    G = propagation.propagate_with(engine, _with_neighbours(points))
+    G = propagation.propagate_many(engine, propagation.with_neighbours(points))
     lam = sum(p)
     detail = "eigenfunction identity fails, p = %s" % (p,)
     for x in points:
-        yield x, hamiltonian.apply_H(G, x, params) == lam * G(x), detail
+        yield x, hamiltonian.apply_H(G.__getitem__, x, params) == lam * G[x], detail
 
 
 @_suite("hl-identity", alpha=Fraction(0))

@@ -152,6 +152,9 @@ def test_bethe_command_rejects_bad_seed_count(capsys):
         ["bethe", "--k", "2", "--L", "0", "--seeds", "0,1"],
         ["hall-littlewood", "--lam", "1", "--z", "2,2", "--t", "1/2"],
         ["hall-littlewood", "--lam", "1,2", "--z", "2,3", "--t", "1/2"],
+        # couplings too large for a float overflow in the solver and in apply_H
+        ["bethe", "--k", "2", "--L", "2", "--seeds", "0,1", "--alpha", "1e400"],
+        ["bethe", "--k", "3", "--L", "3", "--seeds", "0,1,2", "--beta", "1e300"],
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, argv):

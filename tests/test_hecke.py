@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_params_pair, window
+from conftest import rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
-from hecke_bose.hecke import QWordEngine, _rotate, _unrotate, apply_Q, apply_Q0, apply_Q_letter, apply_Qw
+from hecke_bose.hecke import QWordEngine, _rotate, _unrotate, apply_Q, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
+from hecke_bose.propagation import plane_wave, propagate
 from hecke_bose.weyl import Params
 
 
@@ -187,6 +188,89 @@ def test_engine_words_match_n_term_oracle(k, alpha, beta):
         assert engine.values(word, points) == [oracle(x) for x in points]
 
 
+def _plane_waves(p):
+    """The plane wave g_p as a sum {q: coefficient} of plane waves
+    g_q(x) = prod_j q_j^{-x_j}.  Its Q-images stay in the span of the g_q
+    with q a permutation of p, which is closed only for distinct p_i."""
+    p = tuple(Fraction(v) for v in p)
+    if len(set(p)) < len(p):
+        raise ValueError("the plane-wave Q-module needs distinct p_i, got %s" % (p,))
+    return {p: Fraction(1)}
+
+
+def _plane_wave_Q(i, waves, params):
+    """Q_i, 1 <= i < k, on a sum of plane waves, in closed form: the n-term sum
+    is geometric, so with r = q_{i+1}/q_i, c = alpha/q_{i+1} + 1 - beta and
+    t = c r/(r - 1), Q_i g_q = (1 - t) g_{s_i q} + t g_q for every sign of a_i(x)."""
+    out = {}
+    for q, coeff in waves.items():
+        a, b = q[i - 1], q[i]
+        r = b / a
+        t = (params.alpha / b + 1 - params.beta) * r / (r - 1)
+        swapped = q[: i - 1] + (b, a) + q[i + 1 :]
+        out[swapped] = out.get(swapped, 0) + coeff * (1 - t)
+        out[q] = out.get(q, 0) + coeff * t
+    return out
+
+
+def _plane_wave_Q0(waves, params):
+    """Q_0 f = (Q_1 (f o pi^{-1})) o pi, through g_q o pi^{-1} =
+    q_k^L g_{(q_k, q_1, ..., q_{k-1})} and g_q o pi = q_1^{-L} g_{(q_2, ..., q_k, q_1)}."""
+    L = params.L
+    pulled = {q[-1:] + q[:-1]: c * q[-1] ** L for q, c in waves.items()}
+    return {q[1:] + q[:1]: c * q[0] ** -L for q, c in _plane_wave_Q(1, pulled, params).items()}
+
+
+def _plane_wave_word(word, waves, params):
+    for letter in reversed(word):
+        waves = _plane_wave_Q0(waves, params) if letter == 0 else _plane_wave_Q(letter, waves, params)
+    return waves
+
+
+def _plane_wave_value(waves, x):
+    total = 0
+    for q, coeff in waves.items():
+        for qj, xj in zip(q, x):
+            coeff *= qj ** -xj
+        total += coeff
+    return total
+
+
+def _plane_wave_G(p, x, params):
+    """G(g_p)(x) = (Q_{w_x} g_p)(w_x x) through the closed form: O(|w_x| k!)
+    rationals, however far x lies from the dominant chamber."""
+    waves = _plane_waves(p)
+    w, word = weyl.shortest_element(x, params)
+    return _plane_wave_value(_plane_wave_word(word, waves, params), weyl.act(w, x))
+
+
+@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3)])
+def test_engine_matches_plane_wave_closed_form(k, L):
+    params = _params(k, L, "waves-%d-%d" % (k, L))
+    p = rand_distinct_fractions(random.Random("waves-%d-%d" % (k, L)), k)
+    engine = QWordEngine(plane_wave(p), params)
+    points = list(window(k, 2))
+    for word in [(i,) for i in range(k)] + [(0, 1), (1, 0), (k - 1, 0, 1)]:
+        waves = _plane_wave_word(word, _plane_waves(p), params)
+        assert engine.values(word, points) == [_plane_wave_value(waves, x) for x in points]
+
+
+@pytest.mark.parametrize(
+    "k,L,x",
+    [(2, 1, (40, -40)), (3, 2, (8, 0, -8)), (4, 3, (8, 2, -2, -8))],
+)
+def test_propagate_matches_plane_wave_oracle_far_out(k, L, x):
+    params = Params(k, L, Fraction(1, 2), Fraction(2))
+    p = rand_distinct_fractions(random.Random("far-waves-%d" % k), k)
+    assert propagate(plane_wave(p), params)(x) == _plane_wave_G(p, x, params)
+
+
+def test_plane_wave_oracle_rejects_repeated_p():
+    params = Params(3, 2, Fraction(1, 2), Fraction(2))
+    with pytest.raises(ValueError):
+        _plane_wave_G((Fraction(2), Fraction(1, 3), Fraction(2)), (0, 0, 0), params)
+
+
 def _far_denominators(seed, reads=None):
     """A rational lattice function whose denominators grow with max_j |x_j|,
     counting its evaluations per point in ``reads`` when given."""
@@ -243,7 +327,7 @@ def test_engine_rejects_inexact_input(alpha, beta, value):
 def test_Q0_conjugation_matches_explicit_formula(k, L):
     params = _params(k, L, "q0-%d-%d" % (k, L))
     f = random_rational_function("q0-%d-%d" % (k, L))
-    q0 = apply_Q0(f, params)
+    q0 = apply_Qw((0,), f, params)
     oracle = _explicit_Q0(f, params)
     for x in window(k, 4):
         assert q0(x) == oracle(x)
@@ -252,7 +336,7 @@ def test_Q0_conjugation_matches_explicit_formula(k, L):
 def test_Q0_fixed_on_affine_wall():
     params = _params(2, 2, "q0wall")
     f = random_rational_function("q0wall")
-    q0 = apply_Q0(f, params)
+    q0 = apply_Qw((0,), f, params)
     for x in window(2, 4):
         if x[1] - x[0] + 2 == 0:  # a_0(x) = 0
             assert q0(x) == f(x)
@@ -264,8 +348,8 @@ def test_quadratic_relations(k, L):
     beta = params.beta
     f = random_rational_function("quad-%d-%d" % (k, L))
     for i in range(k):
-        g = apply_Q_letter(i, f, params)
-        h = apply_Q_letter(i, g, params)
+        g = apply_Qw((i,), f, params)
+        h = apply_Qw((i,), g, params)
         for x in window(k, 2):
             assert h(x) + (beta - 1) * g(x) - beta * f(x) == 0
 
@@ -276,8 +360,8 @@ def test_braid_relations(k):
     f = random_rational_function("braid-%d" % k)
     for i in range(k):
         j = (i + 1) % k
-        lhs = apply_Q_letter(i, apply_Q_letter(j, apply_Q_letter(i, f, params), params), params)
-        rhs = apply_Q_letter(j, apply_Q_letter(i, apply_Q_letter(j, f, params), params), params)
+        lhs = apply_Qw((i,), apply_Qw((j,), apply_Qw((i,), f, params), params), params)
+        rhs = apply_Qw((j,), apply_Qw((i,), apply_Qw((j,), f, params), params), params)
         for x in window(k, 2):
             assert lhs(x) == rhs(x)
 

@@ -113,34 +113,34 @@ def test_lemma_trivial_case():
     params = _params(2, 2, "lemma-triv")
     f = random_rational_function("lemma-triv")
     G = propagate(f, params)
-    for x in window(2, 3):
-        if not weyl.is_dominant(x, params):
-            continue
-        for i in (1, 2):
-            if d_plus(i, x, params) == 0:
-                y = list(x)
-                y[i - 1] -= 1
-                assert G(tuple(y)) == f(tuple(y))
-                assert verify_lemma_main(f, x, i, params, G=G)
+    dominant = [x for x in window(2, 3) if weyl.is_dominant(x, params)]
+    checked = 0
+    for x, i, ok in verify_lemma_main(f, dominant, params):
+        if d_plus(i, x, params) == 0:
+            y = list(x)
+            y[i - 1] -= 1
+            assert G(tuple(y)) == f(tuple(y))
+            assert ok
+            checked += 1
+    assert checked
 
 
 def test_lemma_origin_example():
     # at the origin with i = 1, k = 2: LHS = G(f)(-1,0) - alpha * G(f)(0,0)
     params = Params(2, 2, Fraction(-1, 3), Fraction(2, 5))
     f = random_rational_function("lemma-origin")
-    G = propagate(f, params)
     assert d_plus(1, (0, 0), params) == 1
-    assert verify_lemma_main(f, (0, 0), 1, params, G=G)
+    assert ((0, 0), 1, True) in verify_lemma_main(f, [(0, 0)], params)
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2)])
 def test_lemma_exhaustive_window(k, L):
     params = _params(k, L, "lemma-%d-%d" % (k, L))
     f = random_rational_function("lemma-%d-%d" % (k, L))
-    G = propagate(f, params)
-    for x in window(k, 3):
-        for i in range(1, k + 1):
-            assert verify_lemma_main(f, x, i, params, G=G)
+    points = list(window(k, 3))
+    checks = list(verify_lemma_main(f, points, params))
+    assert [(x, i) for x, i, _ in checks] == [(x, i) for x in points for i in range(1, k + 1)]
+    assert all(ok for _, _, ok in checks)
 
 
 def _stack_depth():

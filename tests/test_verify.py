@@ -43,3 +43,39 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
     assert report["failures"] == [
         {"x": [-1, -1, -1], "detail": "braid relation fails for (Q_0, Q_1)"}
     ]
+
+
+def _corrupt_one_value(monkeypatch, target_word, target_point):
+    """Make every engine report (Q_word f)(point) off by one at one word and point."""
+    values = hecke.QWordEngine.values
+
+    def corrupted(self, word, points):
+        points = list(points)
+        out = values(self, word, points)
+        return [v + 1 if tuple(word) == target_word and x == target_point else v
+                for x, v in zip(points, out)]
+
+    monkeypatch.setattr(hecke.QWordEngine, "values", corrupted)
+
+
+@pytest.mark.parametrize(
+    "suite,word,point,failure",
+    [
+        # Q_2 f read at one window point: the duality check there
+        ("duality", (2,), (1, 0, -1), {"x": [1, 0, -1], "detail": "duality fails for i = 2"}),
+        # G(f) at the neighbour (-2, -1, 1) of x = (-1, -1, 1): the left-hand side for i = 1
+        ("lemma-main", (0, 1, 2, 1), (0, -1, -1),
+         {"x": [-1, -1, 1], "detail": "lemma identity fails for i = 1"}),
+        # Q_{w_x} f at w_x x - v_sigma(2) for x = (-1, 0, 1): the right-hand side for i = 2
+        ("lemma-main", (1, 2, 1), (1, -1, -1),
+         {"x": [-1, 0, 1], "detail": "lemma identity fails for i = 2"}),
+    ],
+)
+def test_batched_suites_name_a_corrupted_value(monkeypatch, suite, word, point, failure):
+    params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
+    clean = verify.run_suite(suite, params, 1, 0)
+    assert clean["failures"] == []
+    _corrupt_one_value(monkeypatch, word, point)
+    report = verify.run_suite(suite, params, 1, 0)
+    assert report["checks_run"] == clean["checks_run"]
+    assert report["failures"] == [failure]
