@@ -6,11 +6,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
+from numbers import Rational
 
 import numpy as np
 
 from . import weyl
+from .functions import LatticeFunction
 
 NEWTON_TOL = 1e-12
 ACCEPT_RESIDUAL = 1e-10
@@ -75,6 +77,16 @@ class Partition:
         return v
 
 
+def _couplings_like(p, alpha, beta):
+    """Rational alpha, beta in p's type when p is all complex or all float: the
+    conversion Fraction's mixed-type operators make in every operation, made once."""
+    if isinstance(alpha, Rational) and isinstance(beta, Rational):
+        for kind in (complex, float):
+            if all(isinstance(v, kind) for v in p):
+                return kind(alpha), kind(beta)
+    return alpha, beta
+
+
 def _scattering_row(p, i, alpha, beta):
     """The factors S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)
     of row i as numerators, denominators and ratios (None at j = i), and
@@ -133,7 +145,7 @@ def bethe_residual(p, params):
     """Defect vector of the Bethe equations:
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
     p = tuple(getattr(p, "p", p))
-    alpha, beta = params.alpha, params.beta
+    alpha, beta = _couplings_like(p, params.alpha, params.beta)
     return [p[i] ** params.L - _scattering_row(p, i, alpha, beta)[3] for i in range(len(p))]
 
 
@@ -178,29 +190,31 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
 
     s = 0.0
     ds = 1.0 / max(1, homotopy_steps)
-    while s < 1.0:
-        s_next = min(1.0, s + ds)
-        a = s_next * a_t
-        b = 1.0 + s_next * (b_t - 1.0)
-        try:
-            q = _newton(p, L, a, b)
-        except BetheSolverError as err:
-            ds /= 2
-            if ds < 1e-8:
-                raise BetheSolverError(
-                    "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
-                ) from err
-            continue
-        for i in range(k):
-            for j in range(i + 1, k):
-                if abs(q[i] - q[j]) < COLLISION_TOL:
+    # no numpy overflow warnings: _newton and the final check reject non-finite values
+    with np.errstate(all="ignore"):
+        while s < 1.0:
+            s_next = min(1.0, s + ds)
+            a = s_next * a_t
+            b = 1.0 + s_next * (b_t - 1.0)
+            try:
+                q = _newton(p, L, a, b)
+            except BetheSolverError as err:
+                ds /= 2
+                if ds < 1e-8:
                     raise BetheSolverError(
-                        "root collision at s = %.6g between p_%d and p_%d"
-                        % (s_next, i + 1, j + 1),
-                        s=s_next,
-                    )
-        p = q
-        s = s_next
+                        "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
+                    ) from err
+                continue
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if abs(q[i] - q[j]) < COLLISION_TOL:
+                        raise BetheSolverError(
+                            "root collision at s = %.6g between p_%d and p_%d"
+                            % (s_next, i + 1, j + 1),
+                            s=s_next,
+                        )
+            p = q
+            s = s_next
 
     final = tuple(complex(v) for v in p)
     residuals = [abs(complex(r)) for r in bethe_residual(final, params)]
@@ -213,56 +227,54 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
     return SpectralPoint(final, residual)
 
 
-def _symmetrize(z, exps, pair):
-    """sum_sigma prod_{i<j} pair[sigma(i)][sigma(j)] * prod_i z_{sigma(i)}^{exps_i},
-    for a k x k table of pair factors built once per call."""
-    k = len(z)
+def _symmetrized_terms(pair):
+    """The k! pairs (sigma, prod_{i<j} pair[sigma(i)][sigma(j)]) of a k x k
+    table of pair factors, sigma in lexicographic order."""
+    k = len(pair)
+    ij = list(combinations(range(k), 2))
+    return [(s, math.prod(pair[s[i]][s[j]] for i, j in ij)) for s in permutations(range(k))]
+
+
+def _sum_terms(terms, z, exps):
+    """sum over (sigma, coef) in terms of coef * prod_i z_{sigma(i)}^{exps_i},
+    from one k x k table of powers."""
+    powers = [[v ** e for v in z] for e in exps]
     total = 0
-    for sigma in permutations(range(k)):
-        coef = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                coef *= pair[sigma[i]][sigma[j]]
+    for sigma, coef in terms:
         mono = 1
-        for i in range(k):
-            mono *= z[sigma[i]] ** exps[i]
+        for row, s in zip(powers, sigma):
+            mono *= row[s]
         total += coef * mono
     return total
 
 
-def _signed_scattering_sum(p, exps, alpha, beta):
-    """sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
-    * prod_i p_{sigma(i)}^{-exps_i}.
-
-    The factor of a pair (a, b) is negated when a > b, so every inversion of
-    sigma flips the sign once and the product carries sgn(sigma).
-    """
+def _wave_terms(p, alpha, beta):
+    """The terms (sigma, sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)):
+    the factor of a pair (a, b) is negated when a > b, so every inversion of
+    sigma flips the sign once."""
+    alpha, beta = _couplings_like(p, alpha, beta)
     k = len(p)
     pair = [[beta * p[a] - p[b] - alpha for b in range(k)] for a in range(k)]
     for a in range(k):
         for b in range(a):
             pair[a][b] = -pair[a][b]
-    return _symmetrize(p, tuple(-e for e in exps), pair)
+    return _symmetrized_terms(pair)
 
 
 def bethe_wave(p, x, params):
-    """The Bethe wave function h_p at the point x.
-
-    Defined by the symmetrized scattering sum on the dominant chamber and
-    extended to all of the lattice by Weyl invariance h_p(w x) = h_p(x).
-    """
-    pvals = tuple(getattr(p, "p", p))
-    if not weyl.is_dominant(x, params):
-        w, _ = weyl.shortest_element(x, params)
-        x = weyl.act(w, x)
-    return _signed_scattering_sum(pvals, x, params.alpha, params.beta)
+    """The Bethe wave function h_p at the point x (see bethe_wave_function)."""
+    return bethe_wave_function(p, params)(x)
 
 
 def bethe_wave_function(p, params):
-    """h_p packaged as a memoizing lattice function."""
-    from .functions import LatticeFunction
-
-    return LatticeFunction(lambda x: bethe_wave(p, x, params))
+    """h_p: sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
+    prod_i p_{sigma(i)}^{-x_i} on the dominant chamber, Weyl-invariant, as a
+    memoizing lattice function.  The k! coefficients are computed once, here."""
+    p = tuple(getattr(p, "p", p))
+    terms = _wave_terms(p, params.alpha, params.beta)
+    return LatticeFunction(
+        lambda x: _sum_terms(terms, p, [-e for e in weyl.dominant_point(x, params)])
+    )
 
 
 def hall_littlewood_R(lam, z, t):
@@ -286,7 +298,7 @@ def hall_littlewood_R(lam, z, t):
             if z[a] == z[b]:
                 raise ValueError("coincident variables z_%d = z_%d" % (a + 1, b + 1))
             pair[a][b] = (z[a] - t * z[b]) / (z[a] - z[b])
-    return _symmetrize(z, exps, pair)
+    return _sum_terms(_symmetrized_terms(pair), z, exps)
 
 
 def hall_littlewood_P(lam, z, t):
@@ -302,7 +314,7 @@ def verify_hl_identity(p, x, beta, params):
     if not weyl.is_dominant(x, params):
         raise ValueError("identity is stated on the dominant chamber")
     p = tuple(p)
-    lhs = _signed_scattering_sum(p, tuple(x), 0, beta)
+    lhs = _sum_terms(_wave_terms(p, 0, beta), p, [-e for e in x])
     delta = 1
     k = len(p)
     for i in range(k):

@@ -206,6 +206,16 @@ def shortest_element(x, params):
     return AffineWeylElement(tuple(perm), trans), tuple(reversed(letters))
 
 
+def dominant_point(x, params):
+    """act(shortest_element(x)[0], x) without a word: the orbit keeps the
+    residues mod L and the sum of x, and with (q, e) = divmod((sum x - sum of
+    residues) / L, k) the e smallest residues rise by L(q + 1), the rest by Lq."""
+    L = params.L
+    r = sorted(v % L for v in x)
+    q, e = divmod((sum(x) - sum(r)) // L, params.k)
+    return tuple(sorted((v + L * (q + (i < e)) for i, v in enumerate(r)), reverse=True))
+
+
 def is_regular(x, params):
     """True iff x avoids every affine root hyperplane (x_i - x_j never in L*Z)."""
     k, L = params.k, params.L

@@ -361,6 +361,28 @@ def test_bethe_wave_matches_reference_exactly():
             assert bethe_wave(pvals, x, params) == expected
 
 
+def test_bethe_wave_function_matches_reference_exactly():
+    # the CLI evaluates h_p through bethe_wave_function, whose coefficients
+    # are built once per p with alpha and beta taken to p's number type
+    def cases():
+        for params, p in _kernel_cases():
+            yield params, tuple(complex(v) for v in p)
+        params = Params(3, 4, Fraction(-1, 3), Fraction(5, 2))
+        yield params, (Fraction(2), Fraction(-3, 7), Fraction(5, 4))
+        yield params, (1.5, -0.25, 2.75)
+
+    for params, pvals in cases():
+        h = bethe_wave_function(pvals, params)
+        for x in window(params.k, 1):
+            w, _ = weyl.shortest_element(x, params)
+            expected = reference_signed_scattering_sum(
+                pvals, weyl.act(w, x), params.alpha, params.beta
+            )
+            value = h(x)
+            assert type(value) is type(expected)
+            assert value == expected
+
+
 def test_residual_exact_on_rational_p():
     params = Params(3, 4, Fraction(-1, 3), Fraction(5, 2))
     p = (Fraction(2), Fraction(-3, 7), Fraction(5, 4))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,19 @@ def test_bad_input_exits_without_traceback(capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("hecke-bose: error: ")
     assert "Traceback" not in err
+
+
+def test_overflowing_coupling_writes_one_stderr_line(capsys):
+    # numpy overflow warnings from the solver's continuation must not reach
+    # stderr ahead of the one error line; as errors they would be tracebacks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["bethe", "--k", "3", "--L", "3", "--seeds", "0,1,2", "--beta", "1e300"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("hecke-bose: error: ")
 
 
 @pytest.mark.parametrize(

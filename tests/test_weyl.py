@@ -272,3 +272,17 @@ def test_descent_tracks_the_element_of_its_word(k, L):
         w, word = shortest_element(x, params)
         assert w == from_word(word, k, L)
         assert is_dominant(act(w, x), params)
+
+
+@given(
+    st.sampled_from([(2, 1), (2, 4), (3, 2), (4, 3), (3, 5), (4, 7), (5, 2)]),
+    st.lists(st.integers(-60, 60), min_size=5, max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_dominant_point_is_the_descent_endpoint(kL, coords):
+    # the closed form lands where the greedy descent does, far points included
+    k, L = kL
+    params = Params(k, L)
+    x = tuple(coords[:k])
+    w, _ = shortest_element(x, params)
+    assert weyl.dominant_point(x, params) == act(w, x)
