@@ -308,17 +308,14 @@ def hall_littlewood_P(lam, z, t):
     return hall_littlewood_R(lam.parts, z, t) / lam.normalization(t, length=len(tuple(z)))
 
 
-def verify_hl_identity(p, x, beta, params):
-    """Check h_p|_{alpha=0}(x) = Delta(p) * R_{eps(x)}(p_1^{-1}, ..., p_k^{-1}; beta)
-    on a dominant point x, in exact arithmetic for formal (non-Bethe) p."""
+def verify_hl_identity(p, x, params):
+    """Check h_p(x) = Delta(p) * R_{eps(x)}(p_1^{-1}, ..., p_k^{-1}; beta) on a
+    dominant point x, at alpha = 0, in exact arithmetic for formal (non-Bethe) p."""
+    if params.alpha != 0:
+        raise ValueError("identity is stated at alpha = 0")
     if not weyl.is_dominant(x, params):
         raise ValueError("identity is stated on the dominant chamber")
     p = tuple(p)
-    lhs = _sum_terms(_wave_terms(p, 0, beta), p, [-e for e in x])
-    delta = 1
-    k = len(p)
-    for i in range(k):
-        for j in range(i + 1, k):
-            delta *= p[i] - p[j]
-    rhs = delta * hall_littlewood_R(tuple(x), tuple(1 / v for v in p), beta)
-    return lhs == rhs
+    delta = math.prod(p[i] - p[j] for i, j in combinations(range(len(p)), 2))
+    rhs = delta * hall_littlewood_R(tuple(x), tuple(1 / v for v in p), params.beta)
+    return bethe_wave(p, x, params) == rhs

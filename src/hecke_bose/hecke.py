@@ -37,7 +37,7 @@ class _Reflection:
     the other letters, whose layers use the points as they are.
     """
 
-    __slots__ = ("a", "rotation", "unit", "terms", "memo", "lines", "above")
+    __slots__ = ("a", "rotation", "unit", "terms", "memo", "lines")
 
     def __init__(self, a, rotation, unit, terms):
         self.a = a  # 0-based coordinate slots (a, a + 1) of the root
@@ -46,28 +46,37 @@ class _Reflection:
         self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
         self.memo = {}
         self.lines = {}  # (s, other coordinates) -> (up, down)
-        self.above = {}  # letter c -> the layer of Q_c applied to this one
 
-    def plan(self, points):
-        """Enter ``points`` and find the lines that evaluating there reads.
-        Returns the entered points as (x, z, line) triples, with line None
-        where z_a = z_b, and the lines as {line: (lo, hi)}: the line's sums
-        must reach from lo to hi."""
-        a, rotation = self.a, self.rotation
+    def plan(self, points, below):
+        """Enter ``points`` and find what evaluating there reads.  Returns the
+        entered points as (x, z, line) triples, with line None where z_a = z_b;
+        the lines as {line: (lo, hi)}, whose sums must reach from lo to hi; and
+        the set of source points that ``fill`` reads and ``below`` lacks."""
+        a, rotation, terms = self.a, self.rotation, self.terms
         entered = []
         want = {}
+        missing = set()
         for x in points:
             z = x if rotation is None else _rotate(x, rotation)
+            y = self._reflected(z)
+            if y not in below:
+                missing.add(y)
             za, zb = z[a], z[a + 1]
-            if za == zb:
-                entered.append((x, z, None))
-                continue
-            lo, hi = (zb, za) if za > zb else (za, zb)
-            key = (lo + hi,) + z[:a] + z[a + 2 :]
+            key = None
+            if za != zb:
+                lo, hi = (zb, za) if za > zb else (za, zb)
+                key = (lo + hi,) + z[:a] + z[a + 2 :]
+                prev_lo, prev_hi = want.get(key, (lo, hi))
+                want[key] = (min(lo, prev_lo), max(hi, prev_hi))
             entered.append((x, z, key))
-            prev_lo, prev_hi = want.get(key, (lo, hi))
-            want[key] = (min(lo, prev_lo), max(hi, prev_hi))
-        return entered, want
+        for _, ts, s, head, tail in self._extensions(want):
+            for t in ts:
+                for _, shift in terms:
+                    y = head + (t, s - t + shift) + tail
+                    y = y if rotation is None else _unrotate(y, rotation)
+                    if y not in below:
+                        missing.add(y)
+        return entered, want, missing
 
     def _extensions(self, want):
         """For each side of each line in ``want``: its list of sums, the t of
@@ -87,21 +96,10 @@ class _Reflection:
         y = z[:a] + (z[a + 1], z[a]) + z[a + 2 :]
         return y if rotation is None else _unrotate(y, rotation)
 
-    def needs(self, entered, want):
-        """The source points that ``fill(entered, want, source)`` reads."""
-        rotation, terms = self.rotation, self.terms
-        for _, z, _ in entered:
-            yield self._reflected(z)
-        for _, ts, s, head, tail in self._extensions(want):
-            for t in ts:
-                for _, shift in terms:
-                    y = head + (t, s - t + shift) + tail
-                    yield y if rotation is None else _unrotate(y, rotation)
-
     def fill(self, entered, want, source):
         """Evaluate at the entered points, first extending the lines in ``want``.
 
-        ``source`` must answer at every point that ``needs`` yields.  With
+        ``source`` must answer at every point that ``plan`` found.  With
         s = z_a + z_b, the value is the telescoped sum
         (Q f)(x) = f(s_a z) + C_s(z_a) - C_s(z_b): f(s_a z) plus or minus the
         sum of h from min(z_a, z_b) + 1 to max(z_a, z_b).  Source values are
@@ -124,7 +122,7 @@ class _Reflection:
                 lo, hi = (zb, za) if za > zb else (za, zb)
                 m = key[0] // 2  # lo <= m < hi
                 up, down = lines[key]
-                d = up[hi - m] + down[m - lo] if lo < m else up[hi - m]
+                d = up[hi - m] + down[m - lo]
                 v = v + d if za > zb else v - d
             memo[x] = v
 
@@ -141,11 +139,11 @@ class _Reflection:
 class QWordEngine:
     """Evaluates Q_w f = Q_{w[0]} ... Q_{w[-1]} f for words w, without recursion.
 
-    The layers form a suffix trie: the layer of a word applies its first
-    letter to the layer of the rest, so words that share a suffix share its
-    evaluated points and line sums.  An evaluation collects the points each
-    layer is missing from the top layer down, then fills them from the
-    bottom up in plain loops.
+    The engine keeps one table of layers keyed by word suffix: the layer of a
+    word applies its first letter to the layer of the rest, so words that
+    share a suffix share its evaluated points and line sums.  An evaluation
+    plans the points each layer is missing from the top layer down, then
+    fills them from the bottom up in plain loops.
 
     All arithmetic is on Python ints.  f is read once per point, into a
     table of the ints f(x) * S with S the least common multiple of the
@@ -171,35 +169,27 @@ class QWordEngine:
         self._terms = [(int(c * self._unit), shift) for c, shift in terms if c != 0]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
-        self._bottom = {}  # letter c -> the layer of the one-letter word (c,)
-
-    def layers(self, word):
-        """The layers of word[d:] for d = 0, 1, ..., top first."""
-        layers = []
-        above = self._bottom
-        for letter in reversed(word):
-            layer = above.get(letter)
-            if layer is None:
-                a, rotation = (letter - 1, None) if letter else (0, self.params.L)
-                layer = above[letter] = _Reflection(a, rotation, self._unit, self._terms)
-            layers.append(layer)
-            above = layer.above
-        layers.reverse()
-        return layers
+        self._layers = {}  # word -> the layer of Q_word[0] applied to that of word[1:]
 
     def values(self, word, points):
         """The values (Q_word f)(x) at the given points (integer tuples), as
         Fractions."""
-        layers = self.layers(tuple(word))
+        word = tuple(word)
+        layers = []
+        for d, letter in enumerate(word):
+            layer = self._layers.get(word[d:])
+            if layer is None:
+                a, rotation = (letter - 1, None) if letter else (0, self.params.L)
+                layer = self._layers[word[d:]] = _Reflection(a, rotation, self._unit, self._terms)
+            layers.append(layer)
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}
         plans = []
         for layer, below in zip(layers, memos[1:]):
             if not missing:
                 break
-            entered, want = layer.plan(missing)
+            entered, want, missing = layer.plan(missing, below)
             plans.append((layer, entered, want, below))
-            missing = {y for y in layer.needs(entered, want) if y not in below}
         self._read(missing)  # nonempty only when the plan reached f
         for layer, entered, want, below in reversed(plans):
             layer.fill(entered, want, below.__getitem__)
@@ -229,11 +219,8 @@ class QWordEngine:
         base = self._base
         for x, v in base.items():
             base[x] = v * m
-        stack = list(self._bottom.values())
-        while stack:
-            layer = stack.pop()
+        for layer in self._layers.values():
             layer.rescale(m)
-            stack.extend(layer.above.values())
 
 
 def apply_Q(i, f, params):

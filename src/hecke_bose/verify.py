@@ -163,12 +163,12 @@ def suite_w_invariance(params, window, seed):
     k = params.k
     f = random_rational_function("winv-%s" % seed)
     for j in range(k):
-        winv = weyl.inverse(weyl.simple_reflection_element(j, k, params.L))
-        winv_f = weyl.act_on_function(winv, f)
+        sj = weyl.simple_reflection_element(j, k, params.L)  # its own inverse
+        sj_f = weyl.act_on_function(sj, f)
         detail = "W-invariance fails for s_%d" % j
         for x in window_points(k, window):
             if weyl.is_regular(x, params):
-                lhs = hamiltonian.apply_H(winv_f, weyl.act(winv, x), params)
+                lhs = hamiltonian.apply_H(sj_f, weyl.act(sj, x), params)
                 yield x, lhs == hamiltonian.apply_H(f, x, params), detail
 
 
@@ -203,7 +203,7 @@ def suite_hl_identity(params, window, seed):
     detail = "HL identity fails, p = %s" % (p,)
     for x in window_points(params.k, window):
         if weyl.is_dominant(x, params):
-            yield x, verify_hl_identity(p, x, params.beta, params), detail
+            yield x, verify_hl_identity(p, x, params), detail
 
 
 SUITES = tuple(_CHECKS)

@@ -223,30 +223,33 @@ def test_hall_littlewood_against_symbolic_expansion():
 
 
 def test_hl_identity_origin():
-    params = Params(2, 2)
-    p = (Fraction(2), Fraction(7))
-    beta = Fraction(3, 5)
-    assert verify_hl_identity(p, (0, 0), beta, params)
+    params = Params(2, 2, beta=Fraction(3, 5))
+    assert verify_hl_identity((Fraction(2), Fraction(7)), (0, 0), params)
 
 
 def test_hl_identity_requires_dominance():
-    params = Params(2, 2)
+    params = Params(2, 2, beta=Fraction(1, 2))
     with pytest.raises(ValueError):
-        verify_hl_identity((Fraction(2), Fraction(7)), (0, 1), Fraction(1, 2), params)
+        verify_hl_identity((Fraction(2), Fraction(7)), (0, 1), params)
+
+
+def test_hl_identity_requires_alpha_zero():
+    params = Params(2, 2, Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        verify_hl_identity((Fraction(2), Fraction(7)), (0, 0), params)
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2)])
 def test_hl_identity_window(k, L):
-    params = Params(k, L)
     rng = random.Random("hl-%d-%d" % (k, L))
     p = rand_distinct_fractions(rng, k)
-    beta = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+    params = Params(k, L, beta=Fraction(rng.randint(1, 9), rng.randint(1, 6)))
     checked = 0
     for x in window(k, 3):
         if not weyl.is_dominant(x, params):
             continue
         checked += 1
-        assert verify_hl_identity(p, x, beta, params)
+        assert verify_hl_identity(p, x, params)
     assert checked > 0
 
 

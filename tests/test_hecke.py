@@ -10,6 +10,7 @@ import pytest
 from conftest import rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
+from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import QWordEngine, _rotate, _unrotate, apply_Q, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
 from hecke_bose.propagation import plane_wave, propagate
@@ -265,6 +266,16 @@ def test_propagate_matches_plane_wave_oracle_far_out(k, L, x):
     assert propagate(plane_wave(p), params)(x) == _plane_wave_G(p, x, params)
 
 
+def test_theorem_through_plane_wave_oracle_at_1000():
+    # H G(g_p) = (sum p) G(g_p) exactly at a point whose reduced word has
+    # 1999 letters, out of the engine's reach in tier-1 time
+    params = Params(2, 1, Fraction(1, 2), Fraction(2))
+    p = rand_distinct_fractions(random.Random("far-theorem"), 2)
+    G = LatticeFunction(lambda x: _plane_wave_G(p, x, params))
+    x = (1000, -1000)
+    assert apply_H(G, x, params) == sum(p) * G(x)
+
+
 def test_plane_wave_oracle_rejects_repeated_p():
     params = Params(3, 2, Fraction(1, 2), Fraction(2))
     with pytest.raises(ValueError):
@@ -305,6 +316,26 @@ def test_engine_rescales_when_new_denominators_arrive(word):
     # once per point across both batches
     assert engine.values(word, near + far) == [oracle(x) for x in near + far]
     assert set(reads.values()) == {1}
+
+
+def test_engine_rescales_every_layer_of_the_table():
+    # (1, 0) and (0, 1) share no suffix, so their layers sit apart in the
+    # table; the far reads of a third word rescale them all
+    params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
+    reads = Counter()
+    engine = QWordEngine(_far_denominators("table", reads), params)
+    plain = LatticeFunction(_far_denominators("table"))
+    near = list(window(2, 1))
+    words = [(1, 0), (0, 1)]
+    for word in words:
+        engine.values(word, near)
+    scale = math.lcm(*(plain(x).denominator for x in reads))
+    first = set(reads)
+    engine.values((1,), [(9, -8), (-7, 10)])
+    assert any(scale % plain(x).denominator for x in reads if x not in first)
+    fresh = QWordEngine(plain, params)
+    for word in words + [(0,), (1,)]:
+        assert engine.values(word, near) == fresh.values(word, near)
 
 
 @pytest.mark.parametrize(
