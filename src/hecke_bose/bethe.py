@@ -133,10 +133,9 @@ def _bethe_system(p, L, alpha, beta):
             for l in range(k):
                 if l != i and l != j:
                     partial *= ratios[l]
-            dr_dpi = (beta * dens[j] - nums[j]) / dens[j] ** 2
-            dr_dpj = (-dens[j] + beta * nums[j]) / dens[j] ** 2
-            row[i] -= partial * dr_dpi
-            row[j] = -partial * dr_dpj
+            den2 = dens[j] ** 2
+            row[i] -= partial * ((beta * dens[j] - nums[j]) / den2)
+            row[j] = -partial * ((-dens[j] + beta * nums[j]) / den2)
         jac.append(row)
     return res, jac
 
@@ -150,16 +149,19 @@ def bethe_residual(p, params):
 
 
 def _newton(p, L, a, b, max_iter=60):
-    # p stays a complex128 array: its elements divide and raise to powers
-    # the numpy way, which the solver's outcomes are pinned to
+    """Newton refinement at couplings (a, b).  The kernel reads p as numpy complex128
+    scalars: Python complex division rounds differently, and the solver's outcomes are
+    pinned to numpy's rounding.  An iteration is a pure function of p, so a repeated
+    iterate is a cycle of failed states: stop with the error max_iter would end in."""
     p = np.array(p, dtype=complex)
-    for _ in range(max_iter):
-        res, jac = _bethe_system(p, L, a, b)
-        defect = np.max(np.abs(res))
-        if defect < NEWTON_TOL:
+    seen = set()
+    while len(seen) < max_iter and p.tobytes() not in seen:
+        seen.add(p.tobytes())
+        res, jac = _bethe_system(list(p), L, a, b)
+        if all(abs(r) < NEWTON_TOL for r in res):
             return p
         step = np.linalg.solve(jac, res)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise BetheSolverError("Newton step not finite")
         p = p - step
     raise BetheSolverError("Newton did not converge")
@@ -205,14 +207,13 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
                         "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
                     ) from err
                 continue
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if abs(q[i] - q[j]) < COLLISION_TOL:
-                        raise BetheSolverError(
-                            "root collision at s = %.6g between p_%d and p_%d"
-                            % (s_next, i + 1, j + 1),
-                            s=s_next,
-                        )
+            for i, j in combinations(range(k), 2):
+                if abs(q[i] - q[j]) < COLLISION_TOL:
+                    raise BetheSolverError(
+                        "root collision at s = %.6g between p_%d and p_%d"
+                        % (s_next, i + 1, j + 1),
+                        s=s_next,
+                    )
             p = q
             s = s_next
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .weyl import eval_root, reflect, simple_root
 
 
@@ -40,21 +42,25 @@ def d_minus(i, x, params):
 
 def apply_H(f, x, params):
     """Evaluate (H f)(x) = sum_i beta^{d_i^-(x)} ( f(x - v_i) - alpha d_i^+(x) f(x) )."""
-    k = params.k
-    alpha, beta = params.alpha, params.beta
+    k, alpha, beta = params.k, params.alpha, params.beta
     total = 0
     fx = None
     for i in range(1, k + 1):
-        shifted = list(x)
-        shifted[i - 1] -= 1
-        term = f(tuple(shifted))
+        term = f((*x[: i - 1], x[i - 1] - 1, *x[i:]))
         dp = d_plus(i, x, params)
         if dp and alpha != 0:
             if fx is None:
                 fx = f(x)
-            term = term - alpha * dp * fx
-        total += beta ** d_minus(i, x, params) * term
+            term = term - _weight(alpha, dp, 0, type(fx)) * fx
+        total += _weight(beta, d_minus(i, x, params), 1, type(term)) * term
     return total
+
+
+@lru_cache(maxsize=None, typed=True)
+def _weight(base, n, power, kind):
+    """base ** n (power 1) or base * n, made complex once for a complex kind, as Fraction does."""
+    w = base ** n if power else base * n
+    return complex(w) if issubclass(kind, complex) else w
 
 
 def apply_H_tilde(f, x, params):

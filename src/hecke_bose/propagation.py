@@ -20,10 +20,13 @@ def propagate(f, params):
 def propagate_many(engine, points):
     """G(f) at many points, as {x: G(f)(x)}.  The points are grouped by their
     reduced word w_x, and each group takes one engine call."""
-    params = engine.params
+    return _propagate(engine, {x: weyl.shortest_element(x, engine.params) for x in points})
+
+
+def _propagate(engine, descents):
+    """propagate_many on points already descended: {x: weyl.shortest_element(x)}."""
     groups = {}  # w_x -> [(x, w_x x)]
-    for x in points:
-        w, word = weyl.shortest_element(x, params)
+    for x, (w, word) in descents.items():
         groups.setdefault(word, []).append((x, weyl.act(w, x)))
     values = {}
     for word, pairs in groups.items():
@@ -66,18 +69,18 @@ def verify_lemma_main(f, points, params):
     every point x (an integer tuple) and i = 1, ..., k, x-major, with ok True
     iff the two sides agree exactly.
 
-    One Q-word engine for f serves both sides: G comes from one
-    ``propagate_many`` over the points and their neighbours, each x descends
-    once, and the right-hand sides of the points sharing a reduced word w_x
-    take one engine call.
+    One Q-word engine for f serves both sides: each point and neighbour
+    descends once, for G and for grouping, and the right-hand sides of the
+    points sharing a reduced word w_x take one engine call.
     """
     k, alpha, beta = params.k, params.alpha, params.beta
     points = list(points)
     engine = QWordEngine(f, params)
-    G = propagate_many(engine, with_neighbours(points))
+    descents = {x: weyl.shortest_element(x, params) for x in with_neighbours(points)}
+    G = _propagate(engine, descents)
     groups = {}  # w_x -> [(position of x, x, w_x x, sigma)]
     for n, x in enumerate(points):
-        w, word = weyl.shortest_element(x, params)
+        w, word = descents[x]
         groups.setdefault(word, []).append((n, x, weyl.act(w, x), w.perm))
 
     results = [[] for _ in points]  # ok for i = 1, ..., k, per point

@@ -1,9 +1,10 @@
 """Bethe equations, continuation solver, wave functions, Hall-Littlewood."""
 
 import cmath
+import functools
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hecke_bose.bethe import (
     solve_bethe,
     verify_hl_identity,
 )
-from hecke_bose.bethe import POLE_TOL, _bethe_system
+from hecke_bose.bethe import NEWTON_TOL, POLE_TOL, _bethe_system
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.weyl import Params
 
@@ -171,7 +172,7 @@ def test_hall_littlewood_coincident_variables_rejected():
 
 
 def test_hall_littlewood_symmetric():
-    from itertools import permutations
+    from itertools import count, permutations
 
     z = (Fraction(2), Fraction(3), Fraction(-5))
     t = Fraction(2, 7)
@@ -199,7 +200,7 @@ def test_hall_littlewood_against_symbolic_expansion():
     for lam in [(2, 1), (3,), (2, 2), (1, 1, 1)]:
         t = Fraction(rng.randint(2, 9), rng.randint(10, 13))
         expr = 0
-        from itertools import permutations
+        from itertools import count, permutations
 
         k = 3
         exps = tuple(lam) + (0,) * (k - len(lam))
@@ -416,3 +417,118 @@ def test_solver_rejects_non_finite_roots(monkeypatch, slot, value):
     params = Params(2, 3, Fraction(-1, 2), Fraction(3, 4))
     with np.errstate(all="ignore"), pytest.raises(BetheSolverError, match="^final residual"):
         solve_bethe(params, (0, 1), 4)
+
+
+def test_bethe_system_on_numpy_scalars_matches_reference_exactly():
+    # _newton hands the kernel list(p), numpy complex128 scalars, not the array
+    for params, p in _kernel_cases():
+        a, b = complex(params.alpha), complex(params.beta)
+        res, jac = _bethe_system(list(p), params.L, a, b)
+        ref_res, ref_jac = reference_residual_and_jacobian(p, params.L, a, b)
+        assert [complex(r) for r in res] == list(ref_res)
+        assert [[complex(v) for v in row] for row in jac] == ref_jac.tolist()
+
+
+# -- the Newton loop against the loop without a cycle exit --------------------
+
+
+def _newton_without_cycle_exit(p, L, a, b, max_iter=60):
+    # the loop the solver's outcomes are pinned to: a failing run takes all
+    # max_iter iterations, and the defect is np.max over np.abs
+    p = np.array(p, dtype=complex)
+    for _ in range(max_iter):
+        res, jac = _bethe_system(p, L, a, b)
+        defect = np.max(np.abs(res))
+        if defect < NEWTON_TOL:
+            return p
+        step = np.linalg.solve(jac, res)
+        if not np.all(np.isfinite(step)):
+            raise BetheSolverError("Newton step not finite")
+        p = p - step
+    raise BetheSolverError("Newton did not converge")
+
+
+# Newton calls per instance.  Some instances never end (the last one of the
+# corpus is one); every other instance of the corpus ends within this budget,
+# and a budget in calls rather than seconds cuts both loops at the same call.
+NEWTON_BUDGET = 150
+# unsolved corpus instances, budget-exhausted ones included, when this test
+# was written; better path tracking may lower it, nothing may raise it
+UNSOLVED_CEILING = 22
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _solver_corpus():
+    """100 instances drawn like the benchmark's solver corpus: k in {2, 3}, L
+    in k..k+2, corpus couplings, distinct seed roots; then one that never ends."""
+    rng = random.Random("bethe-solver-corpus")
+    corpus = []
+    for _ in range(100):
+        k = rng.choice((2, 3))
+        L = rng.randint(k, k + 2)
+        params = Params(k, L, _corpus_coupling(rng), _corpus_coupling(rng, nonzero=True))
+        corpus.append((params, tuple(rng.sample(range(L), k))))
+    corpus.append((Params(2, 4, Fraction(0), Fraction(-3)), (3, 2)))
+    return corpus
+
+
+def _corpus_outcomes(newton):
+    """Every corpus instance's outcome, bit for bit, with ``newton`` as the
+    solver's Newton loop."""
+    outcomes = []
+    for params, seeds in _solver_corpus():
+        calls = count(1)
+
+        def budgeted(*args):
+            if next(calls) > NEWTON_BUDGET:
+                raise _OutOfBudget
+            return newton(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bethe, "_newton", budgeted)
+            try:
+                root = solve_bethe(params, seeds, homotopy_steps=20)
+                roots = [(v.real.hex(), v.imag.hex()) for v in root.p]
+                outcomes.append(("solved", roots, root.residual.hex()))
+            except BetheSolverError as err:
+                outcomes.append(("unsolved", str(err), err.s.hex()))
+            except _OutOfBudget:
+                outcomes.append(("out of budget",))
+    return outcomes
+
+
+@functools.lru_cache(maxsize=None)
+def _package_outcomes():
+    return _corpus_outcomes(bethe._newton)
+
+
+def test_newton_outcomes_match_the_loop_without_cycle_exit():
+    assert _package_outcomes() == _corpus_outcomes(_newton_without_cycle_exit)
+
+
+def test_solver_failure_ceiling_on_corpus():
+    unsolved = sum(1 for outcome in _package_outcomes() if outcome[0] != "solved")
+    assert unsolved <= UNSOLVED_CEILING
+
+
+def test_newton_stops_at_a_cycle(monkeypatch):
+    # recorded from a corpus run (k=2, L=2, alpha=2, beta=-3/2, s near 0.8):
+    # the iterates repeat bit for bit from the third on
+    p = [complex(float.fromhex(v), 0.0) for v in ("-0x1.0a3906f2bc6d3p+1", "0x1.ec56edfc49cecp-2")]
+    a = complex(float.fromhex("0x1.995c533333338p+0"), 0.0)
+    b = complex(float.fromhex("-0x1.ff66d0000000cp-1"), 0.0)
+    with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
+        _newton_without_cycle_exit(p, 2, a, b)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bethe_system(*args)
+
+    monkeypatch.setattr(bethe, "_bethe_system", counted)
+    with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
+        bethe._newton(p, 2, a, b)
+    assert len(calls) < 60
