@@ -3,14 +3,11 @@ affine Weyl combinatorics, integral-reflection operators, the propagation
 operator, and Bethe-ansatz eigenfunctions."""
 
 from .weyl import (
-    AffineRoot,
     AffineWeylElement,
     Params,
     act,
     act_on_function,
-    eval_root,
     is_dominant,
-    reflect,
     shortest_element,
 )
 from .functions import LatticeFunction, random_rational_function

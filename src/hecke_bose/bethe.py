@@ -181,7 +181,9 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
     At the free point the Bethe equations reduce to p_i^L = 1, so any choice
     of k distinct L-th roots of unity is a solution.  The path is the
     straight segment in (alpha, beta); steps halve adaptively on Newton
-    failure.  Root collisions and denominator poles abort with a diagnostic.
+    failure.  Root collisions and denominator poles abort with a diagnostic,
+    and so does a path that spends more than max(400, 20 * homotopy_steps)
+    Newton calls, as one that creeps towards a singular coupling does.
     """
     k, L = params.k, params.L
     if len(tuple(seed_selection)) != k:
@@ -192,9 +194,13 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
 
     s = 0.0
     ds = 1.0 / max(1, homotopy_steps)
+    budget = max(400, 20 * homotopy_steps)
     # no numpy overflow warnings: _newton and the final check reject non-finite values
     with np.errstate(all="ignore"):
         while s < 1.0:
+            if budget == 0:
+                raise BetheSolverError("continuation budget exhausted at s = %.6g" % s, s=s)
+            budget -= 1
             s_next = min(1.0, s + ds)
             a = s_next * a_t
             b = 1.0 + s_next * (b_t - 1.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .weyl import eval_root, reflect, simple_root
+from . import weyl
 
 
 def _d_count(x, params, i, sign):
@@ -90,12 +90,12 @@ def verify_d_change(x, i, j, params):
 
     Expected: unchanged when i is away from {j, j+1} mod k; otherwise the
     indices j and j+1 swap roles, with a correction of theta(a_j(x) = 0).
+    s_j fixes x exactly where a_j(x) = 0, so theta reads sx == x.
     Returns True iff both signs match.
     """
-    k, L = params.k, params.L
-    a = simple_root(j, k)
-    sx = reflect(a, x, L)
-    theta = 1 if eval_root(a, x, L) == 0 else 0
+    k = params.k
+    sx = weyl.act(weyl.simple_reflection_element(j, k, params.L), x)
+    theta = 1 if sx == x else 0
     for d, sign in ((d_plus, 1), (d_minus, -1)):
         got = d(i, sx, params)
         if i % k == j % k:

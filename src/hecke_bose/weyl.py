@@ -1,4 +1,4 @@
-"""Lattice points, affine roots of type A, and the (extended) affine Weyl group.
+"""Lattice points and the (extended) affine Weyl group of type A.
 
 Points of the lattice are plain integer tuples of length k.  Group elements
 are stored as a permutation of coordinate slots together with a raw
@@ -10,7 +10,7 @@ Weyl group W requires ``trans`` to lie in L * Q^vee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Complex
 
@@ -40,40 +40,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class AffineRoot:
-    """The affine root alpha_{ij} + m*L*delta, with 1-based indices i != j."""
-
-    i: int
-    j: int
-    m: int = 0
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError("affine root requires i != j")
-
-
-def simple_root(i, k):
-    """The simple affine root a_i, 0 <= i < k (a_0 = -alpha_{1k} + L*delta)."""
-    if i == 0:
-        return AffineRoot(k, 1, 1)
-    return AffineRoot(i, i + 1, 0)
-
-
-def eval_root(a, x, L):
-    """Evaluate the affine root a at the point x: x_i - x_j + m*L."""
-    return x[a.i - 1] - x[a.j - 1] + a.m * L
-
-
-def reflect(a, x, L):
-    """Orthogonal reflection of x in the hyperplane where a vanishes."""
-    c = eval_root(a, x, L)
-    y = list(x)
-    y[a.i - 1] -= c
-    y[a.j - 1] += c
-    return tuple(y)
-
-
-@dataclass(frozen=True)
 class AffineWeylElement:
     """Element of the extended affine Weyl group, acting by x -> perm(x) + trans.
 
@@ -87,10 +53,6 @@ class AffineWeylElement:
     @property
     def k(self):
         return len(self.perm)
-
-
-def identity_element(k):
-    return AffineWeylElement(tuple(range(k)), (0,) * k)
 
 
 def translation_element(vec):
@@ -155,14 +117,6 @@ def act_on_function(w, f):
     """The action on functions: (w f)(x) = f(w^{-1} x)."""
     winv = inverse(w)
     return LatticeFunction(lambda x: f(act(winv, x)))
-
-
-def from_word(word, k, L):
-    """The element s_{word[0]} s_{word[1]} ... (left factor acts last)."""
-    w = identity_element(k)
-    for letter in word:
-        w = compose(w, simple_reflection_element(letter, k, L))
-    return w
 
 
 def is_dominant(x, params):

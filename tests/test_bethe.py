@@ -107,8 +107,8 @@ def test_wave_weyl_invariance():
     params = Params(2, 2, Fraction(-1, 3), Fraction(2, 5))
     p = (Fraction(2), Fraction(5))
     for x in window(2, 4):
-        sx = weyl.reflect(weyl.simple_root(1, 2), x, 2)
-        s0x = weyl.reflect(weyl.simple_root(0, 2), x, 2)
+        sx = weyl.act(weyl.simple_reflection_element(1, 2, 2), x)
+        s0x = weyl.act(weyl.simple_reflection_element(0, 2, 2), x)
         assert bethe_wave(p, sx, params) == bethe_wave(p, x, params)
         assert bethe_wave(p, s0x, params) == bethe_wave(p, x, params)
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 import warnings
 from fractions import Fraction
 
@@ -136,6 +137,22 @@ def test_bethe_command_reports_solution(capsys):
     values = sorted(re for re, im in report["roots"])
     assert abs(values[0] + 0.6180339887498949) < 1e-9
     assert abs(values[1] - 1.6180339887498949) < 1e-9
+
+
+def test_bethe_command_stops_a_creeping_continuation(capsys):
+    # this path creeps toward the singular coupling beta = -1 in ever smaller
+    # steps; the Newton-call budget ends it with an error report
+    t0 = time.perf_counter()
+    code, out = _run(
+        capsys,
+        ["bethe", "--k", "2", "--L", "4", "--alpha", "0", "--beta=-3",
+         "--seeds", "3,2", "--steps", "20"],
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"].startswith("continuation budget exhausted")
+    assert 0 < report["failing_s"] < 1
 
 
 def test_bethe_command_rejects_bad_seed_count(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_params_pair, window
+from conftest import eval_root, rand_params_pair, simple_root, window
 from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import (
@@ -15,7 +15,7 @@ from hecke_bose.hamiltonian import (
     d_plus,
     verify_d_change,
 )
-from hecke_bose.weyl import Params, eval_root, simple_root
+from hecke_bose.weyl import Params
 
 
 def constant_function(value):
@@ -115,7 +115,7 @@ def test_d_change_unaffected_index():
     params = Params(4, 2)
     x = (1, -2, 0, 3)
     # i away from {j, j+1} mod k leaves d unchanged
-    sx = weyl.reflect(simple_root(1, 4), x, 2)
+    sx = weyl.act(weyl.simple_reflection_element(1, 4, 2), x)
     assert d_plus(3, sx, params) == d_plus(3, x, params)
     assert d_minus(4, sx, params) == d_minus(4, x, params)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_params_pair, window
+from conftest import from_word, rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.functions import random_rational_function
 from hecke_bose.laurent import (
@@ -75,14 +75,14 @@ def test_weyl_act_poly_examples():
 def test_linear_weyl_action_is_ring_automorphism(p, q, word):
     # only the linear (finite Weyl) part is multiplicative; translations
     # act as multiplication by a monomial
-    w = weyl.from_word(word, 3, 2)
+    w = from_word(word, 3, 2)
     assert weyl_act_poly(w, p * q) == weyl_act_poly(w, p) * weyl_act_poly(w, q)
 
 
 @given(polys, st.lists(st.integers(0, 2), max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_affine_weyl_action_is_group_action(p, word):
-    w = weyl.from_word(word, 3, 2)
+    w = from_word(word, 3, 2)
     winv = weyl.inverse(w)
     assert weyl_act_poly(winv, weyl_act_poly(w, p)) == p
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_bose import hecke, verify
+from hecke_bose import hamiltonian, hecke, verify, weyl
 from hecke_bose.weyl import Params
 
 
@@ -43,6 +43,27 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
     assert report["failures"] == [
         {"x": [-1, -1, -1], "detail": "braid relation fails for (Q_0, Q_1)"}
     ]
+
+
+def test_d_change_suite_detects_injected_defect(monkeypatch):
+    # d_i^+ off by one at one point y: the suite must fail there, or where a
+    # simple reflection lands on y, and nowhere else
+    params = Params(3, 2)
+    clean = verify.run_suite("d-change", params, 1, 0)
+    assert clean["failures"] == []
+    y = (1, 0, -1)
+    real = hamiltonian.d_plus
+
+    def corrupted(i, x, params):
+        return real(i, x, params) + (x == y)
+
+    monkeypatch.setattr(hamiltonian, "d_plus", corrupted)
+    report = verify.run_suite("d-change", params, 1, 0)
+    assert report["checks_run"] == clean["checks_run"]
+    failed = {tuple(entry["x"]) for entry in report["failures"]}
+    assert y in failed
+    preimages = {weyl.act(weyl.simple_reflection_element(j, 3, 2), y) for j in range(3)}
+    assert failed <= {y} | preimages
 
 
 def _corrupt_one_value(monkeypatch, target_word, target_point):

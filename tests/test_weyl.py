@@ -7,25 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import window
+from conftest import (
+    AffineRoot,
+    eval_root,
+    from_word,
+    identity_element,
+    reflect,
+    simple_root,
+    window,
+)
 from hecke_bose import weyl
 from hecke_bose.functions import random_rational_function
 from hecke_bose.weyl import (
-    AffineRoot,
     Params,
     act,
     act_on_function,
     compose,
-    eval_root,
-    from_word,
-    identity_element,
     inverse,
     is_dominant,
     pi_element,
-    reflect,
     shortest_element,
     simple_reflection_element,
-    simple_root,
     translation_element,
 )
 
@@ -83,6 +85,19 @@ def test_reflect_fixes_hyperplane_and_is_involution():
         assert reflect(a, reflect(a, x, 2), 2) == x
         if eval_root(a, x, 2) == 0:
             assert reflect(a, x, 2) == x
+
+
+@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
+def test_coordinate_reflection_matches_root_reflection(k, L):
+    # the group element s_j reflects points as the root a_j does, and fixes
+    # exactly the points where a_j vanishes (the theta of the d-change check)
+    for j in range(k):
+        sj = simple_reflection_element(j, k, L)
+        a = simple_root(j, k)
+        for x in window(k, 3):
+            sx = act(sj, x)
+            assert sx == reflect(a, x, L)
+            assert (sx == x) == (eval_root(a, x, L) == 0)
 
 
 def test_act_examples():
