@@ -224,14 +224,19 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
             s = s_next
 
     final = tuple(complex(v) for v in p)
-    residuals = [abs(complex(r)) for r in bethe_residual(final, params)]
-    # max() passes over a NaN after the first slot, and NaN > x is False
-    residual = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    residual = _max_or_nan(abs(complex(r)) for r in bethe_residual(final, params))
     if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, final))):
         raise BetheSolverError(
             "final residual %.3g above acceptance threshold" % residual, s=1.0
         )
     return SpectralPoint(final, residual)
+
+
+def _max_or_nan(values):
+    """max(values), or NaN if any is NaN: max() passes over a NaN after the first
+    slot, since NaN > x is False."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _symmetrized_terms(pair):
@@ -276,12 +281,12 @@ def bethe_wave(p, x, params):
 def bethe_wave_function(p, params):
     """h_p: sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
     prod_i p_{sigma(i)}^{-x_i} on the dominant chamber, Weyl-invariant, as a
-    memoizing lattice function.  The k! coefficients are computed once, here."""
+    memoizing lattice function.  The k! coefficients are computed once, here, and
+    the k! sum once per W-orbit: an inner memo is keyed on the dominant point."""
     p = tuple(getattr(p, "p", p))
     terms = _wave_terms(p, params.alpha, params.beta)
-    return LatticeFunction(
-        lambda x: _sum_terms(terms, p, [-e for e in weyl.dominant_point(x, params)])
-    )
+    on_dominant = LatticeFunction(lambda y: _sum_terms(terms, p, [-e for e in y]))
+    return LatticeFunction(lambda x: on_dominant(weyl.dominant_point(x, params)))
 
 
 def hall_littlewood_R(lam, z, t):

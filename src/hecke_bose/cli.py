@@ -91,15 +91,12 @@ def cmd_bethe(args):
     h = bethe_wave_function(root, params)
     lam = sum(root.p)
     pi = weyl.pi_element(params.k, params.L)
-    eig_defect = 0.0
-    pi_defect = 0.0
+    eig_defects, pi_defects = [0.0], [0.0]
     for x in verify.window_points(params.k, args.window):
         hx = h(x)
         scale = 1.0 + abs(hx)
-        eig_defect = max(
-            eig_defect, abs(hamiltonian.apply_H(h, x, params) - lam * hx) / scale
-        )
-        pi_defect = max(pi_defect, abs(h(weyl.act(pi, x)) - hx) / scale)
+        eig_defects.append(abs(hamiltonian.apply_H(h, x, params) - lam * hx) / scale)
+        pi_defects.append(abs(h(weyl.act(pi, x)) - hx) / scale)
 
     report = {
         "schema": 1,
@@ -110,8 +107,8 @@ def cmd_bethe(args):
         "roots": [[v.real, v.imag] for v in root.p],
         "residual": root.residual,
         "eigenvalue": [lam.real, lam.imag],
-        "eigenfunction_defect": eig_defect,
-        "pi_invariance_defect": pi_defect,
+        "eigenfunction_defect": bethe._max_or_nan(eig_defects),
+        "pi_invariance_defect": bethe._max_or_nan(pi_defects),
         "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     _emit(report, args.out)

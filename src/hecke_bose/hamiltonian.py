@@ -44,15 +44,19 @@ def apply_H(f, x, params):
     """Evaluate (H f)(x) = sum_i beta^{d_i^-(x)} ( f(x - v_i) - alpha d_i^+(x) f(x) )."""
     k, alpha, beta = params.k, params.alpha, params.beta
     total = 0
-    fx = None
+    fx = by_beta = None
     for i in range(1, k + 1):
         term = f((*x[: i - 1], x[i - 1] - 1, *x[i:]))
+        if by_beta is None:
+            kind = type(term)
+            by_alpha, by_beta = _weights(alpha, beta, k, kind)
         dp = d_plus(i, x, params)
         if dp and alpha != 0:
             if fx is None:
                 fx = f(x)
-            term = term - _weight(alpha, dp, 0, type(fx)) * fx
-        total += _weight(beta, d_minus(i, x, params), 1, type(term)) * term
+            term = term - (by_alpha[dp] if 0 < dp < k else _weight(alpha, dp, 0, kind)) * fx
+        dm = d_minus(i, x, params)
+        total += (by_beta[dm] if 0 <= dm < k else _weight(beta, dm, 1, kind)) * term
     return total
 
 
@@ -61,6 +65,14 @@ def _weight(base, n, power, kind):
     """base ** n (power 1) or base * n, made complex once for a complex kind, as Fraction does."""
     w = base ** n if power else base * n
     return complex(w) if issubclass(kind, complex) else w
+
+
+@lru_cache(maxsize=None, typed=True)
+def _weights(alpha, beta, k, kind):
+    """The _weight tables of alpha * n and beta ** n for n in range(k), the values
+    d_i^{+-} take: apply_H hashes its couplings once per call, not at every term."""
+    by_alpha = [_weight(alpha, n, 0, kind) for n in range(k)]
+    return by_alpha, [_weight(beta, n, 1, kind) for n in range(k)]
 
 
 def apply_H_tilde(f, x, params):

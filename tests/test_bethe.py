@@ -113,6 +113,38 @@ def test_wave_weyl_invariance():
         assert bethe_wave(p, s0x, params) == bethe_wave(p, x, params)
 
 
+@pytest.mark.parametrize("k, L", [(3, 5), (4, 7)])
+def test_wave_sums_once_per_orbit(monkeypatch, k, L):
+    # h_p reads x only through its dominant point, so the k! signed sum runs
+    # once per W-orbit, and every point of an orbit gets the very same value
+    params = Params(k, L, Fraction(-1, 2), Fraction(3, 4))
+    pi = weyl.pi_element(k, L)
+    points = set()
+    for x in window(k, 2):
+        points.add(x)
+        points.add(weyl.act(pi, x))
+        points.update(tuple(v - (j == i) for j, v in enumerate(x)) for i in range(k))
+    dominant = {x: weyl.dominant_point(x, params) for x in points}
+    real = bethe._sum_terms
+    calls = []
+
+    def counting(terms, z, exps):
+        calls.append(tuple(exps))
+        return real(terms, z, exps)
+
+    monkeypatch.setattr(bethe, "_sum_terms", counting)
+    rng = random.Random(k * 100 + L)
+    for p in (seed_roots_of_unity(range(k), L), rand_distinct_fractions(rng, k)):
+        calls.clear()
+        h = bethe_wave_function(p, params)
+        for x in sorted(points):
+            h(x)
+        assert sorted(calls) == sorted(tuple(-e for e in y) for y in set(dominant.values()))
+        for x in points:
+            assert h(x) == h(dominant[x])
+            assert type(h(x)) is type(h(dominant[x]))
+
+
 def test_wave_pi_invariance_for_bethe_roots_only():
     params = Params(2, 2, Fraction(-1), Fraction(1))
     sp = solve_bethe(params, (0, 1), homotopy_steps=40)

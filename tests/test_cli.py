@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -137,6 +138,25 @@ def test_bethe_command_reports_solution(capsys):
     values = sorted(re for re, im in report["roots"])
     assert abs(values[0] + 0.6180339887498949) < 1e-9
     assert abs(values[1] - 1.6180339887498949) < 1e-9
+
+
+def test_bethe_command_reports_a_nan_defect(capsys, monkeypatch):
+    # a NaN at a window point after the first must reach the report, not be
+    # passed over by max()
+    real = hamiltonian.apply_H
+
+    def corrupted(f, x, params):
+        return math.nan if x == (1, 1) else real(f, x, params)
+
+    monkeypatch.setattr(hamiltonian, "apply_H", corrupted)
+    code, out = _run(
+        capsys,
+        ["bethe", "--k", "2", "--L", "2", "--alpha=-1", "--beta", "1",
+         "--seeds", "0,1", "--window", "2"],
+    )
+    report = json.loads(out)
+    assert math.isnan(report["eigenfunction_defect"])
+    assert report["pi_invariance_defect"] < 1e-8
 
 
 def test_bethe_command_stops_a_creeping_continuation(capsys):

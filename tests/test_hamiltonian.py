@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import eval_root, rand_params_pair, simple_root, window
-from hecke_bose import weyl
+from hecke_bose import hamiltonian, weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import (
+    _weight,
     apply_H,
     apply_H_tilde,
     d_minus,
@@ -63,6 +64,35 @@ def test_apply_H_at_origin():
     f = random_rational_function("H-origin")
     expected = (f((-1, 0)) - alpha * f((0, 0))) + beta * f((0, -1))
     assert apply_H(f, (0, 0), params) == expected
+
+
+@pytest.mark.parametrize("name", ["d_minus", "d_plus"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_apply_H_weights_at_any_count(monkeypatch, name, exact):
+    # apply_H tables the weights of the counts d_i^{+-} can take (0..k-1);
+    # a count of k or more, as a patched counting function returns, must
+    # still get alpha * n and beta ** n
+    k = 3
+    params = Params(k, 2, Fraction(-1, 3), Fraction(2, 5))
+    f = random_rational_function("H-weights")
+    if not exact:
+        f = LatticeFunction(lambda x, g=f: complex(g(x), sum(x) / 7))
+    y = (1, 0, -1)
+    real = getattr(hamiltonian, name)
+
+    def patched(i, x, params):
+        return {1: k, 2: k + 1}.get(i, 0) if x == y else real(i, x, params)
+
+    monkeypatch.setattr(hamiltonian, name, patched)
+    kind = type(f(y))
+    for x in [y, (0, 0, 0), (2, 1, 1)]:
+        expected = 0
+        for i in range(1, k + 1):
+            shifted = tuple(v - (j == i - 1) for j, v in enumerate(x))
+            dp = hamiltonian.d_plus(i, x, params)
+            term = f(shifted) - _weight(params.alpha, dp, 0, kind) * f(x)
+            expected += _weight(params.beta, hamiltonian.d_minus(i, x, params), 1, kind) * term
+        assert apply_H(f, x, params) == expected
 
 
 def test_apply_H_constant_alpha_zero():
