@@ -15,7 +15,9 @@ from . import weyl
 from .functions import LatticeFunction
 
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
 ACCEPT_RESIDUAL = 1e-10
+DEFECT_TOL = 1e-8
 COLLISION_TOL = 1e-8
 POLE_TOL = 1e-12
 
@@ -148,14 +150,14 @@ def bethe_residual(p, params):
     return [p[i] ** params.L - _scattering_row(p, i, alpha, beta)[3] for i in range(len(p))]
 
 
-def _newton(p, L, a, b, max_iter=60):
+def _newton(p, L, a, b):
     """Newton refinement at couplings (a, b).  The kernel reads p as numpy complex128
     scalars: Python complex division rounds differently, and the solver's outcomes are
     pinned to numpy's rounding.  An iteration is a pure function of p, so a repeated
-    iterate is a cycle of failed states: stop with the error max_iter would end in."""
+    iterate is a cycle of failed states: stop with the error NEWTON_MAX_ITER would end in."""
     p = np.array(p, dtype=complex)
     seen = set()
-    while len(seen) < max_iter and p.tobytes() not in seen:
+    while len(seen) < NEWTON_MAX_ITER and p.tobytes() not in seen:
         seen.add(p.tobytes())
         res, jac = _bethe_system(list(p), L, a, b)
         if all(abs(r) < NEWTON_TOL for r in res):

@@ -112,7 +112,9 @@ def cmd_bethe(args):
         "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     _emit(report, args.out)
-    return 0
+    # a NaN defect fails the comparison too
+    defects = (report["eigenfunction_defect"], report["pi_invariance_defect"])
+    return 0 if all(d <= bethe.DEFECT_TOL for d in defects) else 1
 
 
 def _read_roots(path):

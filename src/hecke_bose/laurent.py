@@ -114,40 +114,27 @@ def apply_T_check(i, p, params):
     """The divided-difference operator on Laurent polynomials, index 1 <= i < k.
 
     T^check_i = s_i + (alpha e^{v_{i+1}} + 1 - beta) * (1 - s_i) / (1 - e^{v_{i+1} - v_i}),
-    where the quotient is computed per monomial as a telescoping geometric
-    sum, so all arithmetic stays inside the polynomial ring.
+    in one pass: c e^x adds c at s_i x, and each step y = x + j (v_{i+1} - v_i) of the
+    telescoped quotient (j in [0, a_i(x)) with sign +, in [a_i(x), 0) with sign -)
+    adds +-c (1 - beta) at y and +-c alpha at y + v_{i+1}.
     """
-    k, L = params.k, params.L
-    alpha, beta = params.alpha, params.beta
-    si = weyl.simple_reflection_element(i, k, L)
-    reflected = weyl_act_poly(si, p)
-
-    # (1 - s_i) e^x / (1 - e^{v_{i+1} - v_i}): for n = a_i(x),
-    #   n > 0 -> sum_{j=0}^{n-1} e^{x + j d},  n < 0 -> -sum_{j=n}^{-1} e^{x + j d}
-    # with d = v_{i+1} - v_i.
-    tele = {}
-    for exp, coeff in p.terms.items():
-        n = exp[i - 1] - exp[i]
-        if n == 0:
-            continue
-        rng = range(n) if n > 0 else range(n, 0)
-        sign = coeff if n > 0 else -coeff
-        for j in rng:
-            e = list(exp)
-            e[i - 1] -= j
-            e[i] += j
-            e = tuple(e)
-            c = tele.get(e, 0) + sign
-            if c == 0:
-                tele.pop(e, None)
-            else:
-                tele[e] = c
-    tele = LaurentPolynomial(tele)
-
-    e_next = [0] * k
-    e_next[i] = 1
-    factor = LaurentPolynomial({tuple(e_next): alpha, (0,) * k: 1 - beta})
-    return reflected + factor * tele
+    if not 1 <= i < params.k:
+        raise ValueError("T^check index must satisfy 1 <= i < k")
+    alpha, one_minus_beta = params.alpha, 1 - params.beta
+    out = {}
+    for exp, c in p.terms.items():
+        head, a, b, tail = exp[: i - 1], exp[i - 1], exp[i], exp[i + 1 :]
+        y = head + (b, a) + tail
+        out[y] = out.get(y, 0) + c
+        n = a - b
+        if n < 0:
+            c = -c
+        for j in range(n) if n > 0 else range(n, 0):
+            y = head + (a - j, b + j) + tail
+            out[y] = out.get(y, 0) + c * one_minus_beta
+            y = head + (a - j, b + j + 1) + tail
+            out[y] = out.get(y, 0) + c * alpha
+    return LaurentPolynomial(out)
 
 
 def pairing(f, p):

@@ -154,8 +154,28 @@ def test_bethe_command_reports_a_nan_defect(capsys, monkeypatch):
         ["bethe", "--k", "2", "--L", "2", "--alpha=-1", "--beta", "1",
          "--seeds", "0,1", "--window", "2"],
     )
+    assert code == 1
     report = json.loads(out)
     assert math.isnan(report["eigenfunction_defect"])
+    assert report["pi_invariance_defect"] < 1e-8
+
+
+def test_bethe_command_fails_on_a_finite_defect(capsys, monkeypatch):
+    # a finite defect above the 1e-8 gate exits 1 with the full report
+    real = hamiltonian.apply_H
+
+    def corrupted(f, x, params):
+        return real(f, x, params) + (1e-6 if x == (1, 1) else 0)
+
+    monkeypatch.setattr(hamiltonian, "apply_H", corrupted)
+    code, out = _run(
+        capsys,
+        ["bethe", "--k", "2", "--L", "2", "--alpha=-1", "--beta", "1",
+         "--seeds", "0,1", "--window", "2"],
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert 1e-8 < report["eigenfunction_defect"] < 1e-6
     assert report["pi_invariance_defect"] < 1e-8
 
 
@@ -193,6 +213,8 @@ def test_bethe_command_rejects_bad_seed_count(capsys):
         # couplings too large for a float overflow in the solver and in apply_H
         ["bethe", "--k", "2", "--L", "2", "--seeds", "0,1", "--alpha", "1e400"],
         ["bethe", "--k", "3", "--L", "3", "--seeds", "0,1,2", "--beta", "1e300"],
+        # more parts than variables
+        ["hall-littlewood", "--lam", "1,1,1", "--z", "1/2,3", "--t", "1/3"],
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, argv):

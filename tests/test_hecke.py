@@ -46,6 +46,8 @@ def test_Q_index_bounds():
         apply_Q(0, f, params)
     with pytest.raises(ValueError):
         apply_Q(2, f, params)
+    with pytest.raises(ValueError):
+        apply_Qw((1, 2), f, params)
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (3, 3)])

@@ -96,6 +96,21 @@ def test_T_check_on_constants_and_monomials():
         {(0, 1): 1, (1, 1): params.alpha, (1, 0): 1 - params.beta}
     )
     assert got == expected
+    # a symmetric input is fixed; its alpha and -alpha at e^{(1,1)} cancel and
+    # the zero is not stored
+    sym = LaurentPolynomial({(1, 0): 1, (0, 1): 1})
+    got = apply_T_check(1, sym, params)
+    assert got == sym
+    assert (1, 1) not in got.terms
+    # at alpha = 0, beta = 1 the operator is the reflection s_i
+    free = Params(3, 2, Fraction(0), Fraction(1))
+    p = _random_poly(3, "free")
+    for i in (1, 2):
+        si = weyl.simple_reflection_element(i, 3, 2)
+        assert apply_T_check(i, p, free) == weyl_act_poly(si, p)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            apply_T_check(i, p, free)
 
 
 @pytest.mark.parametrize("seed", range(4))
