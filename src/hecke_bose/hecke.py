@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, cycle, islice
 from numbers import Rational
+from operator import mul
 
 from .functions import LatticeFunction
 
@@ -48,82 +50,75 @@ class _Reflection:
         self.lines = {}  # (s, other coordinates) -> (up, down)
 
     def plan(self, points, below):
-        """Enter ``points`` and find what evaluating there reads.  Returns the
-        entered points as (x, z, line) triples, with line None where z_a = z_b;
-        the lines as {line: (lo, hi)}, whose sums must reach from lo to hi; and
-        the set of source points that ``fill`` reads and ``below`` lacks."""
-        a, rotation, terms = self.a, self.rotation, self.terms
+        """Enter ``points`` and build, once, every source point that
+        evaluating there reads.  Returns the work for ``fill`` and the set of
+        those source points that ``below`` lacks.  The work is the entered
+        points, as (x, the point s_a z reads at, the line's (up, down) or None,
+        index into up, index into down, z_a > z_b); the line extensions, as
+        (sums, how many t they grow by); and the points the terms of h read at
+        each of those t, one extension after the other."""
+        a, L, lines = self.a, self.rotation, self.lines
+        shifts = [shift for _, shift in self.terms]
         entered = []
-        want = {}
-        missing = set()
+        want = {}  # line -> [its sums, how far up and down they must reach]
+        needed = set()
         for x in points:
-            z = x if rotation is None else _rotate(x, rotation)
-            y = self._reflected(z)
-            if y not in below:
-                missing.add(y)
-            za, zb = z[a], z[a + 1]
-            key = None
-            if za != zb:
-                lo, hi = (zb, za) if za > zb else (za, zb)
-                key = (lo + hi,) + z[:a] + z[a + 2 :]
-                prev_lo, prev_hi = want.get(key, (lo, hi))
-                want[key] = (min(lo, prev_lo), max(hi, prev_hi))
-            entered.append((x, z, key))
-        for _, ts, s, head, tail in self._extensions(want):
-            for t in ts:
-                for _, shift in terms:
-                    y = head + (t, s - t + shift) + tail
-                    y = y if rotation is None else _unrotate(y, rotation)
-                    if y not in below:
-                        missing.add(y)
-        return entered, want, missing
-
-    def _extensions(self, want):
-        """For each side of each line in ``want``: its list of sums, the t of
-        the terms h(t) it still lacks, and the line as s, head and tail, whose
-        point at t is head + (t, s - t) + tail."""
-        a = self.a
-        for key, (lo, hi) in want.items():
+            z = x if L is None else _rotate(x, L)
+            za, zb, head, tail = z[a], z[a + 1], z[:a], z[a + 2 :]
+            y = head + (zb, za) + tail
+            y = y if L is None else _unrotate(y, L)
+            needed.add(y)
+            if za == zb or not shifts:  # no sum, or h = 0 (alpha = 0, beta = 1)
+                entered.append((x, y, None, 0, 0, False))
+                continue
+            s = za + zb
+            m = s // 2  # min(z_a, z_b) <= m < max(z_a, z_b)
+            i, j = (za - m, m - zb) if za > zb else (zb - m, m - za)
+            key = (s,) + head + tail
+            w = want.get(key)
+            if w is None:
+                w = want[key] = [lines.setdefault(key, ([0], [0])), 0, 0]
+            if i > w[1]:
+                w[1] = i
+            if j > w[2]:
+                w[2] = j
+            entered.append((x, y, w[0], i, j, za > zb))
+        extensions, reads = [], []
+        for key, ((up, down), i, j) in want.items():
             s, head, tail = key[0], key[1 : a + 1], key[a + 1 :]
             m = s // 2
-            up, down = self.lines.setdefault(key, ([0], [0]))
-            yield up, range(m + len(up), hi + 1), s, head, tail
-            yield down, range(m - len(down) + 1, lo, -1), s, head, tail
+            for sums, ts in ((up, range(m + len(up), m + i + 1)), (down, range(m - len(down) + 1, m - j, -1))):
+                if not ts:
+                    continue
+                extensions.append((sums, len(ts)))
+                if L is None:
+                    reads += [head + (t, s - t + shift) + tail for t in ts for shift in shifts]
+                else:  # pi^{-1} (t, s - t + shift, *tail)
+                    reads += [(s - t + shift,) + tail + (t - L,) for t in ts for shift in shifts]
+        needed.update(reads)
+        return (entered, extensions, reads), needed.difference(below)
 
-    def _reflected(self, z):
-        """The source point at which the f(s_a z) term reads."""
-        a, rotation = self.a, self.rotation
-        y = z[:a] + (z[a + 1], z[a]) + z[a + 2 :]
-        return y if rotation is None else _unrotate(y, rotation)
+    def fill(self, entered, extensions, reads, below):
+        """Evaluate at the entered points, first extending the line sums.
 
-    def fill(self, entered, want, source):
-        """Evaluate at the entered points, first extending the lines in ``want``.
-
-        ``source`` must answer at every point that ``plan`` found.  With
+        ``below`` must hold every point that ``plan`` found missing.  With
         s = z_a + z_b, the value is the telescoped sum
         (Q f)(x) = f(s_a z) + C_s(z_a) - C_s(z_b): f(s_a z) plus or minus the
         sum of h from min(z_a, z_b) + 1 to max(z_a, z_b).  Source values are
         ints over some scale S; the line sums and the values are ints over
         S * D, because the terms carry their coefficients times D.
         """
-        rotation, terms = self.rotation, self.terms
-        for sums, ts, s, head, tail in self._extensions(want):
-            total = sums[-1]
-            for t in ts:
-                for c, shift in terms:
-                    y = head + (t, s - t + shift) + tail
-                    total += c * source(y if rotation is None else _unrotate(y, rotation))
-                sums.append(total)
-        a, lines, memo, unit = self.a, self.lines, self.memo, self.unit
-        for x, z, key in entered:
-            v = unit * source(self._reflected(z))
-            if key is not None:
-                za, zb = z[a], z[a + 1]
-                lo, hi = (zb, za) if za > zb else (za, zb)
-                m = key[0] // 2  # lo <= m < hi
-                up, down = lines[key]
-                d = up[hi - m] + down[m - lo]
-                v = v + d if za > zb else v - d
+        weighted = map(mul, cycle([c for c, _ in self.terms]), map(below.__getitem__, reads))
+        steps = map(sum, zip(*[weighted] * len(self.terms)))  # D h(t), t after t
+        for sums, n in extensions:
+            sums[-1:] = accumulate(islice(steps, n), initial=sums[-1])
+        unit, memo = self.unit, self.memo
+        for x, y, sides, i, j, positive in entered:
+            v = unit * below[y]
+            if sides is not None:
+                up, down = sides
+                d = up[i] + down[j]
+                v = v + d if positive else v - d
             memo[x] = v
 
     def rescale(self, m):
@@ -164,9 +159,11 @@ class QWordEngine:
                 )
         self.f = f
         self.params = params
-        terms = ((params.alpha, 1), (1 - params.beta, 0))
-        self._unit = math.lcm(*(c.denominator for c, _ in terms))  # D
-        self._terms = [(int(c * self._unit), shift) for c, shift in terms if c != 0]
+        alpha, beta = params.alpha, params.beta
+        # alpha = n/d and 1 - beta = (d' - n')/d', both in lowest terms
+        terms = ((alpha.numerator, alpha.denominator, 1), (beta.denominator - beta.numerator, beta.denominator, 0))
+        self._unit = math.lcm(alpha.denominator, beta.denominator)  # D
+        self._terms = [(n * (self._unit // d), shift) for n, d, shift in terms if n]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
         self._layers = {}  # word -> the layer of Q_word[0] applied to that of word[1:]
@@ -188,11 +185,11 @@ class QWordEngine:
         for layer, below in zip(layers, memos[1:]):
             if not missing:
                 break
-            entered, want, missing = layer.plan(missing, below)
-            plans.append((layer, entered, want, below))
+            work, missing = layer.plan(missing, below)
+            plans.append((layer, work, below))
         self._read(missing)  # nonempty only when the plan reached f
-        for layer, entered, want, below in reversed(plans):
-            layer.fill(entered, want, below.__getitem__)
+        for layer, work, below in reversed(plans):
+            layer.fill(*work, below)
         top, scale = memos[0], self._scale * self._unit ** len(layers)
         return [Fraction(top[x], scale) for x in points]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 from .functions import LatticeFunction
 from .hamiltonian import d_plus
@@ -36,18 +37,26 @@ def _propagate(engine, descents):
 
 
 def plane_wave(p):
-    """The plane wave x -> prod_i p_i^{-x_i}; eigenfunction of sum_i t_{v_i}
-    with eigenvalue sum_i p_i.  Integer p_i become Fractions, so that the
-    values stay exact where x_i > 0."""
-    p = tuple(Fraction(v) if isinstance(v, int) else v for v in p)
+    """The plane wave x -> prod_i p_i^{-x_i} as exact Fractions; eigenfunction
+    of sum_i t_{v_i} with eigenvalue sum_i p_i.  The p_i must be nonzero
+    rationals (ints or Fractions): plane waves feed the exact engine, and a
+    float p_i would not be the value it looks like."""
+    if not all(isinstance(v, Rational) for v in p):
+        raise TypeError("plane wave requires rational p_i, got %r" % (p,))
     if any(v == 0 for v in p):
         raise ValueError("plane wave requires all p_i nonzero")
+    parts = [(v.numerator, v.denominator) for v in p]
+    tables = [{} for _ in p]  # per coordinate: x_i -> (numerator, denominator) of p_i^{-x_i}
 
     def ev(x):
-        val = 1
-        for pi, xi in zip(p, x):
-            val *= pi ** (-xi)
-        return val
+        num = den = 1
+        for (n, d), table, xi in zip(parts, tables, x):
+            power = table.get(xi)
+            if power is None:
+                power = table[xi] = (n**-xi, d**-xi) if xi <= 0 else (d**xi, n**xi)
+            num *= power[0]
+            den *= power[1]
+        return Fraction(num, den)
 
     return LatticeFunction(ev)
 

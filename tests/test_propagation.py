@@ -1,5 +1,6 @@
 """Propagation operator, plane waves, and the eigenfunction theorem."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,13 @@ from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.hecke import QWordEngine
-from hecke_bose.propagation import plane_wave, propagate, propagate_many, verify_lemma_main
+from hecke_bose.propagation import (
+    plane_wave,
+    propagate,
+    propagate_many,
+    verify_lemma_main,
+    with_neighbours,
+)
 from hecke_bose.weyl import Params
 
 
@@ -57,6 +64,27 @@ def test_plane_wave_basics():
         assert g((x[0] - 1, x[1])) == p[0] * g(x)
         assert g((x[0], x[1] - 1)) == p[1] * g(x)
         assert g((x[0] - 1, x[1])) + g((x[0], x[1] - 1)) == (p[0] + p[1]) * g(x)
+
+
+def test_plane_wave_matches_fraction_powers():
+    # a negative p, a p with non-unit numerator and denominator, and an int p
+    p = (Fraction(-1, 2), Fraction(4, 9), 3)
+    g = plane_wave(p)
+    for x in window(3, 6):
+        value = g(x)
+        assert isinstance(value, Fraction)
+        assert value == math.prod(Fraction(pi) ** -xi for pi, xi in zip(p, x))
+
+
+def test_plane_wave_rejects_zero_and_inexact_p():
+    for p in [(0, Fraction(1, 2)), (Fraction(2), Fraction(0), 3)]:
+        with pytest.raises(ValueError):
+            plane_wave(p)
+    # plane waves feed the exact engine: Fraction(0.1) would silently be
+    # another number, so floats and complex numbers are refused
+    for p in [(Fraction(1, 2), 0.1), (2.0, 3), (1j, Fraction(2)), (Fraction(1, 3), 2 + 0j)]:
+        with pytest.raises(TypeError):
+            plane_wave(p)
 
 
 def test_plane_wave_exact_on_integer_p():
@@ -177,3 +205,52 @@ def test_grouped_propagation_matches_per_point(k, L):
     grouped = propagate_many(QWordEngine(f, params), points)
     G = propagate(f, params)
     assert grouped == {x: G(x) for x in points}
+
+
+def _engine_work(k, L, x, p):
+    """An engine after G of a plane wave at x and its neighbours: the points
+    read from f, and per layer its memo size and the summed line-sum lengths."""
+    params = Params(k, L, Fraction(1, 2), Fraction(2))
+    engine = QWordEngine(plane_wave(p), params)
+    propagate_many(engine, with_neighbours([x]))
+    layers = {
+        word: (len(layer.memo), sum(len(sums) for sides in layer.lines.values() for sums in sides))
+        for word, layer in engine._layers.items()
+    }
+    return len(engine._base), layers
+
+
+def test_engine_work_at_far_points_is_pinned():
+    # the engine reads f, and fills each layer, at exactly these many points;
+    # a change of how layers are planned or filled must not move them
+    base, layers = _engine_work(2, 1, (14, -14), (Fraction(2, 3), Fraction(-5, 4)))
+    assert base == 435
+    # the words are 0, 10, 010, ... up to 28 letters; the layer of a word of
+    # length 29 - n holds n(n+1)/2 points and n(n+1)/2 + 2n line sums
+    expected = {}
+    for n in range(1, 29):
+        expected[((1, 0) * 15)[n + 1 :]] = (n * (n + 1) // 2, n * (n + 1) // 2 + 2 * n)
+    assert layers == expected
+
+    base, layers = _engine_work(3, 2, (8, 0, -8), (Fraction(2, 3), Fraction(-5, 4), Fraction(3)))
+    assert base == 1499
+    assert layers == {
+        (0,): (1182, 1580),
+        (1, 0): (1059, 1285),
+        (2, 1, 0): (812, 1117),
+        (0, 2, 1, 0): (703, 888),
+        (1, 0, 2, 1, 0): (499, 742),
+        (0, 1, 0, 2, 1, 0): (371, 538),
+        (2, 0, 1, 0, 2, 1, 0): (253, 393),
+        (0, 2, 0, 1, 0, 2, 1, 0): (199, 285),
+        (1, 0, 2, 0, 1, 0, 2, 1, 0): (117, 210),
+        (0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (72, 128),
+        (2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (37, 76),
+        (0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (29, 45),
+        (1, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (12, 32),
+        (0, 1, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (3, 11),
+        (1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (12, 32),
+        (0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (3, 11),
+        (2, 0, 1, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (1, 3),
+        (2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (1, 3),
+    }
