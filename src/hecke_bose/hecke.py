@@ -87,7 +87,8 @@ class _Reflection:
         for key, ((up, down), i, j) in want.items():
             s, head, tail = key[0], key[1 : a + 1], key[a + 1 :]
             m = s // 2
-            for sums, ts in ((up, range(m + len(up), m + i + 1)), (down, range(m - len(down) + 1, m - j, -1))):
+            sides = (up, range(m + len(up), m + i + 1)), (down, range(m - len(down) + 1, m - j, -1))
+            for sums, ts in sides:
                 if not ts:
                     continue
                 extensions.append((sums, len(ts)))
@@ -111,7 +112,7 @@ class _Reflection:
         weighted = map(mul, cycle([c for c, _ in self.terms]), map(below.__getitem__, reads))
         steps = map(sum, zip(*[weighted] * len(self.terms)))  # D h(t), t after t
         for sums, n in extensions:
-            sums[-1:] = accumulate(islice(steps, n), initial=sums[-1])
+            sums[-1:] = accumulate(islice(steps, n), initial=sums[-1])  # go on from the last sum
         unit, memo = self.unit, self.memo
         for x, y, sides, i, j, positive in entered:
             v = unit * below[y]
@@ -159,10 +160,10 @@ class QWordEngine:
                 )
         self.f = f
         self.params = params
-        alpha, beta = params.alpha, params.beta
+        a, b = params.alpha, params.beta
         # alpha = n/d and 1 - beta = (d' - n')/d', both in lowest terms
-        terms = ((alpha.numerator, alpha.denominator, 1), (beta.denominator - beta.numerator, beta.denominator, 0))
-        self._unit = math.lcm(alpha.denominator, beta.denominator)  # D
+        terms = ((a.numerator, a.denominator, 1), (b.denominator - b.numerator, b.denominator, 0))
+        self._unit = math.lcm(a.denominator, b.denominator)  # D
         self._terms = [(n * (self._unit // d), shift) for n, d, shift in terms if n]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S

@@ -41,6 +41,7 @@ def plane_wave(p):
     of sum_i t_{v_i} with eigenvalue sum_i p_i.  The p_i must be nonzero
     rationals (ints or Fractions): plane waves feed the exact engine, and a
     float p_i would not be the value it looks like."""
+    p = tuple(p)
     if not all(isinstance(v, Rational) for v in p):
         raise TypeError("plane wave requires rational p_i, got %r" % (p,))
     if any(v == 0 for v in p):
