@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from numbers import Rational
@@ -52,25 +53,17 @@ class Partition:
             raise ValueError("partition parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
 
-    def multiplicity(self, a):
-        return sum(1 for part in self.parts if part == a)
-
-    def normalization(self, t, length=None):
+    def normalization(self, t, length):
         """v_lambda(t) = prod_{a>=0} prod_{n=1}^{m_a} (1-t^n)/(1-t).
 
-        When ``length`` (the number of variables) is given, the multiplicity
-        of zero parts counts the padding up to that length; this is the
-        normalization making P_lambda monic in the monomial basis.
+        The multiplicity m_0 of zero parts counts the padding up to
+        ``length``, the number of variables; this is the normalization
+        making P_lambda monic in the monomial basis.
         """
-        mults = [self.multiplicity(a) for a in set(self.parts) if a != 0]
-        if length is not None:
-            if length < len(self.parts):
-                raise ValueError("length shorter than the partition")
-            m0 = length - sum(1 for a in self.parts if a != 0)
-            if m0:
-                mults.append(m0)
+        if length < len(self.parts):
+            raise ValueError("length shorter than the partition")
         v = 1
-        for m in mults:
+        for m in Counter(self.parts + (0,) * (length - len(self.parts))).values():
             if t == 1:
                 v *= math.factorial(m)
             else:

@@ -187,8 +187,10 @@ def cmd_hall_littlewood(args):
 def _add_params(parser):
     parser.add_argument("--k", type=int, required=True, help="particle number (>= 2)")
     parser.add_argument("--L", type=int, required=True, help="system size (>= 1)")
-    parser.add_argument("--alpha", type=_fraction, default=Fraction(0), help="coupling alpha, as a/b")
-    parser.add_argument("--beta", type=_fraction, default=Fraction(1), help="coupling beta, as a/b")
+    parser.add_argument("--alpha", type=_fraction, default=Fraction(0),
+                        help="coupling alpha, as a/b")
+    parser.add_argument("--beta", type=_fraction, default=Fraction(1),
+                        help="coupling beta, as a/b")
 
 
 def build_parser():

@@ -12,16 +12,6 @@ from operator import mul
 from .functions import LatticeFunction
 
 
-def _rotate(x, L):
-    """The diagram rotation on points: pi x = (x_k + L, x_1, ..., x_{k-1})."""
-    return (x[-1] + L,) + x[:-1]
-
-
-def _unrotate(y, L):
-    """Its inverse: pi^{-1} y = (y_2, ..., y_k, y_1 - L)."""
-    return y[1:] + (y[0] - L,)
-
-
 class _Reflection:
     """One letter of a Q-word: Q_letter applied to a source function.
 
@@ -34,16 +24,17 @@ class _Reflection:
     only as far as the points evaluated on it reach, so it reads the same
     source points as the n-term sums would.
 
-    The letter 0 is Q_1 in rotated coordinates: a point x enters as pi x and
-    the source is read at pi^{-1} y.  ``rotation`` is L for it and None for
-    the other letters, whose layers use the points as they are.
+    The letter 0 acts through a_0(x) = x_k - x_1 + L: a point x enters with
+    z_a = x_k + L, z_b = x_1 and the other coordinates x_2, ..., x_{k-1}, and
+    s_0 x = (x_k + L, x_2, ..., x_{k-1}, x_1 - L).  ``period`` is L for it and
+    None for the other letters, which enter x as it is: z = x.
     """
 
-    __slots__ = ("a", "rotation", "unit", "terms", "memo", "lines")
+    __slots__ = ("a", "period", "unit", "terms", "memo", "lines")
 
-    def __init__(self, a, rotation, unit, terms):
+    def __init__(self, a, period, unit, terms):
         self.a = a  # 0-based coordinate slots (a, a + 1) of the root
-        self.rotation = rotation
+        self.period = period
         self.unit = unit  # D, the common denominator of alpha and 1 - beta
         self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
         self.memo = {}
@@ -57,16 +48,18 @@ class _Reflection:
         index into up, index into down, z_a > z_b); the line extensions, as
         (sums, how many t they grow by); and the points the terms of h read at
         each of those t, one extension after the other."""
-        a, L, lines = self.a, self.rotation, self.lines
+        a, L, lines = self.a, self.period, self.lines
         shifts = [shift for _, shift in self.terms]
         entered = []
         want = {}  # line -> [its sums, how far up and down they must reach]
         needed = set()
         for x in points:
-            z = x if L is None else _rotate(x, L)
-            za, zb, head, tail = z[a], z[a + 1], z[:a], z[a + 2 :]
-            y = head + (zb, za) + tail
-            y = y if L is None else _unrotate(y, L)
+            if L is None:
+                za, zb, head, tail = x[a], x[a + 1], x[:a], x[a + 2 :]
+                y = head + (zb, za) + tail
+            else:
+                za, zb, head, tail = x[-1] + L, x[0], (), x[1:-1]
+                y = (x[-1] + L,) + x[1:-1] + (x[0] - L,)
             needed.add(y)
             if za == zb or not shifts:  # no sum, or h = 0 (alpha = 0, beta = 1)
                 entered.append((x, y, None, 0, 0, False))
@@ -94,7 +87,7 @@ class _Reflection:
                 extensions.append((sums, len(ts)))
                 if L is None:
                     reads += [head + (t, s - t + shift) + tail for t in ts for shift in shifts]
-                else:  # pi^{-1} (t, s - t + shift, *tail)
+                else:  # x_1 = z_b = s - t + shift, x_k = z_a - L = t - L
                     reads += [(s - t + shift,) + tail + (t - L,) for t in ts for shift in shifts]
         needed.update(reads)
         return (entered, extensions, reads), needed.difference(below)
@@ -177,8 +170,8 @@ class QWordEngine:
         for d, letter in enumerate(word):
             layer = self._layers.get(word[d:])
             if layer is None:
-                a, rotation = (letter - 1, None) if letter else (0, self.params.L)
-                layer = self._layers[word[d:]] = _Reflection(a, rotation, self._unit, self._terms)
+                a, period = (letter - 1, None) if letter else (0, self.params.L)
+                layer = self._layers[word[d:]] = _Reflection(a, period, self._unit, self._terms)
             layers.append(layer)
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}

@@ -9,7 +9,6 @@ equality, never a tolerance.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import random
 import time
@@ -77,26 +76,14 @@ def run_suite(name, params, window, seed):
 
 
 def _suite(name, **pinned):
-    """Register a check generator; its name becomes the suite returning the
-    report.  The suite runs, and reports, the ``pinned`` parameter values."""
+    """Register a check generator as the suite ``name`` that ``run_suite``
+    runs.  The suite runs, and reports, the ``pinned`` parameter values."""
 
     def register(checks):
         _CHECKS[name] = checks, pinned
-
-        @functools.wraps(checks)
-        def suite(params, window, seed):
-            return run_suite(name, params, window, seed)
-
-        return suite
+        return checks
 
     return register
-
-
-def _compare(f, params, lhs, rhs, points, detail):
-    """Check Q_lhs f = Q_rhs f at the points through one engine."""
-    engine = hecke.QWordEngine(f, params)
-    for x, left, right in zip(points, engine.values(lhs, points), engine.values(rhs, points)):
-        yield x, left == right, detail
 
 
 @_suite("hecke")
@@ -118,18 +105,19 @@ def suite_hecke(params, window, seed):
         for x, hx, gx, fx in zip(points, h, g, f_values):
             yield x, hx + (beta - 1) * gx - beta * fx == 0, detail
 
-    if k >= 3:
-        for i in range(k):
-            j = (i + 1) % k
-            detail = "braid relation fails for (Q_%d, Q_%d)" % (i, j)
-            yield from _compare(f, params, (i, j, i), (j, i, j), points, detail)
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (j - i) % k in (1, k - 1):
-                continue  # adjacent on the affine Dynkin cycle
-            detail = "commutation fails for (Q_%d, Q_%d)" % (i, j)
-            yield from _compare(f, params, (i, j), (j, i), points, detail)
+    # braids of the letters adjacent on the affine Dynkin cycle (none for
+    # k = 2), then commutation of those that are not
+    adjacent = [(i, (i + 1) % k) for i in range(k)] if k >= 3 else []
+    distant = [(i, j) for i, j in itertools.combinations(range(k), 2) if 1 < j - i < k - 1]
+    relations = [((i, j, i), (j, i, j), "braid relation fails for (Q_%d, Q_%d)" % (i, j))
+                 for i, j in adjacent]
+    relations += [((i, j), (j, i), "commutation fails for (Q_%d, Q_%d)" % (i, j))
+                  for i, j in distant]
+    for lhs, rhs, detail in relations:
+        engine = hecke.QWordEngine(f, params)
+        left, right = engine.values(lhs, points), engine.values(rhs, points)
+        for x, lx, rx in zip(points, left, right):
+            yield x, lx == rx, detail
 
 
 @_suite("duality")
@@ -142,8 +130,8 @@ def suite_duality(params, window, seed):
         qf = hecke.QWordEngine(f, params).values((i,), points)
         detail = "duality fails for i = %d" % i
         for x, qx in zip(points, qf):
-            rhs = laurent.pairing(f, laurent.apply_T_check(i, LaurentPolynomial.monomial(x), params))
-            yield x, qx == rhs, detail
+            t_x = laurent.apply_T_check(i, LaurentPolynomial.monomial(x), params)
+            yield x, qx == laurent.pairing(f, t_x), detail
 
 
 @_suite("d-change")

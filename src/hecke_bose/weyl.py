@@ -33,10 +33,6 @@ class Params:
             raise ValueError("L must be at least 1")
         if self.beta == 0:
             raise ValueError("beta must be nonzero")
-        if isinstance(self.alpha, int):
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if isinstance(self.beta, int):
-            object.__setattr__(self, "beta", Fraction(self.beta))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def test_criterion_01_hecke_relations():
         _instances(GRID_FULL, 2, extras=[(2, 2), (3, 3)])
     ):
         params = _random_params(k, L, "hecke-%s" % seed)
-        report = verify.suite_hecke(params, 3, n)
+        report = verify.run_suite("hecke", params, 3, n)
         assert report["failures"] == []
         assert report["checks_run"] > 0
 
@@ -84,7 +84,7 @@ def test_criterion_02_duality():
         _instances(GRID_FULL, 2, extras=[(2, 2), (3, 3)])
     ):
         params = _random_params(k, L, "dual-%s" % seed)
-        report = verify.suite_duality(params, 3, n)
+        report = verify.run_suite("duality", params, 3, n)
         assert report["failures"] == []
         assert report["checks_run"] > 0
 
@@ -92,7 +92,7 @@ def test_criterion_02_duality():
 @criterion(3, "counting-function change under every simple reflection")
 def test_criterion_03_d_change():
     for (k, L) in GRID_FULL:
-        report = verify.suite_d_change(Params(k, L), 4, 0)
+        report = verify.run_suite("d-change", Params(k, L), 4, 0)
         assert report["failures"] == []
         assert report["checks_run"] == (9 ** k) * k * k
 
@@ -102,7 +102,7 @@ def test_criterion_04_w_invariance():
     nonvacuous = 0
     for (k, L) in GRID_FULL:
         params = _random_params(k, L, "winv-%d-%d" % (k, L))
-        report = verify.suite_w_invariance(params, 4, 0)
+        report = verify.run_suite("w-invariance", params, 4, 0)
         assert report["failures"] == []
         if report["checks_run"]:
             nonvacuous += 1
@@ -114,7 +114,7 @@ def test_criterion_04_w_invariance():
 def test_criterion_05_eigenfunction_theorem():
     for n, (k, L, seed) in enumerate(_instances(GRID_SMALL, 5)):
         params = _random_params(k, L, "thm-%s" % seed)
-        report = verify.suite_theorem(params, 4, n)
+        report = verify.run_suite("theorem", params, 4, n)
         assert report["failures"] == []
         assert report["checks_run"] == 9 ** k
 
@@ -123,7 +123,7 @@ def test_criterion_05_eigenfunction_theorem():
 def test_criterion_06_lemma_main():
     for (k, L) in GRID_SMALL:
         params = _random_params(k, L, "lemma-%d-%d" % (k, L))
-        report = verify.suite_lemma_main(params, 4, 0)
+        report = verify.run_suite("lemma-main", params, 4, 0)
         assert report["failures"] == []
         assert report["checks_run"] == (9 ** k) * k
 
@@ -221,7 +221,7 @@ def test_criterion_09_hall_littlewood():
 
     # the alpha = 0 Bethe sum factors through Hall-Littlewood, exactly
     for (k, L) in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        report = verify.suite_hl_identity(Params(k, L), 4, 0)
+        report = verify.run_suite("hl-identity", Params(k, L), 4, 0)
         assert report["failures"] == []
         assert report["checks_run"] > 0
 

@@ -180,8 +180,8 @@ def test_partition_validation_and_normalization():
         Partition((2, -1))
     lam = Partition((2, 1, 1))
     t = Fraction(1, 3)
-    assert lam.normalization(t) == (1 - t ** 2) / (1 - t)
-    # with explicit variable count the zero parts contribute too
+    assert lam.normalization(t, length=3) == (1 - t ** 2) / (1 - t)
+    # the zero parts, padding up to the variable count included, contribute too
     assert Partition((1,)).normalization(Fraction(1), length=3) == 2
     with pytest.raises(ValueError):
         Partition((1, 1)).normalization(t, length=1)

@@ -258,7 +258,8 @@ def test_steps_must_be_positive(capsys, steps):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error:" in line] == [
-        "hecke-bose bethe: error: argument --steps: steps must be a positive integer, got %r" % steps
+        "hecke-bose bethe: error: argument --steps: steps must be a positive integer, got %r"
+        % steps
     ]
 
 
@@ -346,7 +347,8 @@ def test_wavefunction_requires_spectral_parameters():
         (None, ["--p", "2,3,5"]),
         (None, []),
     ],
-    ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count", "p-count", "no-p"],
+    ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count", "p-count",
+         "no-p"],
 )
 def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
     monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from conftest import rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import apply_H
-from hecke_bose.hecke import QWordEngine, _rotate, _unrotate, apply_Q, apply_Qw
+from hecke_bose.hecke import QWordEngine, apply_Q, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
 from hecke_bose.propagation import plane_wave, propagate
 from hecke_bose.weyl import Params
@@ -226,7 +226,10 @@ def _plane_wave_Q0(waves, params):
 
 def _plane_wave_word(word, waves, params):
     for letter in reversed(word):
-        waves = _plane_wave_Q0(waves, params) if letter == 0 else _plane_wave_Q(letter, waves, params)
+        if letter == 0:
+            waves = _plane_wave_Q0(waves, params)
+        else:
+            waves = _plane_wave_Q(letter, waves, params)
     return waves
 
 
@@ -356,7 +359,7 @@ def test_engine_rejects_inexact_input(alpha, beta, value):
             QWordEngine(lambda x: value, params).values(word, [(2, -1)])
 
 
-@pytest.mark.parametrize("k,L", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (2, 1), (4, 3), (3, 5)])
 def test_Q0_conjugation_matches_explicit_formula(k, L):
     params = _params(k, L, "q0-%d-%d" % (k, L))
     f = random_rational_function("q0-%d-%d" % (k, L))
@@ -484,16 +487,3 @@ def test_laplacian_commutes_with_Qw(k, L):
         rhs = apply_Qw(word, laplacian(f), params)
         for x in window(k, 2):
             assert lhs(x) == rhs(x)
-
-
-@pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
-def test_sliced_rotation_is_pi(k, L):
-    # the Q_0 layers rotate points by slicing; that must be the group's pi
-    pi = weyl.pi_element(k, L)
-    pi_inv = weyl.inverse(pi)
-    rng = random.Random("rotation-%d-%d" % (k, L))
-    for _ in range(200):
-        x = tuple(rng.randint(-9, 9) for _ in range(k))
-        assert _rotate(x, L) == weyl.act(pi, x)
-        assert _unrotate(x, L) == weyl.act(pi_inv, x)
-        assert _unrotate(_rotate(x, L), L) == x

@@ -62,7 +62,8 @@ def test_monomial_multiplication_adds_exponents():
 
 def test_weyl_act_poly_examples():
     s1 = weyl.simple_reflection_element(1, 2, 2)
-    assert weyl_act_poly(s1, LaurentPolynomial.monomial((1, 0))) == LaurentPolynomial.monomial((0, 1))
+    e_10, e_01 = LaurentPolynomial.monomial((1, 0)), LaurentPolynomial.monomial((0, 1))
+    assert weyl_act_poly(s1, e_10) == e_01
     # pi(e^{v_2}) = e^{pi v_2}, with pi acting affinely on exponents
     pi = weyl.pi_element(2, 2)
     assert weyl_act_poly(pi, LaurentPolynomial.monomial((0, 1))) == LaurentPolynomial.monomial(
@@ -127,13 +128,17 @@ def test_T_check_quadratic_relation(seed):
 def test_T_check_braid_relations(k):
     params = _params(k, 2, "braid-%d" % k)
     p = _random_poly(k, k)
+
+    def T(j, q):
+        return apply_T_check(j, q, params)
+
     for i in range(1, k - 1):
-        lhs = apply_T_check(i, apply_T_check(i + 1, apply_T_check(i, p, params), params), params)
-        rhs = apply_T_check(i + 1, apply_T_check(i, apply_T_check(i + 1, p, params), params), params)
+        lhs = T(i, T(i + 1, T(i, p)))
+        rhs = T(i + 1, T(i, T(i + 1, p)))
         assert lhs == rhs
     if k >= 4:
-        lhs = apply_T_check(1, apply_T_check(3, p, params), params)
-        rhs = apply_T_check(3, apply_T_check(1, p, params), params)
+        lhs = T(1, T(3, p))
+        rhs = T(3, T(1, p))
         assert lhs == rhs
 
 

@@ -27,7 +27,7 @@ def test_run_suite_marks_a_run_without_checks_vacuous():
 
 def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
     params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
-    clean = verify.suite_hecke(params, 1, 0)
+    clean = verify.run_suite("hecke", params, 1, 0)
     assert clean["failures"] == []
     values = hecke.QWordEngine.values
 
@@ -38,7 +38,7 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
         return out
 
     monkeypatch.setattr(hecke.QWordEngine, "values", corrupted)
-    report = verify.suite_hecke(params, 1, 0)
+    report = verify.run_suite("hecke", params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
     assert report["failures"] == [
         {"x": [-1, -1, -1], "detail": "braid relation fails for (Q_0, Q_1)"}
@@ -100,3 +100,14 @@ def test_batched_suites_name_a_corrupted_value(monkeypatch, suite, word, point, 
     report = verify.run_suite(suite, params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
     assert report["failures"] == [failure]
+
+
+def test_int_couplings_report_like_fractions():
+    # ints are rationals wherever a suite reads alpha and beta, and print alike
+    for suite in verify.SUITES:
+        reports = [verify.run_suite(suite, Params(3, 3, alpha, beta), 1, 7)
+                   for alpha, beta in [(-2, 3), (Fraction(-2), Fraction(3))]]
+        for report in reports:
+            del report["elapsed_ms"]
+        assert reports[0] == reports[1]
+        assert reports[0]["checks_run"] > 0
