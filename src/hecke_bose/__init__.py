@@ -11,8 +11,8 @@ from .weyl import (
     shortest_element,
 )
 from .functions import LatticeFunction, random_rational_function
-from .laurent import LaurentPolynomial, apply_T_check, pairing, weyl_act_poly
-from .hamiltonian import apply_H, apply_H_tilde, d_minus, d_plus, verify_d_change
+from .laurent import LaurentPolynomial, apply_T_check, pairing
+from .hamiltonian import apply_H, d_minus, d_plus, verify_d_change
 from .hecke import apply_Q, apply_Qw
 from .propagation import plane_wave, propagate, verify_lemma_main
 from .bethe import (

@@ -144,7 +144,12 @@ def cmd_wavefunction(args):
         raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
 
     h = bethe_wave_function(p, params)
-    rows = [(list(x), _scalar_cell(h(x))) for x in verify.window_points(params.k, args.window)]
+    rows = []
+    for x in verify.window_points(params.k, args.window):
+        value = h(x)
+        if isinstance(value, complex) and not cmath.isfinite(value):
+            raise ValueError("wave function is not finite at x = %s: %r" % (list(x), value))
+        rows.append((list(x), _scalar_cell(value)))
 
     if args.format == "csv":
         buf = io.StringIO()

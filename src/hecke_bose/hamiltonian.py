@@ -75,28 +75,6 @@ def _weights(alpha, beta, k, kind):
     return by_alpha, [_weight(beta, n, 1, kind) for n in range(k)]
 
 
-def apply_H_tilde(f, x, params):
-    """The undeformed periodic Hamiltonian: discrete Laplacian plus pair coincidences.
-
-    (H~ f)(x) = sum_i ( f(x - v_i) - f(x) ) + #{i < j : x_i = x_j mod L} f(x).
-    Counted directly, independent of the d_i^{+-} functions.
-    """
-    k, L = params.k, params.L
-    fx = f(x)
-    total = 0
-    for i in range(k):
-        shifted = list(x)
-        shifted[i] -= 1
-        total += f(tuple(shifted)) - fx
-    pairs = sum(
-        1
-        for i in range(k)
-        for j in range(i + 1, k)
-        if (x[i] - x[j]) % L == 0
-    )
-    return total + pairs * fx
-
-
 def verify_d_change(x, i, j, params):
     """Check how d_i^{+-} transform under the simple reflection s_j.
 

@@ -1,18 +1,14 @@
-"""Sparse Laurent polynomials (the group algebra of the lattice) and the
-divided-difference operators dual to the integral-reflection operators."""
+"""Sparse Laurent polynomials (the group algebra of the lattice) as term tables, and
+the divided-difference operators dual to the integral-reflection operators."""
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from . import weyl
 
 
 class LaurentPolynomial:
     """Sparse Laurent polynomial: exponent tuple in Z^k -> rational coefficient.
 
-    Zero coefficients are never stored.  Instances are value-like: all
-    operations return new objects.
+    Zero coefficients are never stored.  A term holder only: apply_T_check
+    and pairing read and build the term table directly.
     """
 
     __slots__ = ("terms",)
@@ -28,86 +24,6 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, exponent, coeff=1):
         return cls({tuple(exponent): coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls, k):
-        return cls.monomial((0,) * k)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            c = out.get(exp, 0) + coeff
-            if c == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = c
-        p = LaurentPolynomial.__new__(LaurentPolynomial)
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = LaurentPolynomial.__new__(LaurentPolynomial)
-        p.terms = {exp: -c for exp, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return self.scale(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(exp, 0) + c1 * c2
-                if c == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = c
-        p = LaurentPolynomial.__new__(LaurentPolynomial)
-        p.terms = out
-        return p
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, scalar):
-        if scalar == 0:
-            return LaurentPolynomial.zero()
-        p = LaurentPolynomial.__new__(LaurentPolynomial)
-        p.terms = {exp: scalar * c for exp, c in self.terms.items()}
-        return p
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPolynomial(0)"
-        bits = ["%s*e%s" % (c, list(exp)) for exp, c in sorted(self.terms.items())]
-        return "LaurentPolynomial(%s)" % " + ".join(bits)
-
-
-def weyl_act_poly(w, p):
-    """Action of a (extended) affine Weyl element on exponents: w(e^x) = e^{w x}."""
-    out = {}
-    for exp, coeff in p.terms.items():
-        moved = weyl.act(w, exp)
-        out[moved] = out.get(moved, 0) + coeff
-    return LaurentPolynomial(out)
 
 
 def apply_T_check(i, p, params):

@@ -1,10 +1,13 @@
 """Shared helpers: window iteration, random exact scalars, oracles (among
-them the affine roots and the element of a word)."""
+them the affine roots and the element of a word, the Laurent polynomial
+ring with the affine Weyl action on exponents, and the undeformed
+Hamiltonian)."""
 
 import itertools
 import random
 from dataclasses import dataclass
 
+from hecke_bose import laurent, weyl
 from hecke_bose.functions import random_fraction as rand_fraction
 from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
 from hecke_bose.verify import window_points as window
@@ -60,6 +63,115 @@ def from_word(word, k, L):
     for letter in word:
         w = compose(w, simple_reflection_element(letter, k, L))
     return w
+
+
+class LaurentPolynomial(laurent.LaurentPolynomial):
+    """The ring on top of the package's term holder: sums, products, scaling
+    and equality, for the ring-axiom and relation tests."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls, k):
+        return cls.monomial((0,) * k)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            c = out.get(exp, 0) + coeff
+            if c == 0:
+                out.pop(exp, None)
+            else:
+                out[exp] = c
+        p = LaurentPolynomial.__new__(LaurentPolynomial)
+        p.terms = out
+        return p
+
+    def __neg__(self):
+        p = LaurentPolynomial.__new__(LaurentPolynomial)
+        p.terms = {exp: -c for exp, c in self.terms.items()}
+        return p
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return self.scale(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                c = out.get(exp, 0) + c1 * c2
+                if c == 0:
+                    out.pop(exp, None)
+                else:
+                    out[exp] = c
+        p = LaurentPolynomial.__new__(LaurentPolynomial)
+        p.terms = out
+        return p
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, scalar):
+        if scalar == 0:
+            return LaurentPolynomial.zero()
+        p = LaurentPolynomial.__new__(LaurentPolynomial)
+        p.terms = {exp: scalar * c for exp, c in self.terms.items()}
+        return p
+
+    def __repr__(self):
+        if not self.terms:
+            return "LaurentPolynomial(0)"
+        bits = ["%s*e%s" % (c, list(exp)) for exp, c in sorted(self.terms.items())]
+        return "LaurentPolynomial(%s)" % " + ".join(bits)
+
+
+def weyl_act_poly(w, p):
+    """Action of a (extended) affine Weyl element on exponents: w(e^x) = e^{w x}."""
+    out = {}
+    for exp, coeff in p.terms.items():
+        moved = weyl.act(w, exp)
+        out[moved] = out.get(moved, 0) + coeff
+    return LaurentPolynomial(out)
+
+
+def apply_H_tilde(f, x, params):
+    """The undeformed periodic Hamiltonian: discrete Laplacian plus pair coincidences.
+
+    (H~ f)(x) = sum_i ( f(x - v_i) - f(x) ) + #{i < j : x_i = x_j mod L} f(x).
+    Counted directly, independent of the d_i^{+-} functions.
+    """
+    k, L = params.k, params.L
+    fx = f(x)
+    total = 0
+    for i in range(k):
+        shifted = list(x)
+        shifted[i] -= 1
+        total += f(tuple(shifted)) - fx
+    pairs = sum(
+        1
+        for i in range(k)
+        for j in range(i + 1, k)
+        if (x[i] - x[j]) % L == 0
+    )
+    return total + pairs * fx
 
 
 def monomial_symmetric(lam, z):

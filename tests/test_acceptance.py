@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from conftest import monomial_symmetric, rand_params_pair, schur, window
+from conftest import apply_H_tilde, monomial_symmetric, rand_params_pair, schur, window
 from hecke_bose import verify, weyl
 from hecke_bose.bethe import (
     bethe_residual,
@@ -21,7 +21,7 @@ from hecke_bose.bethe import (
     solve_bethe,
 )
 from hecke_bose.functions import random_rational_function
-from hecke_bose.hamiltonian import apply_H, apply_H_tilde
+from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import apply_Qw
 from hecke_bose.weyl import Params
 

@@ -1,6 +1,5 @@
 """Bethe equations, continuation solver, wave functions, Hall-Littlewood."""
 
-import cmath
 import functools
 import random
 from fractions import Fraction
@@ -258,6 +257,17 @@ def test_hall_littlewood_against_symbolic_expansion():
 def test_hl_identity_origin():
     params = Params(2, 2, beta=Fraction(3, 5))
     assert verify_hl_identity((Fraction(2), Fraction(7)), (0, 0), params)
+
+
+def test_hl_identity_is_exact_on_int_p():
+    # ints would divide into floats; taken as Fractions the identity holds exactly
+    params = Params(3, 4, 0, Fraction(2, 7))
+    points = [x for x in window(3, 3) if weyl.is_dominant(x, params)]
+    assert len(points) == 65
+    assert all(verify_hl_identity((2, 3, 7), x, params) for x in points)
+    for p in ((2.0, 3, 7), (2 + 0j, 3, 7)):
+        with pytest.raises(TypeError):
+            verify_hl_identity(p, (0, 0, 0), params)
 
 
 def test_hl_identity_requires_dominance():

@@ -344,11 +344,12 @@ def test_wavefunction_requires_spectral_parameters():
         ('{"roots": [1, 2]}', ["--p-file", "roots.json"]),
         (None, ["--p-file", "roots.json"]),
         ('{"roots": [[1, 0], [0, 1], [-1, 0]]}', ["--p-file", "roots.json"]),
+        ('{"roots": [[1e-200, 0], [2e-200, 0]]}', ["--p-file", "roots.json"]),
         (None, ["--p", "2,3,5"]),
         (None, []),
     ],
-    ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count", "p-count",
-         "no-p"],
+    ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count",
+         "overflowing-powers", "p-count", "no-p"],
 )
 def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
     monkeypatch.chdir(tmp_path)

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import eval_root, rand_params_pair, simple_root, window
+from conftest import apply_H_tilde, eval_root, rand_params_pair, simple_root, window
 from hecke_bose import hamiltonian, weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import (
     _weight,
     apply_H,
-    apply_H_tilde,
     d_minus,
     d_plus,
     verify_d_change,

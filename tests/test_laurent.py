@@ -1,4 +1,5 @@
-"""Laurent polynomial ring, divided-difference operators, and the pairing."""
+"""Laurent polynomial ring (the oracle in conftest), divided-difference operators,
+and the pairing."""
 
 import random
 from fractions import Fraction
@@ -7,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_word, rand_params_pair, window
-from hecke_bose import weyl
+from conftest import LaurentPolynomial, from_word, rand_params_pair, weyl_act_poly, window
+from hecke_bose import laurent, weyl
 from hecke_bose.functions import random_rational_function
-from hecke_bose.laurent import (
-    LaurentPolynomial,
-    apply_T_check,
-    pairing,
-    weyl_act_poly,
-)
+from hecke_bose.laurent import pairing
 from hecke_bose.weyl import Params
+
+
+def apply_T_check(i, p, params):
+    """The package's T^check_i, its result read into the oracle ring."""
+    return LaurentPolynomial(laurent.apply_T_check(i, p, params).terms)
 
 
 def apply_pi_check(p, params):
