@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from numbers import Rational
 
-import numpy as np
-
 from . import weyl
 from .functions import LatticeFunction
 
@@ -144,22 +142,46 @@ def bethe_residual(p, params):
     return [p[i] ** params.L - _scattering_row(p, i, alpha, beta)[3] for i in range(len(p))]
 
 
+def _solve(jac, res):
+    """The x with jac x = res, by Gaussian elimination with partial pivoting.
+    Plain arithmetic on the entries; a zero pivot raises ZeroDivisionError."""
+    k = len(res)
+    rows = [list(row) + [r] for row, r in zip(jac, res)]
+    for c in range(k):
+        pivot = max(range(c, k), key=lambda i: abs(rows[i][c]))
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        for row in rows[c + 1 :]:
+            factor = row[c] / top[c]
+            for j in range(c + 1, k + 1):
+                row[j] -= factor * top[j]
+    x = [0] * k
+    for i in reversed(range(k)):
+        row = rows[i]
+        x[i] = (row[k] - sum(row[j] * x[j] for j in range(i + 1, k))) / row[i]
+    return x
+
+
 def _newton(p, L, a, b):
-    """Newton refinement at couplings (a, b).  The kernel reads p as numpy complex128
-    scalars: Python complex division rounds differently, and the solver's outcomes are
-    pinned to numpy's rounding.  An iteration is a pure function of p, so a repeated
-    iterate is a cycle of failed states: stop with the error NEWTON_MAX_ITER would end in."""
-    p = np.array(p, dtype=complex)
+    """Newton refinement at couplings (a, b) on a tuple of Python complex.  A zero pivot,
+    an overflow or a non-finite iterate is a failed step: Python complex raises where
+    it can, and a product can still overflow to inf without raising.  An iteration is
+    a pure function of p, so a repeated iterate is a cycle of failed states: stop with
+    the error NEWTON_MAX_ITER would end in."""
+    p = tuple(p)
     seen = set()
-    while len(seen) < NEWTON_MAX_ITER and p.tobytes() not in seen:
-        seen.add(p.tobytes())
-        res, jac = _bethe_system(list(p), L, a, b)
-        if all(abs(r) < NEWTON_TOL for r in res):
-            return p
-        step = np.linalg.solve(jac, res)
-        if not np.isfinite(step).all():
+    while len(seen) < NEWTON_MAX_ITER and p not in seen:
+        seen.add(p)
+        try:
+            res, jac = _bethe_system(p, L, a, b)
+            if all(abs(r) < NEWTON_TOL for r in res):
+                return p
+            p = tuple(v - step for v, step in zip(p, _solve(jac, res)))
+            finite = all(map(cmath.isfinite, p))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
             raise BetheSolverError("Newton step not finite")
-        p = p - step
     raise BetheSolverError("Newton did not converge")
 
 
@@ -186,46 +208,43 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
         raise ValueError("need exactly k seed indices")
     a_t = complex(params.alpha)
     b_t = complex(params.beta)
-    p = np.array(seed_roots_of_unity(seed_selection, L), dtype=complex)
+    p = seed_roots_of_unity(seed_selection, L)
 
     s = 0.0
     ds = 1.0 / max(1, homotopy_steps)
     budget = max(400, 20 * homotopy_steps)
-    # no numpy overflow warnings: _newton and the final check reject non-finite values
-    with np.errstate(all="ignore"):
-        while s < 1.0:
-            if budget == 0:
-                raise BetheSolverError("continuation budget exhausted at s = %.6g" % s, s=s)
-            budget -= 1
-            s_next = min(1.0, s + ds)
-            a = s_next * a_t
-            b = 1.0 + s_next * (b_t - 1.0)
-            try:
-                q = _newton(p, L, a, b)
-            except BetheSolverError as err:
-                ds /= 2
-                if ds < 1e-8:
-                    raise BetheSolverError(
-                        "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
-                    ) from err
-                continue
-            for i, j in combinations(range(k), 2):
-                if abs(q[i] - q[j]) < COLLISION_TOL:
-                    raise BetheSolverError(
-                        "root collision at s = %.6g between p_%d and p_%d"
-                        % (s_next, i + 1, j + 1),
-                        s=s_next,
-                    )
-            p = q
-            s = s_next
+    while s < 1.0:
+        if budget == 0:
+            raise BetheSolverError("continuation budget exhausted at s = %.6g" % s, s=s)
+        budget -= 1
+        s_next = min(1.0, s + ds)
+        a = s_next * a_t
+        b = 1.0 + s_next * (b_t - 1.0)
+        try:
+            q = _newton(p, L, a, b)
+        except BetheSolverError as err:
+            ds /= 2
+            if ds < 1e-8:
+                raise BetheSolverError(
+                    "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
+                ) from err
+            continue
+        for i, j in combinations(range(k), 2):
+            if abs(q[i] - q[j]) < COLLISION_TOL:
+                raise BetheSolverError(
+                    "root collision at s = %.6g between p_%d and p_%d"
+                    % (s_next, i + 1, j + 1),
+                    s=s_next,
+                )
+        p = q
+        s = s_next
 
-    final = tuple(complex(v) for v in p)
-    residual = _max_or_nan(abs(complex(r)) for r in bethe_residual(final, params))
-    if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, final))):
+    residual = _max_or_nan(abs(r) for r in bethe_residual(p, params))
+    if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, p))):
         raise BetheSolverError(
             "final residual %.3g above acceptance threshold" % residual, s=1.0
         )
-    return SpectralPoint(final, residual)
+    return SpectralPoint(p, residual)
 
 
 def _max_or_nan(values):

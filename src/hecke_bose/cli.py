@@ -73,6 +73,9 @@ def cmd_verify(args):
 
 def cmd_bethe(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
+    # the defect check needs apply_H's complex weight tables (alpha * n, beta ** n for
+    # n < k): a coupling they cannot hold is rejected here, before the solve
+    hamiltonian._weights(params.alpha, params.beta, params.k, complex)
     t0 = time.perf_counter()
     try:
         root = bethe.solve_bethe(params, args.seeds, homotopy_steps=args.steps)

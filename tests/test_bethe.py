@@ -1,11 +1,12 @@
 """Bethe equations, continuation solver, wave functions, Hall-Littlewood."""
 
+import cmath
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import count, permutations
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -304,19 +305,19 @@ def test_spectral_point_accessors():
 
 # -- independent references for the shared Bethe kernel ----------------------
 #
-# A direct numpy residual/Jacobian and a scattering sum with an explicit
+# A direct residual/Jacobian and a scattering sum with an explicit
 # permutation sign.  The kernel in bethe.py must agree with them exactly, so
 # that the solver's outcomes and every printed wave-function value stay fixed.
 
 
 def reference_residual_and_jacobian(p, L, a, b):
     k = len(p)
-    res = np.empty(k, dtype=complex)
-    jac = np.zeros((k, k), dtype=complex)
+    res = [0j] * k
+    jac = [[0j] * k for _ in range(k)]
     for i in range(k):
-        nums = np.empty(k, dtype=complex)
-        dens = np.empty(k, dtype=complex)
-        ratios = np.ones(k, dtype=complex)
+        nums = [0j] * k
+        dens = [0j] * k
+        ratios = [1 + 0j] * k
         for j in range(k):
             if j == i:
                 continue
@@ -325,17 +326,17 @@ def reference_residual_and_jacobian(p, L, a, b):
             if abs(dens[j]) < POLE_TOL:
                 raise BetheSolverError("denominator pole during continuation")
             ratios[j] = nums[j] / dens[j]
-        prod_all = np.prod(ratios)
+        prod_all = math.prod(ratios)
         res[i] = p[i] ** L - prod_all
-        jac[i, i] = L * p[i] ** (L - 1)
+        jac[i][i] = L * p[i] ** (L - 1)
         for j in range(k):
             if j == i:
                 continue
-            partial = np.prod(np.delete(ratios, j))  # prod over l != i, j
+            partial = math.prod(ratios[:j] + ratios[j + 1 :])  # prod over l != i, j
             dr_dpi = (b * dens[j] - nums[j]) / dens[j] ** 2
             dr_dpj = (-dens[j] + b * nums[j]) / dens[j] ** 2
-            jac[i, i] -= partial * dr_dpi
-            jac[i, j] = -partial * dr_dpj
+            jac[i][i] -= partial * dr_dpi
+            jac[i][j] = -partial * dr_dpj
     return res, jac
 
 
@@ -379,11 +380,9 @@ def _kernel_cases():
         for L in range(k, k + 3):
             for _ in range(4):
                 params = Params(k, L, _corpus_coupling(rng), _corpus_coupling(rng, nonzero=True))
-                p = np.array(
-                    [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(k)],
-                    dtype=complex,
+                yield params, tuple(
+                    complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(k)
                 )
-                yield params, p
 
 
 def test_bethe_system_matches_reference_exactly():
@@ -391,28 +390,26 @@ def test_bethe_system_matches_reference_exactly():
         a, b = complex(params.alpha), complex(params.beta)
         res, jac = _bethe_system(p, params.L, a, b)
         ref_res, ref_jac = reference_residual_and_jacobian(p, params.L, a, b)
-        assert [complex(r) for r in res] == list(ref_res)
-        assert [[complex(v) for v in row] for row in jac] == ref_jac.tolist()
+        assert res == ref_res
+        assert jac == ref_jac
 
 
 def test_bethe_wave_matches_reference_exactly():
     for params, p in _kernel_cases():
-        pvals = tuple(complex(v) for v in p)
         for x in window(params.k, 1):
             dominant = x
             if not weyl.is_dominant(x, params):
                 w, _ = weyl.shortest_element(x, params)
                 dominant = weyl.act(w, x)
-            expected = reference_signed_scattering_sum(pvals, dominant, params.alpha, params.beta)
-            assert bethe_wave(pvals, x, params) == expected
+            expected = reference_signed_scattering_sum(p, dominant, params.alpha, params.beta)
+            assert bethe_wave(p, x, params) == expected
 
 
 def test_bethe_wave_function_matches_reference_exactly():
     # the CLI evaluates h_p through bethe_wave_function, whose coefficients
     # are built once per p with alpha and beta taken to p's number type
     def cases():
-        for params, p in _kernel_cases():
-            yield params, tuple(complex(v) for v in p)
+        yield from _kernel_cases()
         params = Params(3, 4, Fraction(-1, 3), Fraction(5, 2))
         yield params, (Fraction(2), Fraction(-3, 7), Fraction(5, 4))
         yield params, (1.5, -0.25, 2.75)
@@ -450,43 +447,35 @@ def test_solver_rejects_non_finite_roots(monkeypatch, slot, value):
     # a Newton step that "converges" to a non-finite root must not pass the
     # final acceptance test: NaN compares false, and max() skips a NaN that
     # is not in the first slot
-    def newton(p, L, a, b, max_iter=60):
-        q = np.array(p, dtype=complex)
+    def newton(p, L, a, b):
+        q = list(p)
         q[slot] = value
-        return q
+        return tuple(q)
 
     monkeypatch.setattr(bethe, "_newton", newton)
     params = Params(2, 3, Fraction(-1, 2), Fraction(3, 4))
-    with np.errstate(all="ignore"), pytest.raises(BetheSolverError, match="^final residual"):
+    with pytest.raises(BetheSolverError, match="^final residual"):
         solve_bethe(params, (0, 1), 4)
-
-
-def test_bethe_system_on_numpy_scalars_matches_reference_exactly():
-    # _newton hands the kernel list(p), numpy complex128 scalars, not the array
-    for params, p in _kernel_cases():
-        a, b = complex(params.alpha), complex(params.beta)
-        res, jac = _bethe_system(list(p), params.L, a, b)
-        ref_res, ref_jac = reference_residual_and_jacobian(p, params.L, a, b)
-        assert [complex(r) for r in res] == list(ref_res)
-        assert [[complex(v) for v in row] for row in jac] == ref_jac.tolist()
 
 
 # -- the Newton loop against the loop without a cycle exit --------------------
 
 
 def _newton_without_cycle_exit(p, L, a, b, max_iter=60):
-    # the loop the solver's outcomes are pinned to: a failing run takes all
-    # max_iter iterations, and the defect is np.max over np.abs
-    p = np.array(p, dtype=complex)
+    # the package's Newton step with no cycle exit: a failing run takes all
+    # max_iter iterations, and the defect is the NaN-aware max over abs
+    p = tuple(p)
     for _ in range(max_iter):
-        res, jac = _bethe_system(p, L, a, b)
-        defect = np.max(np.abs(res))
-        if defect < NEWTON_TOL:
-            return p
-        step = np.linalg.solve(jac, res)
-        if not np.all(np.isfinite(step)):
+        try:
+            res, jac = _bethe_system(p, L, a, b)
+            if bethe._max_or_nan(abs(r) for r in res) < NEWTON_TOL:
+                return p
+            step = bethe._solve(jac, res)
+            p = tuple(v - d for v, d in zip(p, step))
+        except (OverflowError, ZeroDivisionError) as err:
+            raise BetheSolverError("Newton step not finite") from err
+        if not all(map(cmath.isfinite, p)):
             raise BetheSolverError("Newton step not finite")
-        p = p - step
     raise BetheSolverError("Newton did not converge")
 
 
@@ -574,3 +563,37 @@ def test_newton_stops_at_a_cycle(monkeypatch):
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
         bethe._newton(p, 2, a, b)
     assert len(calls) < 60
+
+
+def test_singular_jacobian_is_a_newton_failure():
+    # at the free couplings J = diag(L p_i^{L-1}), so p_1 = 0 is a zero pivot
+    with pytest.raises(BetheSolverError, match="^Newton step not finite$"):
+        bethe._newton((0j, 2 + 0j), 2, 0j, 1 + 0j)
+
+
+def test_solve_is_exact_on_rationals():
+    # plain arithmetic: Fraction entries give the exact solution, and a zero
+    # pivot, which every singular matrix reaches, raises ZeroDivisionError
+    rng = random.Random("bethe-solve")
+    singular = 0
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            jac = [
+                [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
+            res = [sum(a * b for a, b in zip(row, x)) for row in jac]
+            det = sum(
+                reference_parity(s) * math.prod(jac[i][s[i]] for i in range(k))
+                for s in permutations(range(k))
+            )
+            if det:
+                assert bethe._solve(jac, res) == x
+            else:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    bethe._solve(jac, res)
+    assert singular > 0
+    jac = [[0, Fraction(2)], [Fraction(3), 0]]  # the first pivot is in the second row
+    assert bethe._solve(jac, [1, 1]) == [Fraction(1, 3), Fraction(1, 2)]

@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
+import hecke_bose
 from hecke_bose import hamiltonian
 from hecke_bose.bethe import bethe_wave
 from hecke_bose.cli import main
@@ -228,8 +232,8 @@ def test_bad_input_exits_without_traceback(capsys, argv):
 
 
 def test_overflowing_coupling_writes_one_stderr_line(capsys):
-    # numpy overflow warnings from the solver's continuation must not reach
-    # stderr ahead of the one error line; as errors they would be tracebacks
+    # apply_H's weight tables reject beta ** 2 before the solve, and no warning
+    # may reach stderr ahead of the one error line; as errors they would be tracebacks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +242,20 @@ def test_overflowing_coupling_writes_one_stderr_line(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("hecke-bose: error: ")
+
+
+def test_cli_import_leaves_numpy_out():
+    # the package runs on the standard library alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hecke_bose.__file__)))
+    code = "import sys, hecke_bose.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize(
