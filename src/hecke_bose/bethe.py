@@ -71,16 +71,6 @@ class Partition:
         return v
 
 
-def _couplings_like(p, alpha, beta):
-    """Rational alpha, beta in p's type when p is all complex or all float: the
-    conversion Fraction's mixed-type operators make in every operation, made once."""
-    if isinstance(alpha, Rational) and isinstance(beta, Rational):
-        for kind in (complex, float):
-            if all(isinstance(v, kind) for v in p):
-                return kind(alpha), kind(beta)
-    return alpha, beta
-
-
 def _scattering_row(p, i, alpha, beta):
     """The factors S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)
     of row i as numerators, denominators and ratios (None at j = i), and
@@ -138,7 +128,7 @@ def bethe_residual(p, params):
     """Defect vector of the Bethe equations:
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
     p = tuple(getattr(p, "p", p))
-    alpha, beta = _couplings_like(p, params.alpha, params.beta)
+    alpha, beta = params.alpha, params.beta
     return [p[i] ** params.L - _scattering_row(p, i, alpha, beta)[3] for i in range(len(p))]
 
 
@@ -239,7 +229,8 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
         p = q
         s = s_next
 
-    residual = _max_or_nan(abs(r) for r in bethe_residual(p, params))
+    # at the complex couplings the path continued to
+    residual = _max_or_nan(abs(r) for r in _bethe_system(p, L, a_t, b_t)[0])
     if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, p))):
         raise BetheSolverError(
             "final residual %.3g above acceptance threshold" % residual, s=1.0
@@ -279,7 +270,6 @@ def _wave_terms(p, alpha, beta):
     """The terms (sigma, sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)):
     the factor of a pair (a, b) is negated when a > b, so every inversion of
     sigma flips the sign once."""
-    alpha, beta = _couplings_like(p, alpha, beta)
     k = len(p)
     pair = [[beta * p[a] - p[b] - alpha for b in range(k)] for a in range(k)]
     for a in range(k):

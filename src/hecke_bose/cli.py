@@ -73,12 +73,13 @@ def cmd_verify(args):
 
 def cmd_bethe(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
-    # the defect check needs apply_H's complex weight tables (alpha * n, beta ** n for
-    # n < k): a coupling they cannot hold is rejected here, before the solve
-    hamiltonian._weights(params.alpha, params.beta, params.k, complex)
+    # the pipeline runs at complex couplings; one whose largest H weight, alpha (k - 1)
+    # or beta ** (k - 1), does not convert is rejected here, before the solve
+    complex(params.alpha * (params.k - 1)), complex(params.beta ** (params.k - 1))
+    floats = Params(params.k, params.L, complex(params.alpha), complex(params.beta))
     t0 = time.perf_counter()
     try:
-        root = bethe.solve_bethe(params, args.seeds, homotopy_steps=args.steps)
+        root = bethe.solve_bethe(floats, args.seeds, homotopy_steps=args.steps)
     except BetheSolverError as err:
         _emit(
             {
@@ -91,14 +92,14 @@ def cmd_bethe(args):
         )
         return 1
 
-    h = bethe_wave_function(root, params)
+    h = bethe_wave_function(root, floats)
     lam = sum(root.p)
     pi = weyl.pi_element(params.k, params.L)
     eig_defects, pi_defects = [0.0], [0.0]
     for x in verify.window_points(params.k, args.window):
         hx = h(x)
         scale = 1.0 + abs(hx)
-        eig_defects.append(abs(hamiltonian.apply_H(h, x, params) - lam * hx) / scale)
+        eig_defects.append(abs(hamiltonian.apply_H(h, x, floats) - lam * hx) / scale)
         pi_defects.append(abs(h(weyl.act(pi, x)) - hx) / scale)
 
     report = {
@@ -137,12 +138,7 @@ def _read_roots(path):
 
 def cmd_wavefunction(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
-    if args.p_file:
-        p = _read_roots(args.p_file)
-    elif args.p:
-        p = args.p
-    else:
-        raise ValueError("wavefunction requires --p or --p-file")
+    p = args.p if args.p_file is None else _read_roots(args.p_file)
     if len(p) != params.k:
         raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
 
@@ -201,8 +197,15 @@ def _add_params(parser):
                         help="coupling beta, as a/b")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error gets the one stderr line that every rejected input gets."""
+
+    def error(self, message):
+        self.exit(2, "hecke-bose: error: %s\n" % message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hecke-bose",
         description="Exact verification and computation for the discrete periodic "
         "delta Bose gas and its integral-reflection operators.",
@@ -230,10 +233,11 @@ def build_parser():
 
     p_wave = sub.add_parser("wavefunction", help="tabulate a Bethe wave function")
     _add_params(p_wave)
-    p_wave.add_argument("--p", type=_fraction_list, default=None,
-                        help="comma-separated rational spectral parameters")
-    p_wave.add_argument("--p-file", default=None,
-                        help="JSON file with complex roots (output of the bethe command)")
+    spectral = p_wave.add_mutually_exclusive_group(required=True)
+    spectral.add_argument("--p", type=_fraction_list,
+                          help="comma-separated rational spectral parameters")
+    spectral.add_argument("--p-file",
+                          help="JSON file with complex roots (output of the bethe command)")
     p_wave.add_argument("--window", type=_window, default=2)
     p_wave.add_argument("--format", choices=("json", "csv"), default="json")
     p_wave.add_argument("--out", default=None)

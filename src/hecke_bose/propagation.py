@@ -6,7 +6,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .functions import LatticeFunction
-from .hamiltonian import d_plus
+from .hamiltonian import _d_counts
 from .hecke import QWordEngine
 from . import weyl
 
@@ -59,7 +59,7 @@ def plane_wave(p):
             den *= power[1]
         return Fraction(num, den)
 
-    return LatticeFunction(ev)
+    return ev
 
 
 def with_neighbours(points):
@@ -97,8 +97,7 @@ def verify_lemma_main(f, points, params):
     for word, cases in groups.items():
         sides = []  # (position of x, lhs, the right-hand points, v_sigma(i) first)
         for n, x, wx, sigma in cases:
-            for i in range(1, k + 1):
-                dp = d_plus(i, x, params)
+            for i, dp in enumerate(_d_counts(x, params)[0], 1):
                 lhs = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]
                 if dp and alpha != 0:
                     lhs -= alpha * dp * G[x]

@@ -90,17 +90,18 @@ def test_hl_identity_reports_the_alpha_it_checks(capsys):
 
 
 def test_verify_detects_injected_defect(capsys, monkeypatch):
-    # corrupt the counting function; the identity suite must notice and
-    # report a nonzero exit code with populated failure records
-    real = hamiltonian.d_plus
+    # corrupt the counting pass, every d_i^+ off by one at one point; the
+    # identity suite must notice and report a nonzero exit code with
+    # populated failure records
+    real = hamiltonian._d_counts
 
-    def corrupted(i, x, params):
-        value = real(i, x, params)
+    def corrupted(x, params):
+        plus, minus = real(x, params)
         if x == (1, 1):
-            return value + 1
-        return value
+            plus = [d + 1 for d in plus]
+        return plus, minus
 
-    monkeypatch.setattr(hamiltonian, "d_plus", corrupted)
+    monkeypatch.setattr(hamiltonian, "_d_counts", corrupted)
     code, out = _run(
         capsys,
         ["verify", "theorem", "--k", "2", "--L", "2",
@@ -275,9 +276,8 @@ def test_steps_must_be_positive(capsys, steps):
         main(["bethe", "--k", "2", "--L", "2", "--seeds", "0,1", "--steps", steps])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        "hecke-bose bethe: error: argument --steps: steps must be a positive integer, got %r"
-        % steps
+    assert err.splitlines() == [
+        "hecke-bose: error: argument --steps: steps must be a positive integer, got %r" % steps
     ]
 
 
@@ -365,9 +365,10 @@ def test_wavefunction_requires_spectral_parameters():
         ('{"roots": [[1e-200, 0], [2e-200, 0]]}', ["--p-file", "roots.json"]),
         (None, ["--p", "2,3,5"]),
         (None, []),
+        ('{"roots": [[1, 0], [0, 1]]}', ["--p", "3,5", "--p-file", "roots.json"]),
     ],
     ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count",
-         "overflowing-powers", "p-count", "no-p"],
+         "overflowing-powers", "p-count", "no-p", "p-and-p-file"],
 )
 def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
     monkeypatch.chdir(tmp_path)

@@ -4,17 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import apply_H_tilde, eval_root, rand_params_pair, simple_root, window
 from hecke_bose import hamiltonian, weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
-from hecke_bose.hamiltonian import (
-    _weight,
-    apply_H,
-    d_minus,
-    d_plus,
-    verify_d_change,
-)
+from hecke_bose.hamiltonian import apply_H, d_minus, d_plus, verify_d_change
 from hecke_bose.weyl import Params
 
 
@@ -68,29 +64,31 @@ def test_apply_H_at_origin():
 @pytest.mark.parametrize("name", ["d_minus", "d_plus"])
 @pytest.mark.parametrize("exact", [True, False])
 def test_apply_H_weights_at_any_count(monkeypatch, name, exact):
-    # apply_H tables the weights of the counts d_i^{+-} can take (0..k-1);
-    # a count of k or more, as a patched counting function returns, must
-    # still get alpha * n and beta ** n
+    # d_i^{+-} take the values 0..k-1; a count of k or more, as a patched
+    # counting pass returns, must still get alpha * n and beta ** n
     k = 3
     params = Params(k, 2, Fraction(-1, 3), Fraction(2, 5))
     f = random_rational_function("H-weights")
     if not exact:
         f = LatticeFunction(lambda x, g=f: complex(g(x), sum(x) / 7))
     y = (1, 0, -1)
-    real = getattr(hamiltonian, name)
+    side = ["d_plus", "d_minus"].index(name)
+    real = hamiltonian._d_counts
 
-    def patched(i, x, params):
-        return {1: k, 2: k + 1}.get(i, 0) if x == y else real(i, x, params)
+    def patched(x, params):
+        counts = list(real(x, params))
+        if x == y:
+            counts[side] = [k, k + 1, 0]
+        return tuple(counts)
 
-    monkeypatch.setattr(hamiltonian, name, patched)
-    kind = type(f(y))
+    monkeypatch.setattr(hamiltonian, "_d_counts", patched)
     for x in [y, (0, 0, 0), (2, 1, 1)]:
+        plus, minus = hamiltonian._d_counts(x, params)
         expected = 0
-        for i in range(1, k + 1):
-            shifted = tuple(v - (j == i - 1) for j, v in enumerate(x))
-            dp = hamiltonian.d_plus(i, x, params)
-            term = f(shifted) - _weight(params.alpha, dp, 0, kind) * f(x)
-            expected += _weight(params.beta, hamiltonian.d_minus(i, x, params), 1, kind) * term
+        for i in range(k):
+            shifted = tuple(v - (j == i) for j, v in enumerate(x))
+            term = f(shifted) - params.alpha * plus[i] * f(x)
+            expected += params.beta ** minus[i] * term
         assert apply_H(f, x, params) == expected
 
 
@@ -199,3 +197,18 @@ def test_d_counts_match_root_sums(k, L):
         for i in range(1, k + 1):
             assert d_plus(i, x, params) == _d_count_by_roots(x, params, i, 1)
             assert d_minus(i, x, params) == _d_count_by_roots(x, params, i - 1, -1)
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 4), (3, 2), (4, 3), (3, 5), (4, 7), (5, 2)]),
+    st.lists(st.integers(-60, 60), min_size=5, max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_d_counts_match_root_sums_far_out(kL, coords):
+    # the one pass over coordinate pairs against the root-by-root sums, far points included
+    k, L = kL
+    params = Params(k, L)
+    x = tuple(coords[:k])
+    plus, minus = hamiltonian._d_counts(x, params)
+    assert plus == [_d_count_by_roots(x, params, i, 1) for i in range(1, k + 1)]
+    assert minus == [_d_count_by_roots(x, params, i - 1, -1) for i in range(1, k + 1)]

@@ -52,12 +52,13 @@ def test_d_change_suite_detects_injected_defect(monkeypatch):
     clean = verify.run_suite("d-change", params, 1, 0)
     assert clean["failures"] == []
     y = (1, 0, -1)
-    real = hamiltonian.d_plus
+    real = hamiltonian._d_counts
 
-    def corrupted(i, x, params):
-        return real(i, x, params) + (x == y)
+    def corrupted(x, params):
+        plus, minus = real(x, params)
+        return [d + (x == y) for d in plus], minus
 
-    monkeypatch.setattr(hamiltonian, "d_plus", corrupted)
+    monkeypatch.setattr(hamiltonian, "_d_counts", corrupted)
     report = verify.run_suite("d-change", params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
     failed = {tuple(entry["x"]) for entry in report["failures"]}
