@@ -12,7 +12,7 @@ from .weyl import (
 )
 from .functions import LatticeFunction, random_rational_function
 from .laurent import LaurentPolynomial, apply_T_check, pairing
-from .hamiltonian import apply_H, d_minus, d_plus, verify_d_change
+from .hamiltonian import apply_H, d_minus, d_plus
 from .hecke import apply_Q, apply_Qw
 from .propagation import plane_wave, propagate, verify_lemma_main
 from .bethe import (
@@ -25,7 +25,6 @@ from .bethe import (
     hall_littlewood_P,
     hall_littlewood_R,
     solve_bethe,
-    verify_hl_identity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

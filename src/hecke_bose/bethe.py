@@ -7,9 +7,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
-from numbers import Rational
 
 from . import weyl
 from .functions import LatticeFunction
@@ -324,18 +322,3 @@ def hall_littlewood_P(lam, z, t):
         lam = Partition(tuple(lam))
     return hall_littlewood_R(lam.parts, z, t) / lam.normalization(t, length=len(tuple(z)))
 
-
-def verify_hl_identity(p, x, params):
-    """Check h_p(x) = Delta(p) * R_{eps(x)}(p_1^{-1}, ..., p_k^{-1}; beta) on a dominant
-    point x, at alpha = 0, exactly, for formal (non-Bethe) rational p_i read as Fractions."""
-    if params.alpha != 0:
-        raise ValueError("identity is stated at alpha = 0")
-    if not weyl.is_dominant(x, params):
-        raise ValueError("identity is stated on the dominant chamber")
-    p = tuple(p)
-    if not all(isinstance(v, Rational) for v in p):
-        raise TypeError("HL identity requires rational p_i, got %r" % (p,))
-    p = tuple(Fraction(v) for v in p)
-    delta = math.prod(p[i] - p[j] for i, j in combinations(range(len(p)), 2))
-    rhs = delta * hall_littlewood_R(tuple(x), tuple(1 / v for v in p), params.beta)
-    return bethe_wave(p, x, params) == rhs

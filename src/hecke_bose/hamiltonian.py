@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from . import weyl
-
 
 def _d_counts(x, params):
     """The lists (d^+, d^-) of the counts d_i^{+-}(x) at index i - 1, in one pass
@@ -62,26 +60,3 @@ def apply_H(f, x, params):
         total += beta ** dm * term if dm else term
     return total
 
-
-def verify_d_change(x, i, j, params):
-    """Check how d_i^{+-} transform under the simple reflection s_j.
-
-    Expected: unchanged when i is away from {j, j+1} mod k; otherwise the
-    indices j and j+1 swap roles, with a correction of theta(a_j(x) = 0).
-    s_j fixes x exactly where a_j(x) = 0, so theta reads sx == x.
-    Returns True iff both signs match.
-    """
-    k = params.k
-    sx = weyl.act(weyl.simple_reflection_element(j, k, params.L), x)
-    theta = 1 if sx == x else 0
-    for before, after, sign in zip(_d_counts(x, params), _d_counts(sx, params), (1, -1)):
-        got = after[(i - 1) % k]
-        if i % k == j % k:
-            expected = before[j % k] + sign * theta
-        elif i % k == (j + 1) % k:
-            expected = before[(j - 1) % k] - sign * theta
-        else:
-            expected = before[(i - 1) % k]
-        if got != expected:
-            return False
-    return True

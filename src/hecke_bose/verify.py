@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
-from . import hamiltonian, hecke, laurent, propagation, weyl
-from .bethe import verify_hl_identity
+from . import bethe, hamiltonian, hecke, laurent, propagation, weyl
 from .functions import random_fraction, random_rational_function
 from .laurent import LaurentPolynomial
 
@@ -136,13 +136,35 @@ def suite_duality(params, window, seed):
 
 @_suite("d-change")
 def suite_d_change(params, window, seed):
-    """Exhaustive check of the d_i^{+-} transformation under simple reflections."""
+    """Exhaustive check of the d_i^{+-} transformation under simple reflections.
+
+    Expected: d_i^{+-}(s_j x) = d_i^{+-}(x) when i is away from {j, j+1} mod k;
+    otherwise the indices j and j+1 swap roles, with a correction of
+    +-theta(a_j(x) = 0).  s_j fixes x exactly where a_j(x) = 0, so theta reads
+    s_j x == x.  The counts are taken once per point and per reflected point."""
     k = params.k
-    cases = [(i, j, "d-change fails for (i, j) = (%d, %d)" % (i, j))
-             for i in range(1, k + 1) for j in range(k)]
+    reflections = [weyl.simple_reflection_element(j, k, params.L) for j in range(k)]
+    # (index of d_i, j, index of the d read at x, sign of theta in d^+, detail)
+    cases = []
+    for i in range(1, k + 1):
+        for j in range(k):
+            if i % k == j:
+                src, c = j, 1
+            elif i % k == (j + 1) % k:
+                src, c = j - 1, -1
+            else:
+                src, c = i - 1, 0
+            cases.append((i - 1, j, src, c, "d-change fails for (i, j) = (%d, %d)" % (i, j)))
     for x in window_points(k, window):
-        for i, j, detail in cases:
-            yield x, hamiltonian.verify_d_change(x, i, j, params), detail
+        plus, minus = hamiltonian._d_counts(x, params)
+        reflected = []
+        for sj in reflections:
+            sx = weyl.act(sj, x)
+            reflected.append((*hamiltonian._d_counts(sx, params), sx == x))
+        for r, j, src, c, detail in cases:
+            sx_plus, sx_minus, theta = reflected[j]
+            shift = c * theta
+            yield x, sx_plus[r] == plus[src] + shift and sx_minus[r] == minus[src] - shift, detail
 
 
 @_suite("w-invariance")
@@ -184,14 +206,18 @@ def suite_theorem(params, window, seed):
 
 @_suite("hl-identity", alpha=Fraction(0))
 def suite_hl_identity(params, window, seed):
-    """alpha = 0 Bethe sum vs Hall-Littlewood R, exactly on dominant points.
-    The identity is stated at alpha = 0, so the suite runs and reports alpha = 0
-    whatever alpha it is given."""
+    """h_p(x) = Delta(p) R_x(1/p_1, ..., 1/p_k; beta) at alpha = 0, exactly on
+    dominant points, with Delta(p) = prod_{i<j} (p_i - p_j).  The identity is
+    stated at alpha = 0, so the suite runs and reports alpha = 0 whatever alpha
+    it is given.  h_p, Delta(p) and z are built once per suite."""
     p = random_distinct_fractions(random.Random("hl-%s" % seed), params.k)
+    h = bethe.bethe_wave_function(p, params)
+    delta = math.prod(a - b for a, b in itertools.combinations(p, 2))
+    z = tuple(1 / v for v in p)
     detail = "HL identity fails, p = %s" % (p,)
     for x in window_points(params.k, window):
         if weyl.is_dominant(x, params):
-            yield x, verify_hl_identity(p, x, params), detail
+            yield x, h(x) == delta * bethe.hall_littlewood_R(x, z, params.beta), detail
 
 
 SUITES = tuple(_CHECKS)

@@ -15,7 +15,7 @@ from conftest import (
     schur,
     window,
 )
-from hecke_bose import bethe, weyl
+from hecke_bose import bethe, verify, weyl
 from hecke_bose.bethe import (
     BetheSolverError,
     Partition,
@@ -27,7 +27,6 @@ from hecke_bose.bethe import (
     hall_littlewood_R,
     seed_roots_of_unity,
     solve_bethe,
-    verify_hl_identity,
 )
 from hecke_bose.bethe import NEWTON_TOL, POLE_TOL, _bethe_system
 from hecke_bose.hamiltonian import apply_H
@@ -255,46 +254,15 @@ def test_hall_littlewood_against_symbolic_expansion():
         assert sympy.Rational(direct) == symbolic
 
 
-def test_hl_identity_origin():
-    params = Params(2, 2, beta=Fraction(3, 5))
-    assert verify_hl_identity((Fraction(2), Fraction(7)), (0, 0), params)
-
-
-def test_hl_identity_is_exact_on_int_p():
-    # ints would divide into floats; taken as Fractions the identity holds exactly
-    params = Params(3, 4, 0, Fraction(2, 7))
-    points = [x for x in window(3, 3) if weyl.is_dominant(x, params)]
-    assert len(points) == 65
-    assert all(verify_hl_identity((2, 3, 7), x, params) for x in points)
-    for p in ((2.0, 3, 7), (2 + 0j, 3, 7)):
-        with pytest.raises(TypeError):
-            verify_hl_identity(p, (0, 0, 0), params)
-
-
-def test_hl_identity_requires_dominance():
-    params = Params(2, 2, beta=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        verify_hl_identity((Fraction(2), Fraction(7)), (0, 1), params)
-
-
-def test_hl_identity_requires_alpha_zero():
-    params = Params(2, 2, Fraction(1, 3), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        verify_hl_identity((Fraction(2), Fraction(7)), (0, 0), params)
-
-
-@pytest.mark.parametrize("k,L", [(2, 2), (3, 2)])
-def test_hl_identity_window(k, L):
-    rng = random.Random("hl-%d-%d" % (k, L))
-    p = rand_distinct_fractions(rng, k)
-    params = Params(k, L, beta=Fraction(rng.randint(1, 9), rng.randint(1, 6)))
-    checked = 0
-    for x in window(k, 3):
-        if not weyl.is_dominant(x, params):
-            continue
-        checked += 1
-        assert verify_hl_identity(p, x, params)
-    assert checked > 0
+@pytest.mark.parametrize(
+    "k,L,beta,dominant",
+    [(2, 2, Fraction(7, 4), 18), (3, 2, 1, 34), (3, 4, Fraction(2, 7), 65)],
+    ids=["2-2", "3-2", "3-4"],
+)
+def test_hl_identity_window(k, L, beta, dominant):
+    report = verify.run_suite("hl-identity", Params(k, L, beta=beta), 3, 0)
+    assert report["failures"] == []
+    assert report["checks_run"] == dominant
 
 
 def test_spectral_point_accessors():

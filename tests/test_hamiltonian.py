@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import apply_H_tilde, eval_root, rand_params_pair, simple_root, window
 from hecke_bose import hamiltonian, weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
-from hecke_bose.hamiltonian import apply_H, d_minus, d_plus, verify_d_change
+from hecke_bose.hamiltonian import apply_H, d_minus, d_plus
 from hecke_bose.weyl import Params
 
 
@@ -127,15 +127,6 @@ def test_interaction_term_counts_coincidences():
                 if (x[i] - x[j]) % L == 0
             )
             assert sum(d_plus(i, x, params) for i in range(1, k + 1)) == pairs
-
-
-def test_d_change_cases():
-    params = Params(3, 2)
-    k, L = 3, 2
-    for x in window(3, 3):
-        for i in range(1, k + 1):
-            for j in range(k):
-                assert verify_d_change(x, i, j, params)
 
 
 def test_d_change_unaffected_index():

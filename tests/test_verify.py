@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_bose import hamiltonian, hecke, verify, weyl
+from hecke_bose import bethe, hamiltonian, hecke, verify, weyl
 from hecke_bose.weyl import Params
 
 
@@ -64,6 +64,46 @@ def test_d_change_suite_detects_injected_defect(monkeypatch):
     failed = {tuple(entry["x"]) for entry in report["failures"]}
     assert y in failed
     preimages = {weyl.act(weyl.simple_reflection_element(j, 3, 2), y) for j in range(3)}
+    assert failed <= {y} | preimages
+
+
+def test_hl_identity_suite_names_a_corrupted_point(monkeypatch):
+    params = Params(3, 2, beta=Fraction(2, 7))
+    clean = verify.run_suite("hl-identity", params, 1, 0)
+    assert clean["failures"] == []
+    real = bethe.hall_littlewood_R
+
+    def corrupted(lam, z, t):
+        return real(lam, z, t) + (tuple(lam) == (1, 0, 0))  # one more at one dominant point
+
+    monkeypatch.setattr(bethe, "hall_littlewood_R", corrupted)
+    report = verify.run_suite("hl-identity", params, 1, 0)
+    assert report["checks_run"] == clean["checks_run"]
+    assert report["failures"] == [{
+        "x": [1, 0, 0],
+        "detail": "HL identity fails, p = (Fraction(-1, 1), Fraction(-9, 5), Fraction(-7, 2))",
+    }]
+
+
+def test_w_invariance_suite_detects_injected_defect(monkeypatch):
+    # (H f)(y) off by one at one regular point y: the suite must fail at y, where
+    # the right-hand side reads it, and may fail only where some s_j x = y
+    params = Params(3, 5, Fraction(-1, 3), Fraction(2, 5))
+    clean = verify.run_suite("w-invariance", params, 1, 0)
+    assert clean["failures"] == []
+    assert clean["checks_run"] > 0
+    y = (1, 0, -1)
+    real = hamiltonian.apply_H
+
+    def corrupted(f, x, params):
+        return real(f, x, params) + (x == y)
+
+    monkeypatch.setattr(hamiltonian, "apply_H", corrupted)
+    report = verify.run_suite("w-invariance", params, 1, 0)
+    assert report["checks_run"] == clean["checks_run"]
+    failed = {tuple(entry["x"]) for entry in report["failures"]}
+    assert y in failed
+    preimages = {weyl.act(weyl.simple_reflection_element(j, 3, 5), y) for j in range(3)}
     assert failed <= {y} | preimages
 
 
