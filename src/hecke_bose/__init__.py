@@ -14,7 +14,7 @@ from .functions import LatticeFunction, random_rational_function
 from .laurent import LaurentPolynomial, apply_T_check, pairing
 from .hamiltonian import apply_H, d_minus, d_plus
 from .hecke import apply_Q, apply_Qw
-from .propagation import plane_wave, propagate, verify_lemma_main
+from .propagation import plane_wave, propagate
 from .bethe import (
     BetheSolverError,
     Partition,

@@ -51,7 +51,8 @@ class Partition:
         object.__setattr__(self, "parts", parts)
 
     def normalization(self, t, length):
-        """v_lambda(t) = prod_{a>=0} prod_{n=1}^{m_a} (1-t^n)/(1-t).
+        """v_lambda(t) = prod_{a>=0} prod_{n=1}^{m_a} (1-t^n)/(1-t), each factor
+        summed as 1 + t + ... + t^{n-1}, which is n at t = 1.
 
         The multiplicity m_0 of zero parts counts the padding up to
         ``length``, the number of variables; this is the normalization
@@ -61,11 +62,8 @@ class Partition:
             raise ValueError("length shorter than the partition")
         v = 1
         for m in Counter(self.parts + (0,) * (length - len(self.parts))).values():
-            if t == 1:
-                v *= math.factorial(m)
-            else:
-                for n in range(1, m + 1):
-                    v *= (1 - t ** n) / (1 - t)
+            for n in range(1, m + 1):
+                v *= sum(t ** e for e in range(n))
         return v
 
 
@@ -304,7 +302,13 @@ def hall_littlewood_R(lam, z, t):
     exps = tuple(getattr(lam, "parts", lam))
     if len(exps) > k:
         raise ValueError("exponent tuple longer than variable list")
-    exps = exps + (0,) * (k - len(exps))
+    return _hl_R(z, t)(exps + (0,) * (k - len(exps)))
+
+
+def _hl_R(z, t):
+    """lambda -> R_lambda(z; t) at fixed z and t, for exponent tuples of length
+    k.  The k! coefficients are computed once, here."""
+    k = len(z)
     pair = [[None] * k for _ in range(k)]
     for a in range(k):
         for b in range(k):
@@ -313,7 +317,8 @@ def hall_littlewood_R(lam, z, t):
             if z[a] == z[b]:
                 raise ValueError("coincident variables z_%d = z_%d" % (a + 1, b + 1))
             pair[a][b] = (z[a] - t * z[b]) / (z[a] - z[b])
-    return _sum_terms(_symmetrized_terms(pair), z, exps)
+    terms = _symmetrized_terms(pair)
+    return lambda exps: _sum_terms(terms, z, exps)
 
 
 def hall_littlewood_P(lam, z, t):

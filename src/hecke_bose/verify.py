@@ -36,6 +36,13 @@ def random_distinct_fractions(rng, k):
     return tuple(vals)
 
 
+def _neighbourhood(points):
+    """The points with their neighbours x - v_i: where H and the lemma read G."""
+    return set(points).union(
+        x[:i] + (x[i] - 1,) + x[i + 1 :] for x in points for i in range(len(x))
+    )
+
+
 def params_dict(params):
     """The report block naming the parameters, shared with the CLI reports."""
     return {
@@ -184,10 +191,39 @@ def suite_w_invariance(params, window, seed):
 
 @_suite("lemma-main")
 def suite_lemma_main(params, window, seed):
-    """The shift/propagation commutation identity, exhaustively on the window."""
+    """The key commutation identity behind the eigenfunction theorem,
+    exhaustively on the window:
+
+    ((t_{v_i} - alpha d_i^+) G(f))(x)
+      = ((t_{v_sigma(i)} + (1-beta) sum_{j=1}^{d_i^+(x)} t_{v_{sigma(i)+j}}) Q_{w_x} f)(w_x x)
+
+    with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
+    One Q-word engine for f serves both sides: G comes from one propagate_many
+    over the window and its neighbours, and the right-hand sides of the points
+    sharing a reduced word w_x take one engine call."""
+    k, alpha, beta = params.k, params.alpha, params.beta
     f = random_rational_function("lemma-%s" % seed)
-    points = window_points(params.k, window)
-    for x, i, ok in propagation.verify_lemma_main(f, points, params):
+    points = list(window_points(k, window))
+    engine = hecke.QWordEngine(f, params)
+    G = propagation.propagate_many(engine, _neighbourhood(points))
+    sides = []  # (x, i, w_x, lhs, the right-hand points, v_sigma(i) first), x-major
+    needed = {}  # w_x -> the right-hand points of every x with that reduced word
+    for x in points:
+        w, word = weyl.shortest_element(x, params)
+        wx, sigma = weyl.act(w, x), w.perm
+        for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
+            lhs = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]
+            if dp and alpha != 0:
+                lhs -= alpha * dp * G[x]
+            terms = dp + 1 if beta != 1 else 1  # at beta = 1 only t_{v_sigma(i)} is left
+            slots = [(sigma[i - 1] + j) % k for j in range(terms)]
+            ys = [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]
+            sides.append((x, i, word, lhs, ys))
+            needed.setdefault(word, []).extend(ys)
+    Q = {word: dict(zip(ys, engine.values(word, ys))) for word, ys in needed.items()}
+    for x, i, word, lhs, (y, *rest) in sides:
+        q = Q[word]
+        ok = lhs == q[y] + (1 - beta) * sum(q[z] for z in rest)
         yield x, ok, "lemma identity fails for i = %d" % i
 
 
@@ -197,7 +233,7 @@ def suite_theorem(params, window, seed):
     p = random_distinct_fractions(random.Random("theorem-%s" % seed), params.k)
     points = list(window_points(params.k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
-    G = propagation.propagate_many(engine, propagation.with_neighbours(points))
+    G = propagation.propagate_many(engine, _neighbourhood(points))
     lam = sum(p)
     detail = "eigenfunction identity fails, p = %s" % (p,)
     for x in points:
@@ -209,15 +245,15 @@ def suite_hl_identity(params, window, seed):
     """h_p(x) = Delta(p) R_x(1/p_1, ..., 1/p_k; beta) at alpha = 0, exactly on
     dominant points, with Delta(p) = prod_{i<j} (p_i - p_j).  The identity is
     stated at alpha = 0, so the suite runs and reports alpha = 0 whatever alpha
-    it is given.  h_p, Delta(p) and z are built once per suite."""
+    it is given.  h_p, Delta(p) and R at z = 1/p are built once per suite."""
     p = random_distinct_fractions(random.Random("hl-%s" % seed), params.k)
     h = bethe.bethe_wave_function(p, params)
     delta = math.prod(a - b for a, b in itertools.combinations(p, 2))
-    z = tuple(1 / v for v in p)
+    R = bethe._hl_R(tuple(1 / v for v in p), params.beta)
     detail = "HL identity fails, p = %s" % (p,)
     for x in window_points(params.k, window):
         if weyl.is_dominant(x, params):
-            yield x, h(x) == delta * bethe.hall_littlewood_R(x, z, params.beta), detail
+            yield x, h(x) == delta * R(x), detail
 
 
 SUITES = tuple(_CHECKS)

@@ -182,6 +182,11 @@ def test_partition_validation_and_normalization():
     assert lam.normalization(t, length=3) == (1 - t ** 2) / (1 - t)
     # the zero parts, padding up to the variable count included, contribute too
     assert Partition((1,)).normalization(Fraction(1), length=3) == 2
+    # each factor (1 - t^n)/(1 - t) is 1 + t + ... + t^{n-1}: n at t = 1, exact at any t
+    assert Partition((2, 2, 2)).normalization(Fraction(1), length=3) == 6
+    assert Partition((2, 2)).normalization(Fraction(0), length=2) == 1
+    assert Partition((1, 1)).normalization(Fraction(-1), length=2) == 0
+    assert Partition((1, 1, 1)).normalization(2, length=3) == 1 * 3 * 7
     with pytest.raises(ValueError):
         Partition((1, 1)).normalization(t, length=1)
 

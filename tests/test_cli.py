@@ -220,6 +220,8 @@ def test_bethe_command_rejects_bad_seed_count(capsys):
         ["bethe", "--k", "3", "--L", "3", "--seeds", "0,1,2", "--beta", "1e300"],
         # more parts than variables
         ["hall-littlewood", "--lam", "1,1,1", "--z", "1/2,3", "--t", "1/3"],
+        # a repeated part at t = -1: the normalization 1 + t vanishes
+        ["hall-littlewood", "--lam", "1,1", "--z", "2,3", "--t=-1"],
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, argv):

@@ -71,12 +71,13 @@ def test_hl_identity_suite_names_a_corrupted_point(monkeypatch):
     params = Params(3, 2, beta=Fraction(2, 7))
     clean = verify.run_suite("hl-identity", params, 1, 0)
     assert clean["failures"] == []
-    real = bethe.hall_littlewood_R
+    real = bethe._hl_R
 
-    def corrupted(lam, z, t):
-        return real(lam, z, t) + (tuple(lam) == (1, 0, 0))  # one more at one dominant point
+    def corrupted(z, t):
+        R = real(z, t)
+        return lambda lam: R(lam) + (tuple(lam) == (1, 0, 0))  # one more at one dominant point
 
-    monkeypatch.setattr(bethe, "hall_littlewood_R", corrupted)
+    monkeypatch.setattr(bethe, "_hl_R", corrupted)
     report = verify.run_suite("hl-identity", params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
     assert report["failures"] == [{
@@ -124,23 +125,34 @@ def _corrupt_one_value(monkeypatch, target_word, target_point):
     "suite,word,point,failure",
     [
         # Q_2 f read at one window point: the duality check there
-        ("duality", (2,), (1, 0, -1), {"x": [1, 0, -1], "detail": "duality fails for i = 2"}),
+        ("duality", (2,), (1, 0, -1), [{"x": [1, 0, -1], "detail": "duality fails for i = 2"}]),
         # G(f) at the neighbour (-2, -1, 1) of x = (-1, -1, 1): the left-hand side for i = 1
         ("lemma-main", (0, 1, 2, 1), (0, -1, -1),
-         {"x": [-1, -1, 1], "detail": "lemma identity fails for i = 1"}),
+         [{"x": [-1, -1, 1], "detail": "lemma identity fails for i = 1"}]),
         # Q_{w_x} f at w_x x - v_sigma(2) for x = (-1, 0, 1): the right-hand side for i = 2
         ("lemma-main", (1, 2, 1), (1, -1, -1),
-         {"x": [-1, 0, 1], "detail": "lemma identity fails for i = 2"}),
+         [{"x": [-1, 0, 1], "detail": "lemma identity fails for i = 2"}]),
+        # f itself at the dominant point (0, 0, -1), read by several checks: as G(f)
+        # on left-hand sides and as Q_e f on right-hand sides (at x = (0, 0, 0) for
+        # i = 3 by both, which cancel); the failures come x-major, i ascending
+        ("lemma-main", (), (0, 0, -1), [
+            {"x": [0, 0, -1], "detail": "lemma identity fails for i = 1"},
+            {"x": [0, 0, 0], "detail": "lemma identity fails for i = 1"},
+            {"x": [0, 0, 0], "detail": "lemma identity fails for i = 2"},
+            {"x": [0, 1, -1], "detail": "lemma identity fails for i = 2"},
+            {"x": [1, 0, -1], "detail": "lemma identity fails for i = 3"},
+        ]),
     ],
 )
 def test_batched_suites_name_a_corrupted_value(monkeypatch, suite, word, point, failure):
+    # failure: the report's whole list of failures
     params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
     clean = verify.run_suite(suite, params, 1, 0)
     assert clean["failures"] == []
     _corrupt_one_value(monkeypatch, word, point)
     report = verify.run_suite(suite, params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
-    assert report["failures"] == [failure]
+    assert report["failures"] == failure
 
 
 def test_int_couplings_report_like_fractions():
