@@ -4,7 +4,9 @@ and Hall-Littlewood polynomials."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import types
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -67,85 +69,133 @@ class Partition:
         return v
 
 
-def _scattering_row(p, i, alpha, beta):
-    """The factors S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)
-    of row i as numerators, denominators and ratios (None at j = i), and
-    their product over j != i.  Raises at a vanishing denominator."""
-    k = len(p)
-    nums = [None] * k
-    dens = [None] * k
-    ratios = [None] * k
-    prod = 1
-    for j in range(k):
-        if j == i:
-            continue
-        nums[j] = beta * p[i] - p[j] - alpha
-        dens[j] = p[i] - beta * p[j] + alpha
-        if abs(complex(dens[j])) < POLE_TOL:
-            raise BetheSolverError(
-                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)
-            )
-        ratios[j] = nums[j] / dens[j]
-        prod *= ratios[j]
-    return nums, dens, ratios, prod
+def _kernel_source(k):
+    """Python source of ``residuals``, ``newton_step`` and ``solve`` for k
+    particles, unrolled into straight-line code.
 
+    ``residuals(p, L, alpha, beta)`` gives r_i = p_i^L - prod_{j != i} S_ij,
+    with S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha), and raises
+    at a vanishing denominator.  ``newton_step`` gives None when every
+    |r_i| < NEWTON_TOL, else p - J^{-1} r, where J = dr_i/dp_j takes the
+    partial products over l != i, j rather than dividing by S_ij, which may
+    vanish.  ``solve(jac, res)`` is the elimination alone: the x with
+    jac x = res, by Gaussian elimination with partial pivoting; a zero pivot
+    raises ZeroDivisionError.
 
-def _bethe_system(p, L, alpha, beta):
-    """Residuals r_i = p_i^L - prod_{j != i} S_ij and the Jacobian
-    dr_i/dp_j as a list of rows.
-
-    Plain arithmetic on the elements of p, so rational p gives exact
-    residuals.  The Jacobian uses the partial products over l != i, j rather
-    than dividing by S_ij, which may vanish.
+    The code is plain arithmetic on the elements of p, so rational p stays
+    exact, and every operation keeps its operands and its order: the
+    factors of row i are formed for j ascending, each denominator is checked
+    as it is formed and r_i follows its row; a product starts from the int 1;
+    the pivot is the first entry of maximal modulus, as ``max`` picks it; a
+    back-substitution sum goes through ``sum()``.  A value that is needed
+    twice, beta p_i or a product over a prefix of a row, is computed once,
+    where it is first needed.
     """
-    k = len(p)
-    res = []
-    jac = []
+    known = {}
+
+    def let(lines, name, expr):
+        # bind expr to name where it is first needed; later uses read the name
+        if expr not in known:
+            known[expr] = name
+            lines.append("%s = %s" % (name, expr))
+        return known[expr]
+
+    def product(lines, i, ls):
+        # 1 * s_i,l1 * s_i,l2 * ..., each prefix named
+        if not ls:
+            return "1"
+        head = product(lines, i, ls[:-1])
+        name = "m%d_%s" % (i, "_".join(map(str, ls)))
+        return let(lines, name, "%s * s%d_%d" % (head, i, ls[-1]))
+
+    rows = []
     for i in range(k):
-        nums, dens, ratios, prod = _scattering_row(p, i, alpha, beta)
-        res.append(p[i] ** L - prod)
-        row = [0] * k
-        row[i] = L * p[i] ** (L - 1)
+        others = [j for j in range(k) if j != i]
+        for n, j in enumerate(others):
+            num, den, ratio = "n%d_%d" % (i, j), "d%d_%d" % (i, j), "s%d_%d" % (i, j)
+            rows.append("%s = %s - p%d - alpha" % (num, let(rows, "bp%d" % i, "beta * p%d" % i), j))
+            rows.append("%s = p%d - %s + alpha" % (den, i, let(rows, "bp%d" % j, "beta * p%d" % j)))
+            rows.append("if abs(complex(%s)) < %r:" % (den, POLE_TOL))
+            rows.append("    raise BetheSolverError(%r)" % (
+                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)))
+            rows.append("%s = %s / %s" % (ratio, num, den))
+            product(rows, i, others[: n + 1])
+        rows.append("r%d = p%d ** L - %s" % (i, i, product(rows, i, others)))
+
+    jacobian = []
+    for i in range(k):
+        jacobian.append("a%d_%d = L * p%d ** (L - 1)" % (i, i, i))
         for j in range(k):
             if j == i:
                 continue
-            partial = 1
-            for l in range(k):
-                if l != i and l != j:
-                    partial *= ratios[l]
-            den2 = dens[j] ** 2
-            row[i] -= partial * ((beta * dens[j] - nums[j]) / den2)
-            row[j] = -partial * ((-dens[j] + beta * nums[j]) / den2)
-        jac.append(row)
-    return res, jac
+            partial = product(jacobian, i, [l for l in range(k) if l not in (i, j)])
+            num, den, den2 = "n%d_%d" % (i, j), "d%d_%d" % (i, j), "e%d_%d" % (i, j)
+            jacobian += [
+                "%s = %s ** 2" % (den2, den),
+                "a%d_%d -= %s * ((beta * %s - %s) / %s)" % (i, i, partial, den, num, den2),
+                "a%d_%d = -%s * ((-%s + beta * %s) / %s)" % (i, j, partial, den, num, den2),
+            ]
+
+    def cell(i, j):  # of the augmented matrix [J | r]
+        return "r%d" % i if j == k else "a%d_%d" % (i, j)
+
+    elimination = []
+    for c in range(k):
+        elimination.append("top = abs(%s)" % cell(c, c))
+        if c + 1 < k:
+            elimination.append("piv = %d" % c)
+        for r in range(c + 1, k):
+            elimination += ["v = abs(%s)" % cell(r, c), "if v > top:",
+                            "    top = v", "    piv = %d" % r]
+        for r in range(c + 1, k):
+            mine = [cell(c, j) for j in range(c, k + 1)]
+            theirs = [cell(r, j) for j in range(c, k + 1)]
+            elimination += ["%s piv == %d:" % ("if" if r == c + 1 else "elif", r),
+                            "    %s = %s" % (", ".join(mine + theirs), ", ".join(theirs + mine))]
+        for r in range(c + 1, k):
+            elimination.append("f = %s / %s" % (cell(r, c), cell(c, c)))
+            elimination += ["%s -= f * %s" % (cell(r, j), cell(c, j)) for j in range(c + 1, k + 1)]
+    for i in reversed(range(k)):
+        terms = "".join("%s * x%d, " % (cell(i, j), j) for j in range(i + 1, k))
+        total = "sum((%s))" % terms if terms else "0"
+        elimination.append("x%d = (%s - %s) / %s" % (i, cell(i, k), total, cell(i, i)))
+
+    def function(signature, unpack, body, result):
+        lines = ["def %s:" % signature] + unpack + body + ["return %s" % result]
+        return "\n    ".join(lines) + "\n"
+
+    unpack_p = ["[%s] = p" % ", ".join("p%d" % i for i in range(k))]
+    converged = " and ".join("abs(r%d) < %r" % (i, NEWTON_TOL) for i in range(k)) or "True"
+    return "\n".join([
+        function("residuals(p, L, alpha, beta)", unpack_p, rows,
+                 "[%s]" % ", ".join("r%d" % i for i in range(k))),
+        function("newton_step(p, L, alpha, beta)", unpack_p,
+                 rows + ["if %s:" % converged, "    return None"] + jacobian + elimination,
+                 "(%s)" % "".join("p%d - x%d, " % (i, i) for i in range(k))),
+        function("solve(jac, res)",
+                 ["[%s] = jac" % ", ".join(
+                     "[%s]" % ", ".join(cell(i, j) for j in range(k)) for i in range(k)),
+                  "[%s] = res" % ", ".join(cell(i, k) for i in range(k))],
+                 elimination, "[%s]" % ", ".join("x%d" % i for i in range(k))),
+    ])
+
+
+@functools.cache
+def _kernel(k):
+    """The residuals, the Newton step and the elimination for k particles
+    (see _kernel_source), compiled on first use."""
+    namespace = {"BetheSolverError": BetheSolverError}
+    exec(compile(_kernel_source(k), "<bethe kernel k=%d>" % k, "exec"), namespace)
+    return types.SimpleNamespace(
+        **{name: namespace[name] for name in ("residuals", "newton_step", "solve")}
+    )
 
 
 def bethe_residual(p, params):
     """Defect vector of the Bethe equations:
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
     p = tuple(getattr(p, "p", p))
-    alpha, beta = params.alpha, params.beta
-    return [p[i] ** params.L - _scattering_row(p, i, alpha, beta)[3] for i in range(len(p))]
-
-
-def _solve(jac, res):
-    """The x with jac x = res, by Gaussian elimination with partial pivoting.
-    Plain arithmetic on the entries; a zero pivot raises ZeroDivisionError."""
-    k = len(res)
-    rows = [list(row) + [r] for row, r in zip(jac, res)]
-    for c in range(k):
-        pivot = max(range(c, k), key=lambda i: abs(rows[i][c]))
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        top = rows[c]
-        for row in rows[c + 1 :]:
-            factor = row[c] / top[c]
-            for j in range(c + 1, k + 1):
-                row[j] -= factor * top[j]
-    x = [0] * k
-    for i in reversed(range(k)):
-        row = rows[i]
-        x[i] = (row[k] - sum(row[j] * x[j] for j in range(i + 1, k))) / row[i]
-    return x
+    return _kernel(len(p)).residuals(p, params.L, params.alpha, params.beta)
 
 
 def _newton(p, L, a, b):
@@ -155,14 +205,15 @@ def _newton(p, L, a, b):
     a pure function of p, so a repeated iterate is a cycle of failed states: stop with
     the error NEWTON_MAX_ITER would end in."""
     p = tuple(p)
+    step = _kernel(len(p)).newton_step
     seen = set()
     while len(seen) < NEWTON_MAX_ITER and p not in seen:
         seen.add(p)
         try:
-            res, jac = _bethe_system(p, L, a, b)
-            if all(abs(r) < NEWTON_TOL for r in res):
+            q = step(p, L, a, b)
+            if q is None:
                 return p
-            p = tuple(v - step for v, step in zip(p, _solve(jac, res)))
+            p = q
             finite = all(map(cmath.isfinite, p))
         except (OverflowError, ZeroDivisionError):
             finite = False
@@ -188,6 +239,8 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
     failure.  Root collisions and denominator poles abort with a diagnostic,
     and so does a path that spends more than max(400, 20 * homotopy_steps)
     Newton calls, as one that creeps towards a singular coupling does.
+    The roots returned are finite, pairwise at least COLLISION_TOL apart,
+    and meet the Bethe equations to ACCEPT_RESIDUAL.
     """
     k, L = params.k, params.L
     if len(tuple(seed_selection)) != k:
@@ -215,23 +268,29 @@ def solve_bethe(params, seed_selection, homotopy_steps=40):
                     "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
                 ) from err
             continue
-        for i, j in combinations(range(k), 2):
-            if abs(q[i] - q[j]) < COLLISION_TOL:
-                raise BetheSolverError(
-                    "root collision at s = %.6g between p_%d and p_%d"
-                    % (s_next, i + 1, j + 1),
-                    s=s_next,
-                )
+        _check_separation(q, s_next)
         p = q
         s = s_next
 
     # at the complex couplings the path continued to
-    residual = _max_or_nan(abs(r) for r in _bethe_system(p, L, a_t, b_t)[0])
+    residual = _max_or_nan(abs(r) for r in _kernel(k).residuals(p, L, a_t, b_t))
     if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, p))):
         raise BetheSolverError(
             "final residual %.3g above acceptance threshold" % residual, s=1.0
         )
+    # the roots returned are distinct, whatever path led to them
+    _check_separation(p, 1.0)
     return SpectralPoint(p, residual)
+
+
+def _check_separation(p, s):
+    """Raise the root-collision diagnostic, at homotopy parameter s, for the
+    first pair of roots closer than COLLISION_TOL."""
+    for i, j in combinations(range(len(p)), 2):
+        if abs(p[i] - p[j]) < COLLISION_TOL:
+            raise BetheSolverError(
+                "root collision at s = %.6g between p_%d and p_%d" % (s, i + 1, j + 1), s=s
+            )
 
 
 def _max_or_nan(values):
@@ -325,5 +384,14 @@ def hall_littlewood_P(lam, z, t):
     """P_lambda(z; t) = R_lambda(z; t) / v_lambda(t)."""
     if not isinstance(lam, Partition):
         lam = Partition(tuple(lam))
-    return hall_littlewood_R(lam.parts, z, t) / lam.normalization(t, length=len(tuple(z)))
+    length = len(tuple(z))
+    R = hall_littlewood_R(lam.parts, z, t)
+    v = lam.normalization(t, length)
+    if v == 0:
+        # a factor 1 + t + ... + t^{n-1} with n <= m_a vanishes; if any does, the one
+        # of the most repeated part does (at rational t: t = -1 and m_a >= 2)
+        parts = lam.parts + (0,) * (length - len(lam.parts))
+        raise ValueError("v_lambda(t) vanishes at t = %s with part %d repeated"
+                         % (t, max(parts, key=parts.count)))
+    return R / v
 

@@ -141,6 +141,8 @@ def cmd_wavefunction(args):
     p = args.p if args.p_file is None else _read_roots(args.p_file)
     if len(p) != params.k:
         raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
+    if 0 in p:
+        raise ValueError("p_%d = 0, but h_p takes the powers p_i^(-x_i)" % (p.index(0) + 1))
 
     h = bethe_wave_function(p, params)
     rows = []

@@ -1,13 +1,14 @@
 """Shared helpers: window iteration, random exact scalars, oracles (among
 them the affine roots and the element of a word, the Laurent polynomial
-ring with the affine Weyl action on exponents, and the undeformed
-Hamiltonian)."""
+ring with the affine Weyl action on exponents, the undeformed Hamiltonian,
+and the Bethe residual/Jacobian/elimination as loops)."""
 
 import itertools
 import random
 from dataclasses import dataclass
 
 from hecke_bose import laurent, weyl
+from hecke_bose.bethe import POLE_TOL, BetheSolverError
 from hecke_bose.functions import random_fraction as rand_fraction
 from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
 from hecke_bose.verify import window_points as window
@@ -214,6 +215,86 @@ def _parity(perm):
         if perm[i] > perm[j]
     )
     return -1 if inv % 2 else 1
+
+
+# -- the Bethe kernel as loops ------------------------------------------------
+#
+# bethe.py compiles one straight-line residual/Jacobian/elimination kernel per
+# particle number; these loops do the same arithmetic in the same order and
+# are the oracle that the compiled kernels must equal bit for bit.
+
+
+def loop_scattering_row(p, i, alpha, beta):
+    """The factors S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)
+    of row i as numerators, denominators and ratios (None at j = i), and
+    their product over j != i.  Raises at a vanishing denominator."""
+    k = len(p)
+    nums = [None] * k
+    dens = [None] * k
+    ratios = [None] * k
+    prod = 1
+    for j in range(k):
+        if j == i:
+            continue
+        nums[j] = beta * p[i] - p[j] - alpha
+        dens[j] = p[i] - beta * p[j] + alpha
+        if abs(complex(dens[j])) < POLE_TOL:
+            raise BetheSolverError(
+                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)
+            )
+        ratios[j] = nums[j] / dens[j]
+        prod *= ratios[j]
+    return nums, dens, ratios, prod
+
+
+def loop_bethe_system(p, L, alpha, beta):
+    """Residuals r_i = p_i^L - prod_{j != i} S_ij and the Jacobian
+    dr_i/dp_j as a list of rows.
+
+    Plain arithmetic on the elements of p, so rational p gives exact
+    residuals.  The Jacobian uses the partial products over l != i, j rather
+    than dividing by S_ij, which may vanish.
+    """
+    k = len(p)
+    res = []
+    jac = []
+    for i in range(k):
+        nums, dens, ratios, prod = loop_scattering_row(p, i, alpha, beta)
+        res.append(p[i] ** L - prod)
+        row = [0] * k
+        row[i] = L * p[i] ** (L - 1)
+        for j in range(k):
+            if j == i:
+                continue
+            partial = 1
+            for l in range(k):
+                if l != i and l != j:
+                    partial *= ratios[l]
+            den2 = dens[j] ** 2
+            row[i] -= partial * ((beta * dens[j] - nums[j]) / den2)
+            row[j] = -partial * ((-dens[j] + beta * nums[j]) / den2)
+        jac.append(row)
+    return res, jac
+
+
+def loop_solve(jac, res):
+    """The x with jac x = res, by Gaussian elimination with partial pivoting.
+    Plain arithmetic on the entries; a zero pivot raises ZeroDivisionError."""
+    k = len(res)
+    rows = [list(row) + [r] for row, r in zip(jac, res)]
+    for c in range(k):
+        pivot = max(range(c, k), key=lambda i: abs(rows[i][c]))
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        for row in rows[c + 1 :]:
+            factor = row[c] / top[c]
+            for j in range(c + 1, k + 1):
+                row[j] -= factor * top[j]
+    x = [0] * k
+    for i in reversed(range(k)):
+        row = rows[i]
+        x[i] = (row[k] - sum(row[j] * x[j] for j in range(i + 1, k))) / row[i]
+    return x
 
 
 def seeded(name):

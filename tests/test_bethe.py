@@ -4,12 +4,16 @@ import cmath
 import functools
 import math
 import random
+import re
+import types
 from fractions import Fraction
 from itertools import count, permutations
 
 import pytest
 
 from conftest import (
+    loop_bethe_system,
+    loop_solve,
     monomial_symmetric,
     rand_distinct_fractions,
     schur,
@@ -28,7 +32,7 @@ from hecke_bose.bethe import (
     seed_roots_of_unity,
     solve_bethe,
 )
-from hecke_bose.bethe import NEWTON_TOL, POLE_TOL, _bethe_system
+from hecke_bose.bethe import NEWTON_TOL, POLE_TOL
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.weyl import Params
 
@@ -279,8 +283,9 @@ def test_spectral_point_accessors():
 # -- independent references for the shared Bethe kernel ----------------------
 #
 # A direct residual/Jacobian and a scattering sum with an explicit
-# permutation sign.  The kernel in bethe.py must agree with them exactly, so
-# that the solver's outcomes and every printed wave-function value stay fixed.
+# permutation sign.  The kernels in bethe.py must agree with them, and with
+# the loops in conftest.py, exactly, so that the solver's outcomes and every
+# printed wave-function value stay fixed.
 
 
 def reference_residual_and_jacobian(p, L, a, b):
@@ -347,9 +352,9 @@ def _corpus_coupling(rng, nonzero=False):
             return v
 
 
-def _kernel_cases():
+def _kernel_cases(ks=(2, 3, 4)):
     rng = random.Random("bethe-kernel")
-    for k in (2, 3, 4):
+    for k in ks:
         for L in range(k, k + 3):
             for _ in range(4):
                 params = Params(k, L, _corpus_coupling(rng), _corpus_coupling(rng, nonzero=True))
@@ -358,13 +363,60 @@ def _kernel_cases():
                 )
 
 
+def _bits(values):
+    """values with each complex as the hex of its parts, so that a signed zero
+    or a NaN compares as itself; other numbers with their type."""
+    return [
+        (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else (type(v), v) for v in values
+    ]
+
+
+def _loop_newton_step(p, L, a, b):
+    # the step the compiled newton_step unrolls: None at a converged p
+    res, jac = loop_bethe_system(p, L, a, b)
+    if all(abs(r) < NEWTON_TOL for r in res):
+        return None
+    return tuple(v - d for v, d in zip(p, loop_solve(jac, res)))
+
+
 def test_bethe_system_matches_reference_exactly():
-    for params, p in _kernel_cases():
-        a, b = complex(params.alpha), complex(params.beta)
-        res, jac = _bethe_system(p, params.L, a, b)
-        ref_res, ref_jac = reference_residual_and_jacobian(p, params.L, a, b)
+    for params, p in _kernel_cases(range(2, 7)):
+        L, a, b = params.L, complex(params.alpha), complex(params.beta)
+        res, jac = loop_bethe_system(p, L, a, b)
+        ref_res, ref_jac = reference_residual_and_jacobian(p, L, a, b)
         assert res == ref_res
         assert jac == ref_jac
+        kernel = bethe._kernel(params.k)
+        assert _bits(kernel.residuals(p, L, a, b)) == _bits(res)
+        assert _bits(kernel.newton_step(p, L, a, b)) == _bits(_loop_newton_step(p, L, a, b))
+        # at the free couplings the seed roots are solutions: the step is None
+        seed = seed_roots_of_unity(range(params.k), L)
+        assert kernel.newton_step(seed, L, 0j, 1 + 0j) is None
+        assert _loop_newton_step(seed, L, 0j, 1 + 0j) is None
+        # rational p, through the public residual, stays exact, or meets the
+        # same pole
+        q = rand_distinct_fractions(random.Random(repr(params)), params.k)
+        try:
+            expected = _bits(loop_bethe_system(q, L, params.alpha, params.beta)[0])
+        except BetheSolverError as err:
+            with pytest.raises(BetheSolverError, match="^%s$" % re.escape(str(err))):
+                bethe_residual(q, params)
+        else:
+            assert _bits(bethe_residual(q, params)) == expected
+            assert all(t is Fraction for t, _ in expected)
+
+
+def test_kernel_pole_error_matches_the_loop():
+    # p_2 - beta p_3 + alpha = 0 exactly: the first vanishing denominator is (2, 3)
+    params = Params(3, 4, Fraction(-1, 3), Fraction(5, 2))
+    p = (Fraction(2), Fraction(7) * params.beta - params.alpha, Fraction(7))
+    with pytest.raises(BetheSolverError) as loop:
+        loop_bethe_system(p, params.L, params.alpha, params.beta)
+    with pytest.raises(BetheSolverError) as kernel:
+        bethe_residual(p, params)
+    assert str(kernel.value) == str(loop.value) == (
+        "Bethe equation denominator vanishes at (i, j) = (2, 3)"
+    )
 
 
 def test_bethe_wave_matches_reference_exactly():
@@ -435,15 +487,16 @@ def test_solver_rejects_non_finite_roots(monkeypatch, slot, value):
 
 
 def _newton_without_cycle_exit(p, L, a, b, max_iter=60):
-    # the package's Newton step with no cycle exit: a failing run takes all
-    # max_iter iterations, and the defect is the NaN-aware max over abs
+    # the Newton loop on the loop kernels in conftest.py, with no cycle exit: a
+    # failing run takes all max_iter iterations, and the defect is the
+    # NaN-aware max over abs
     p = tuple(p)
     for _ in range(max_iter):
         try:
-            res, jac = _bethe_system(p, L, a, b)
+            res, jac = loop_bethe_system(p, L, a, b)
             if bethe._max_or_nan(abs(r) for r in res) < NEWTON_TOL:
                 return p
-            step = bethe._solve(jac, res)
+            step = loop_solve(jac, res)
             p = tuple(v - d for v, d in zip(p, step))
         except (OverflowError, ZeroDivisionError) as err:
             raise BetheSolverError("Newton step not finite") from err
@@ -513,6 +566,23 @@ def test_newton_outcomes_match_the_loop_without_cycle_exit():
     assert _package_outcomes() == _corpus_outcomes(_newton_without_cycle_exit)
 
 
+def _pinned(outcome):
+    """An outcome as PINNED_OUTCOMES records it: the roots to 1e-9, or the
+    error up to its first colon (the failure class, the s where it happened as
+    the error prints it, and a collision's pair), or "out of budget"."""
+    if outcome[0] == "solved":
+        # round first, then add 0.0: a part that rounds to zero prints unsigned
+        parts = [round(float.fromhex(v), 9) + 0.0 for root in outcome[1] for v in root]
+        return " ".join("%.9f%+.9fj" % pair for pair in zip(parts[::2], parts[1::2]))
+    if outcome[0] == "unsolved":
+        return outcome[1].split(":")[0]
+    return outcome[0]
+
+
+def test_solver_outcomes_pinned_per_instance():
+    assert [_pinned(outcome) for outcome in _package_outcomes()] == list(PINNED_OUTCOMES)
+
+
 def test_solver_failure_ceiling_on_corpus():
     unsolved = sum(1 for outcome in _package_outcomes() if outcome[0] != "solved")
     assert unsolved <= UNSOLVED_CEILING
@@ -526,16 +596,40 @@ def test_newton_stops_at_a_cycle(monkeypatch):
     b = complex(float.fromhex("-0x1.ff66d0000000cp-1"), 0.0)
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
         _newton_without_cycle_exit(p, 2, a, b)
+    # count the Newton steps that _newton runs, through the kernel it compiles
+    real = bethe._kernel
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _bethe_system(*args)
+    def counting(k):
+        kernel = real(k)
 
-    monkeypatch.setattr(bethe, "_bethe_system", counted)
+        def newton_step(*args):
+            calls.append(args)
+            return kernel.newton_step(*args)
+
+        return types.SimpleNamespace(residuals=kernel.residuals, newton_step=newton_step)
+
+    monkeypatch.setattr(bethe, "_kernel", counting)
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
         bethe._newton(p, 2, a, b)
-    assert len(calls) < 60
+    assert 1 <= len(calls) < 60
+
+
+def test_solver_checks_the_separation_of_the_roots_it_returns(monkeypatch):
+    # the last accepted step and the return each check the roots, so that no
+    # change to the path can return coincident roots, whose h_p is 0
+    real = bethe._check_separation
+    calls = []
+
+    def spy(p, s):
+        calls.append((p, s))
+        return real(p, s)
+
+    monkeypatch.setattr(bethe, "_check_separation", spy)
+    sp = solve_bethe(Params(2, 3, Fraction(0), Fraction(1, 2)), (0, 1), homotopy_steps=4)
+    assert calls[-2:] == [(sp.p, 1.0)] * 2
+    with pytest.raises(BetheSolverError, match="^root collision at s = 1 between p_1 and p_3$"):
+        real((1 + 0j, 2 + 0j, 1 + 1e-9j), 1.0)
 
 
 def test_singular_jacobian_is_a_newton_failure():
@@ -562,11 +656,153 @@ def test_solve_is_exact_on_rationals():
                 for s in permutations(range(k))
             )
             if det:
-                assert bethe._solve(jac, res) == x
+                assert bethe._kernel(k).solve(jac, res) == x
             else:
                 singular += 1
                 with pytest.raises(ZeroDivisionError):
-                    bethe._solve(jac, res)
+                    bethe._kernel(k).solve(jac, res)
     assert singular > 0
     jac = [[0, Fraction(2)], [Fraction(3), 0]]  # the first pivot is in the second row
-    assert bethe._solve(jac, [1, 1]) == [Fraction(1, 3), Fraction(1, 2)]
+    assert bethe._kernel(2).solve(jac, [1, 1]) == [Fraction(1, 3), Fraction(1, 2)]
+
+
+def _random_systems():
+    """(jac, res) of sizes 1..6: complex entries, entries from a small set, so
+    that pivots tie and columns vanish, with some inf, NaN or overflowing
+    moduli; and rational entries, singular ones among them."""
+    rng = random.Random("bethe-compiled-solve")
+    small = (0j, 1 + 0j, -1 + 0j, 1j, 0.5 - 0.5j)
+    edge = small + (complex("inf"), complex("nan"), complex(1.5e308, 1.5e308))
+    for k in range(1, 7):
+        for _ in range(30):
+            draw = [
+                lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                lambda: rng.choice(small),
+                lambda: rng.choice(edge) if rng.random() < 0.2 else rng.choice(small),
+                lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+            ][rng.randrange(4)]
+            yield [[draw() for _ in range(k)] for _ in range(k)], [draw() for _ in range(k)]
+
+
+def test_compiled_solve_matches_the_loop_exactly():
+    raised = set()
+    for jac, res in _random_systems():
+        try:
+            expected = _bits(loop_solve(jac, res))
+        except (ZeroDivisionError, OverflowError) as err:
+            raised.add(type(err))
+            with pytest.raises(type(err)):
+                bethe._kernel(len(res)).solve(jac, res)
+        else:
+            assert _bits(bethe._kernel(len(res)).solve(jac, res)) == expected
+    # singular systems reach a zero pivot, and an entry of modulus above the
+    # float range overflows in abs, in both
+    assert raised == {ZeroDivisionError, OverflowError}
+
+
+# The outcome of every _solver_corpus instance, as _pinned records it, when this
+# table was taken.  Better path tracking may solve more of them; any change of
+# an entry is a change of the solver to account for.
+PINNED_OUTCOMES = (
+    '-0.722496790-0.419063124j 0.600707863+1.035666175j',
+    'continuation stalled at s = 0.499989',
+    '1.280776406+0.000000000j -0.780776406+0.000000000j',
+    '-1.355644053-0.186841244j 0.448358016+0.577034682j',
+    '-0.180013719+1.113986275j 0.874832892-0.141367920j',
+    '2.850781059+0.000000000j -0.350781059+0.000000000j',
+    'root collision at s = 0.5 between p_2 and p_3',
+    '-0.241913877-0.576716659j 0.522759324+0.436562189j 2.347441444+0.036500668j',
+    '1.686472938-0.134388502j -0.253944379-0.533748623j',
+    '-1.280845021-0.324942355j 0.527921457+0.542205615j',
+    '0.650240120+0.989602132j 0.650240120-0.989602132j -0.713203380+0.000000000j',
+    '1.259644812+1.466185281j -0.508396827-0.095758311j',
+    '-0.669898676-0.532400441j 0.727109974+0.914894075j',
+    '0.195940519-0.276459139j 0.195940519+0.276459139j 8.709106424+0.000000000j',
+    '-1.921026549+1.292663836j 0.639498453-0.234252529j -0.000606869+0.634137194j',
+    '-0.415037277+0.535993659j 1.461668723-0.198970651j',
+    'root collision at s = 0.6 between p_1 and p_2',
+    '-0.318742443+1.211225782j -0.318742443-1.211225782j 0.637484886+0.000000000j',
+    '2.231449820+0.182848277j -0.254164480-0.367273267j',
+    '2.239172455+0.767067246j -0.081267995+0.414601126j',
+    'continuation stalled at s = 0.749941',
+    '-0.516111028+0.808774018j 1.086382621+0.000000000j -0.516111028-0.808774018j',
+    '4.120091190+0.000000000j 0.237305681-0.431739607j 0.237305681+0.431739607j',
+    '1.000000000+0.000000000j -1.000000000+0.000000000j',
+    '0.025699243-0.638820569j 2.446470188+0.000000000j 0.025699243+0.638820569j',
+    'root collision at s = 0.6 between p_1 and p_2',
+    'continuation stalled at s = 0.717652',
+    '0.909944138-1.121487639j -0.683792677+0.108974128j',
+    '0.112488263+0.655990352j 2.257453792+0.000000000j 0.112488263-0.655990352j',
+    '1.176117866-0.880861487j -0.453410241-0.328493923j 0.971887581+0.729937859j',
+    '-0.833333333-0.552770798j -0.833333333+0.552770798j',
+    '-0.557107467-0.789737587j -0.557107467+0.789737587j 1.070601702+0.000000000j',
+    '0.158251875+0.944944460j -0.064525410-0.682620767j -0.959877741-1.181429038j',
+    'continuation stalled at s = 0.499989',
+    'root collision at s = 0.85 between p_1 and p_2',
+    '0.713203380+0.000000000j -0.650240120-0.989602132j -0.650240120+0.989602132j',
+    '-1.000000000+0.000000000j 1.000000000+0.000000000j 0.000000000+1.000000000j',
+    '-1.617865371+0.134479051j -0.051024598+0.613857172j',
+    '-0.500000000+0.866025404j 1.000000000+0.000000000j -0.500000000-0.866025404j',
+    '-0.375460976-0.825100167j 0.619825900+0.261836937j -1.638849271-0.044829721j',
+    '-2.707164981-0.517778085j -0.068157067-0.356354257j',
+    '0.209430585+0.977823517j 0.209430585-0.977823517j',
+    '-1.000000000+0.000000000j 0.000000000-1.000000000j 0.000000000+1.000000000j',
+    '1.618033989+0.000000000j -0.618033989+0.000000000j',
+    'continuation stalled at s = 0.399977',
+    '0.466646878+0.884443718j 0.466646878-0.884443718j',
+    '-0.707106781+0.707106781j 0.707106781-0.707106781j',
+    '-0.639145587+0.854485256j -0.639145587-0.854485256j 0.878231348+0.000000000j',
+    '-0.544021082+0.501060577j -0.595399657-0.711960220j 0.625991818+1.315442326j',
+    '0.707106781+0.707106781j -0.707106781-0.707106781j',
+    '2.032629848+0.000000000j 0.034154154+0.700576180j 0.034154154-0.700576180j',
+    '2.210249264+0.276654970j -0.518908213-0.293142375j 0.449089775+0.604752960j',
+    '0.088335281+0.996090798j -0.920041541-0.391820829j -0.809016994+0.587785252j',
+    '-0.586028893-0.888894663j 0.784159508+0.516979286j',
+    'root collision at s = 0.95 between p_1 and p_2',
+    '0.008951495+0.909902383j -1.207725858+0.000000000j 0.008951495-0.909902383j',
+    '1.611219575+0.000000000j -0.151604796-0.773087225j -0.151604796+0.773087225j',
+    '0.699777755+0.171461732j -0.387985561+1.332637504j',
+    'continuation stalled at s = 0.749948',
+    'root collision at s = 0.5 between p_1 and p_2',
+    '-0.847127088+0.000000000j 1.180460422+0.000000000j',
+    'continuation stalled at s = 0.651024',
+    '3.302775638+0.000000000j -0.302775638+0.000000000j',
+    '-0.404581887-0.443691531j -2.977023166-0.590057944j 0.469626044+0.283847894j',
+    'root collision at s = 0.7 between p_1 and p_2',
+    '-1.389878989+0.920583225j 0.536905601-0.267475886j',
+    '0.539988562-0.966611048j -0.903076776-0.012775429j',
+    'continuation stalled at s = 1',
+    '-1.618033989+0.000000000j 0.618033989+0.000000000j',
+    '-0.618033989+0.000000000j 1.618033989+0.000000000j',
+    '0.142319106-0.851705527j 0.414422423+1.275461069j -0.615758523-0.605391174j',
+    'continuation stalled at s = 0.995209',
+    '-0.302775638+0.000000000j 3.302775638+0.000000000j',
+    '0.162277660+0.000000000j -6.162277660+0.000000000j',
+    '-1.696607567+0.239228748j 0.172464449+0.893963324j 0.524763308-0.368188282j',
+    '0.565197717+0.824955478j 0.565197717-0.824955478j',
+    '-0.190983006-0.981593343j -0.190983006+0.981593343j',
+    '-1.889639162+0.552373675j -0.142516679+0.487541514j',
+    '-0.895643924+0.444771809j -0.895643924-0.444771809j',
+    '-1.069373969+0.055952213j 0.508544021-0.783235112j',
+    '-1.180460422+0.000000000j 0.847127088+0.000000000j',
+    '-1.180188749+0.252505318j 0.845763142+0.020449831j -0.181695598+0.962383502j',
+    '0.714256885+0.612276362j -0.691802332-0.807028671j',
+    '0.376193461+0.388251577j 3.421601442+0.000000000j 0.376193461-0.388251577j',
+    '0.403031717-0.915186011j 0.403031717+0.915186011j',
+    '1.348246182-0.138164788j -0.641530089-0.049766530j -0.028321558+1.146330679j',
+    '0.403316874-0.272137412j -1.149601432+1.703748308j',
+    '1.005879940+1.096613010j -0.656008179-0.145781115j',
+    '-0.195094878+0.949360672j 1.064568532+0.000000000j -0.195094878-0.949360672j',
+    '2.850781059+0.000000000j -0.350781059+0.000000000j',
+    'root collision at s = 0.5 between p_1 and p_2',
+    'root collision at s = 0.35 between p_1 and p_3',
+    'root collision at s = 0.35 between p_1 and p_2',
+    'root collision at s = 0.9 between p_1 and p_3',
+    '-0.648620301+0.504912242j 0.747304414-0.960002103j',
+    'root collision at s = 0.25 between p_2 and p_3',
+    '0.166022718-0.986121928j -0.809016994+0.587785252j 0.989161527+0.146831446j',
+    '-0.618831538+0.785523728j -0.618831538-0.785523728j',
+    '-0.800492592-0.245885346j 0.350639643+1.141525679j',
+    '-0.403762945-1.036979206j 0.807525889+0.000000000j -0.403762945+1.036979206j',
+    'out of budget',
+)

@@ -222,6 +222,9 @@ def test_bethe_command_rejects_bad_seed_count(capsys):
         ["hall-littlewood", "--lam", "1,1,1", "--z", "1/2,3", "--t", "1/3"],
         # a repeated part at t = -1: the normalization 1 + t vanishes
         ["hall-littlewood", "--lam", "1,1", "--z", "2,3", "--t=-1"],
+        # a zero spectral parameter, at couplings that reach its negative powers
+        ["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
+         "--p", "0,5", "--window", "1"],
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, argv):
@@ -232,6 +235,26 @@ def test_bad_input_exits_without_traceback(capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("hecke-bose: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["hall-littlewood", "--lam", "1,1", "--z", "2,3", "--t=-1"],
+         "v_lambda(t) vanishes at t = -1 with part 1 repeated"),
+        (["hall-littlewood", "--lam", "2", "--z", "2,3,5", "--t=-1"],
+         "v_lambda(t) vanishes at t = -1 with part 0 repeated"),
+        (["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
+          "--p", "0,5", "--window", "1"], "p_1 = 0"),
+        (["wavefunction", "--k", "3", "--L", "2", "--p", "2,5,0", "--window", "0"], "p_3 = 0"),
+    ],
+)
+def test_bad_input_names_its_cause(capsys, argv, cause):
+    # a division by zero names the input that caused it, not a bare Fraction(1, 0)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "hecke-bose: error: ValueError: %s" % cause in capsys.readouterr().err
 
 
 def test_overflowing_coupling_writes_one_stderr_line(capsys):
