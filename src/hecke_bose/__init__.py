@@ -6,13 +6,12 @@ from .weyl import (
     AffineWeylElement,
     Params,
     act,
-    act_on_function,
     is_dominant,
     shortest_element,
 )
 from .functions import LatticeFunction, random_rational_function
 from .laurent import LaurentPolynomial, apply_T_check, pairing
-from .hamiltonian import apply_H, d_minus, d_plus
+from .hamiltonian import apply_H, d_plus
 from .hecke import apply_Q, apply_Qw
 from .propagation import plane_wave, propagate
 from .bethe import (

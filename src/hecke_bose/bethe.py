@@ -358,7 +358,7 @@ def hall_littlewood_R(lam, z, t):
     """
     z = tuple(z)
     k = len(z)
-    exps = tuple(getattr(lam, "parts", lam))
+    exps = tuple(lam)
     if len(exps) > k:
         raise ValueError("exponent tuple longer than variable list")
     return _hl_R(z, t)(exps + (0,) * (k - len(exps)))

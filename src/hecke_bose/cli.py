@@ -143,6 +143,9 @@ def cmd_wavefunction(args):
         raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
     if 0 in p:
         raise ValueError("p_%d = 0, but h_p takes the powers p_i^(-x_i)" % (p.index(0) + 1))
+    for j, v in enumerate(p):
+        if v in p[:j]:
+            raise ValueError("p_%d = p_%d, so h_p vanishes identically" % (p.index(v) + 1, j + 1))
 
     h = bethe_wave_function(p, params)
     rows = []

@@ -38,11 +38,6 @@ def d_plus(i, x, params):
     return _d_counts(x, params)[0][(i - 1) % params.k]
 
 
-def d_minus(i, x, params):
-    """Count p in 1..k-1 with a_{i-p}(x) + ... + a_{i-1}(x) a non-positive multiple of L."""
-    return _d_counts(x, params)[1][(i - 1) % params.k]
-
-
 def apply_H(f, x, params):
     """Evaluate (H f)(x) = sum_i beta^{d_i^-(x)} ( f(x - v_i) - alpha d_i^+(x) f(x) ).
 

@@ -180,8 +180,9 @@ def suite_w_invariance(params, window, seed):
     k = params.k
     f = random_rational_function("winv-%s" % seed)
     for j in range(k):
-        sj = weyl.simple_reflection_element(j, k, params.L)  # its own inverse
-        sj_f = weyl.act_on_function(sj, f)
+        sj = weyl.simple_reflection_element(j, k, params.L)
+        # (s_j f)(y) = f(s_j^{-1} y), and s_j is its own inverse
+        sj_f = lambda y, sj=sj: f(weyl.act(sj, y))
         detail = "W-invariance fails for s_%d" % j
         for x in window_points(k, window):
             if weyl.is_regular(x, params):

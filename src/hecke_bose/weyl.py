@@ -3,9 +3,9 @@
 Points of the lattice are plain integer tuples of length k.  Group elements
 are stored as a permutation of coordinate slots together with a raw
 translation vector, so that an element acts by ``x -> perm(x) + trans``.
-Translations by single basis vectors (needed for the shift operators on
-functions) are therefore representable directly; membership in the affine
-Weyl group W requires ``trans`` to lie in L * Q^vee.
+The diagram rotation pi, which lies outside W, is therefore representable
+directly; membership in the affine Weyl group W requires ``trans`` to lie in
+L * Q^vee.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Complex
-
-from .functions import LatticeFunction
 
 
 @dataclass(frozen=True)
@@ -46,15 +44,6 @@ class AffineWeylElement:
     perm: tuple
     trans: tuple
 
-    @property
-    def k(self):
-        return len(self.perm)
-
-
-def translation_element(vec):
-    k = len(vec)
-    return AffineWeylElement(tuple(range(k)), tuple(vec))
-
 
 def simple_reflection_element(i, k, L):
     """The generator s_i as a group element, 0 <= i < k."""
@@ -69,36 +58,9 @@ def simple_reflection_element(i, k, L):
 
 
 def pi_element(k, L):
-    """The diagram rotation pi = t_{L v_1} s_1 ... s_{k-1}."""
-    w = translation_element((L,) + (0,) * (k - 1))
-    for i in range(1, k):
-        w = compose(w, simple_reflection_element(i, k, L))
-    return w
-
-
-def _apply_perm(perm, vec):
-    out = [0] * len(vec)
-    for i, p in enumerate(perm):
-        out[p] = vec[i]
-    return tuple(out)
-
-
-def compose(u, w):
-    """The product u*w, acting as u after w."""
-    perm = tuple(u.perm[p] for p in w.perm)
-    shifted = _apply_perm(u.perm, w.trans)
-    trans = tuple(s + t for s, t in zip(shifted, u.trans))
-    return AffineWeylElement(perm, trans)
-
-
-def inverse(w):
-    k = w.k
-    pinv = [0] * k
-    for i, p in enumerate(w.perm):
-        pinv[p] = i
-    pinv = tuple(pinv)
-    trans = tuple(-t for t in _apply_perm(pinv, w.trans))
-    return AffineWeylElement(pinv, trans)
+    """The diagram rotation pi = t_{L v_1} s_1 ... s_{k-1}, which sends x to
+    (x_k + L, x_1, ..., x_{k-1})."""
+    return AffineWeylElement(tuple(range(1, k)) + (0,), (L,) + (0,) * (k - 1))
 
 
 def act(w, x):
@@ -107,12 +69,6 @@ def act(w, x):
     for i, p in enumerate(w.perm):
         out[p] += x[i]
     return tuple(out)
-
-
-def act_on_function(w, f):
-    """The action on functions: (w f)(x) = f(w^{-1} x)."""
-    winv = inverse(w)
-    return LatticeFunction(lambda x: f(act(winv, x)))
 
 
 def is_dominant(x, params):

@@ -1,18 +1,20 @@
 """Shared helpers: window iteration, random exact scalars, oracles (among
-them the affine roots and the element of a word, the Laurent polynomial
-ring with the affine Weyl action on exponents, the undeformed Hamiltonian,
-and the Bethe residual/Jacobian/elimination as loops)."""
+them the affine roots, the group algebra of the affine Weyl group and the
+element of a word, the Laurent polynomial ring with the affine Weyl action on
+exponents, the undeformed Hamiltonian, d_i^-, and the Bethe
+residual/Jacobian/elimination as loops)."""
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from hecke_bose import laurent, weyl
+from hecke_bose import hamiltonian, laurent, weyl
 from hecke_bose.bethe import POLE_TOL, BetheSolverError
+from hecke_bose.functions import LatticeFunction
 from hecke_bose.functions import random_fraction as rand_fraction
 from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
 from hecke_bose.verify import window_points as window
-from hecke_bose.weyl import AffineWeylElement, compose, simple_reflection_element
+from hecke_bose.weyl import AffineWeylElement, act, simple_reflection_element
 
 
 def rand_params_pair(rng):
@@ -56,6 +58,42 @@ def reflect(a, x, L):
 
 def identity_element(k):
     return AffineWeylElement(tuple(range(k)), (0,) * k)
+
+
+def translation_element(vec):
+    k = len(vec)
+    return AffineWeylElement(tuple(range(k)), tuple(vec))
+
+
+def _apply_perm(perm, vec):
+    out = [0] * len(vec)
+    for i, p in enumerate(perm):
+        out[p] = vec[i]
+    return tuple(out)
+
+
+def compose(u, w):
+    """The product u*w, acting as u after w."""
+    perm = tuple(u.perm[p] for p in w.perm)
+    shifted = _apply_perm(u.perm, w.trans)
+    trans = tuple(s + t for s, t in zip(shifted, u.trans))
+    return AffineWeylElement(perm, trans)
+
+
+def inverse(w):
+    k = len(w.perm)
+    pinv = [0] * k
+    for i, p in enumerate(w.perm):
+        pinv[p] = i
+    pinv = tuple(pinv)
+    trans = tuple(-t for t in _apply_perm(pinv, w.trans))
+    return AffineWeylElement(pinv, trans)
+
+
+def act_on_function(w, f):
+    """The action on functions: (w f)(x) = f(w^{-1} x)."""
+    winv = inverse(w)
+    return LatticeFunction(lambda x: f(act(winv, x)))
 
 
 def from_word(word, k, L):
@@ -151,6 +189,11 @@ def weyl_act_poly(w, p):
         moved = weyl.act(w, exp)
         out[moved] = out.get(moved, 0) + coeff
     return LaurentPolynomial(out)
+
+
+def d_minus(i, x, params):
+    """Count p in 1..k-1 with a_{i-p}(x) + ... + a_{i-1}(x) a non-positive multiple of L."""
+    return hamiltonian._d_counts(x, params)[1][(i - 1) % params.k]
 
 
 def apply_H_tilde(f, x, params):

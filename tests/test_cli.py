@@ -1,5 +1,6 @@
 """Command-line interface: output schemas, exit codes, and determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,9 +13,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hecke_bose
-from hecke_bose import hamiltonian
+from hecke_bose import hamiltonian, verify
 from hecke_bose.bethe import bethe_wave
 from hecke_bose.cli import main
 from hecke_bose.weyl import Params
@@ -225,6 +228,10 @@ def test_bethe_command_rejects_bad_seed_count(capsys):
         # a zero spectral parameter, at couplings that reach its negative powers
         ["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
          "--p", "0,5", "--window", "1"],
+        # coincident spectral parameters: h_p is zero everywhere
+        ["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
+         "--p", "2,2", "--window", "1"],
+        ["wavefunction", "--k", "3", "--L", "2", "--p", "1/2,5,5", "--window", "0"],
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, argv):
@@ -247,10 +254,15 @@ def test_bad_input_exits_without_traceback(capsys, argv):
         (["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
           "--p", "0,5", "--window", "1"], "p_1 = 0"),
         (["wavefunction", "--k", "3", "--L", "2", "--p", "2,5,0", "--window", "0"], "p_3 = 0"),
+        (["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
+          "--p", "2,2", "--window", "1"], "p_1 = p_2, so h_p vanishes identically"),
+        (["wavefunction", "--k", "3", "--L", "2", "--p", "1/2,5,5", "--window", "0"],
+         "p_2 = p_3, so h_p vanishes identically"),
     ],
 )
 def test_bad_input_names_its_cause(capsys, argv, cause):
-    # a division by zero names the input that caused it, not a bare Fraction(1, 0)
+    # a division by zero, or a table that would be zero everywhere, names the
+    # input that caused it
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -391,9 +403,10 @@ def test_wavefunction_requires_spectral_parameters():
         (None, ["--p", "2,3,5"]),
         (None, []),
         ('{"roots": [[1, 0], [0, 1]]}', ["--p", "3,5", "--p-file", "roots.json"]),
+        ('{"roots": [[0.5, 0.25], [0.5, 0.25]]}', ["--p-file", "roots.json"]),
     ],
     ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count",
-         "overflowing-powers", "p-count", "no-p", "p-and-p-file"],
+         "overflowing-powers", "p-count", "no-p", "p-and-p-file", "coincident-roots"],
 )
 def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
     monkeypatch.chdir(tmp_path)
@@ -422,3 +435,89 @@ def test_hall_littlewood_command(capsys):
 def test_invalid_rational_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "theorem", "--k", "2", "--L", "2", "--alpha", "x"])
+
+
+# zero, the units, a rational that overflows a float and one that underflows to 0.0
+_EDGE_RATIONALS = ["0", "1", "-1", "1e300", "-1e300", "1e-400"]
+_rationals = st.one_of(
+    st.sampled_from(_EDGE_RATIONALS),
+    st.fractions(-9, 9, max_denominator=6).map(str),
+)
+
+
+def _joined(values):
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _cli_argv(draw):
+    """An argument list for one of the four commands, reaching the edges: k = 1,
+    L = 0, zero and repeated p, z and seeds, and --lam that is not a partition.
+    Values go in as --name=value, so that a leading minus sign reaches the
+    program rather than argparse's option matcher."""
+    command = draw(st.sampled_from(["verify", "bethe", "wavefunction", "hall-littlewood"]))
+    if command == "hall-littlewood":
+        parts = st.lists(st.integers(-1, 3), min_size=1, max_size=4)
+        lam = draw(st.one_of(parts.map(lambda v: sorted(v, reverse=True)), parts))
+        # z may be one shorter than lam, which leaves more parts than variables
+        z = draw(st.lists(_rationals, min_size=max(1, len(lam) - 1), max_size=4))
+        return [command, "--lam=" + _joined(lam), "--z=" + _joined(z), "--t=" + draw(_rationals)]
+    k = draw(st.integers(1, 4))
+    # k spectral parameters or seeds, or a count that may be wrong
+    count = draw(st.one_of(st.just(k), st.integers(1, 5)))
+    argv = [command, "--k", str(k), "--L", str(draw(st.integers(0, 5))),
+            "--alpha=" + draw(_rationals), "--beta=" + draw(_rationals),
+            # window 2 at k = 4 takes a second per lemma-main or theorem run
+            "--window", str(draw(st.integers(0, 2 if k < 4 else 1)))]
+    if command == "verify":
+        suite = draw(st.sampled_from(verify.SUITES))
+        return argv[:1] + [suite] + argv[1:] + ["--seed", str(draw(st.integers(0, 9)))]
+    if command == "bethe":
+        seeds = st.lists(st.integers(0, 5), min_size=count, max_size=count, unique=True)
+        seeds = draw(st.one_of(seeds, st.lists(st.integers(0, 5), min_size=count, max_size=count)))
+        return argv + ["--seeds=" + _joined(seeds)]
+    p = draw(st.lists(_rationals, min_size=count, max_size=count))
+    return argv + ["--p=" + _joined(p), "--format=" + draw(st.sampled_from(["json", "csv"]))]
+
+
+def _no_constant(name):
+    raise ValueError("the output holds the non-JSON constant %s" % name)
+
+
+@given(_cli_argv())
+@example(["hall-littlewood", "--lam=1,1", "--z=2,3", "--t=-1"])
+@example(["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta=2/5",
+          "--window", "1", "--p=0,5"])
+@example(["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta=2/5",
+          "--window", "1", "--p=2,2"])
+@example(["verify", "w-invariance", "--k", "2", "--L", "1", "--window", "1"])
+@example(["bethe", "--k", "3", "--L", "3", "--beta=1e300", "--window", "0", "--seeds=0,1,2"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_contract_on_any_input(argv):
+    # exit 0, 1 or 2 and never a traceback; a rejected input gets one stderr line
+    # and no stdout; a report is strict JSON; no verify run passes after zero checks.
+    # The one exit 2 with a report is a vacuous verify run.  The examples are the
+    # edges: t = -1 with a repeated part, a zero p_i, coincident p, a vacuous
+    # verify run, and a coupling whose H weight beta^2 overflows a float.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2 and not out:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("hecke-bose: error: ")
+        return
+    assert err == ""
+    if "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+        return
+    report = json.loads(out, parse_constant=_no_constant)
+    if argv[0] == "verify":
+        assert (code == 2) == (report["checks_run"] == 0) == report.get("vacuous", False)
+    else:
+        assert code != 2

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_H_tilde, eval_root, rand_params_pair, simple_root, window
+from conftest import (
+    act_on_function,
+    apply_H_tilde,
+    d_minus,
+    eval_root,
+    inverse,
+    rand_params_pair,
+    simple_root,
+    window,
+)
 from hecke_bose import hamiltonian, weyl
 from hecke_bose.functions import LatticeFunction, random_rational_function
-from hecke_bose.hamiltonian import apply_H, d_minus, d_plus
+from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.weyl import Params
 
 
@@ -147,8 +156,8 @@ def test_w_invariance_on_regular_points(k, L):
     found_regular = False
     for j in range(k):
         w = weyl.simple_reflection_element(j, k, L)
-        winv = weyl.inverse(w)
-        wf = weyl.act_on_function(winv, f)
+        winv = inverse(w)
+        wf = act_on_function(winv, f)
         for x in window(k, 3):
             if not weyl.is_regular(x, params):
                 continue

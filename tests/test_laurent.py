@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LaurentPolynomial, from_word, rand_params_pair, weyl_act_poly, window
+from conftest import (
+    LaurentPolynomial,
+    from_word,
+    inverse,
+    rand_params_pair,
+    weyl_act_poly,
+    window,
+)
 from hecke_bose import laurent, weyl
 from hecke_bose.functions import random_rational_function
 from hecke_bose.laurent import pairing
@@ -85,7 +92,7 @@ def test_linear_weyl_action_is_ring_automorphism(p, q, word):
 @settings(max_examples=40, deadline=None)
 def test_affine_weyl_action_is_group_action(p, word):
     w = from_word(word, 3, 2)
-    winv = weyl.inverse(w)
+    winv = inverse(w)
     assert weyl_act_poly(winv, weyl_act_poly(w, p)) == p
 
 

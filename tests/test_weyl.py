@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     AffineRoot,
+    act_on_function,
+    compose,
     eval_root,
     from_word,
     identity_element,
+    inverse,
     reflect,
     simple_root,
+    translation_element,
     window,
 )
 from hecke_bose import weyl
@@ -21,14 +25,10 @@ from hecke_bose.functions import random_rational_function
 from hecke_bose.weyl import (
     Params,
     act,
-    act_on_function,
-    compose,
-    inverse,
     is_dominant,
     pi_element,
     shortest_element,
     simple_reflection_element,
-    translation_element,
 )
 
 
@@ -167,6 +167,16 @@ def test_coxeter_relations_on_lattice(k, L):
             si, sj = (simple_reflection_element(n, k, L) for n in (i, j))
             for x in pts:
                 assert act(si, act(sj, x)) == act(sj, act(si, x))
+
+
+def test_pi_element_is_the_compose_chain():
+    # weyl builds pi directly; it must be the product t_{L v_1} s_1 ... s_{k-1}
+    for k in range(2, 7):
+        for L in range(1, 6):
+            w = translation_element((L,) + (0,) * (k - 1))
+            for i in range(1, k):
+                w = compose(w, simple_reflection_element(i, k, L))
+            assert pi_element(k, L) == w
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (4, 3)])
