@@ -16,7 +16,6 @@ from .hecke import apply_Q, apply_Qw
 from .propagation import plane_wave, propagate
 from .bethe import (
     BetheSolverError,
-    Partition,
     SpectralPoint,
     bethe_residual,
     bethe_wave,

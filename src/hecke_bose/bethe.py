@@ -38,37 +38,6 @@ class SpectralPoint:
     residual: float
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if any(a < 0 for a in parts):
-            raise ValueError("partition parts must be nonnegative")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    def normalization(self, t, length):
-        """v_lambda(t) = prod_{a>=0} prod_{n=1}^{m_a} (1-t^n)/(1-t), each factor
-        summed as 1 + t + ... + t^{n-1}, which is n at t = 1.
-
-        The multiplicity m_0 of zero parts counts the padding up to
-        ``length``, the number of variables; this is the normalization
-        making P_lambda monic in the monomial basis.
-        """
-        if length < len(self.parts):
-            raise ValueError("length shorter than the partition")
-        v = 1
-        for m in Counter(self.parts + (0,) * (length - len(self.parts))).values():
-            for n in range(1, m + 1):
-                v *= sum(t ** e for e in range(n))
-        return v
-
-
 def _kernel_source(k):
     """Python source of ``residuals``, ``newton_step`` and ``solve`` for k
     particles, unrolled into straight-line code.
@@ -194,6 +163,7 @@ def _kernel(k):
 def bethe_residual(p, params):
     """Defect vector of the Bethe equations:
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
+    # p may also be a SpectralPoint, as perfbench/probes.py passes it
     p = tuple(getattr(p, "p", p))
     return _kernel(len(p)).residuals(p, params.L, params.alpha, params.beta)
 
@@ -343,7 +313,7 @@ def bethe_wave_function(p, params):
     prod_i p_{sigma(i)}^{-x_i} on the dominant chamber, Weyl-invariant, as a
     memoizing lattice function.  The k! coefficients are computed once, here, and
     the k! sum once per W-orbit: an inner memo is keyed on the dominant point."""
-    p = tuple(getattr(p, "p", p))
+    p = tuple(p)
     terms = _wave_terms(p, params.alpha, params.beta)
     on_dominant = LatticeFunction(lambda y: _sum_terms(terms, p, [-e for e in y]))
     return LatticeFunction(lambda x: on_dominant(weyl.dominant_point(x, params)))
@@ -381,17 +351,25 @@ def _hl_R(z, t):
 
 
 def hall_littlewood_P(lam, z, t):
-    """P_lambda(z; t) = R_lambda(z; t) / v_lambda(t)."""
-    if not isinstance(lam, Partition):
-        lam = Partition(tuple(lam))
-    length = len(tuple(z))
-    R = hall_littlewood_R(lam.parts, z, t)
-    v = lam.normalization(t, length)
+    """P_lambda(z; t) = R_lambda(z; t) / v_lambda(t) for a partition lam, a weakly
+    decreasing tuple of nonnegative integers.  v_lambda(t) = prod_{a>=0}
+    prod_{n=1}^{m_a} (1 + t + ... + t^{n-1}), with m_0 counting the zero parts padded
+    up to len(z): the normalization making P_lambda monic in the monomial basis."""
+    lam = tuple(lam)
+    if any(a < 0 for a in lam):
+        raise ValueError("partition parts must be nonnegative")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError("partition parts must be weakly decreasing")
+    z = tuple(z)
+    R = hall_littlewood_R(lam, z, t)
+    counts = Counter(lam + (0,) * (len(z) - len(lam)))
+    v = 1
+    for m in counts.values():
+        for n in range(1, m + 1):
+            v *= sum(t ** e for e in range(n))
     if v == 0:
         # a factor 1 + t + ... + t^{n-1} with n <= m_a vanishes; if any does, the one
         # of the most repeated part does (at rational t: t = -1 and m_a >= 2)
-        parts = lam.parts + (0,) * (length - len(lam.parts))
         raise ValueError("v_lambda(t) vanishes at t = %s with part %d repeated"
-                         % (t, max(parts, key=parts.count)))
+                         % (t, max(counts, key=counts.get)))
     return R / v
-

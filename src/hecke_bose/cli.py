@@ -92,7 +92,7 @@ def cmd_bethe(args):
         )
         return 1
 
-    h = bethe_wave_function(root, floats)
+    h = bethe_wave_function(root.p, floats)
     lam = sum(root.p)
     pi = weyl.pi_element(params.k, params.L)
     eig_defects, pi_defects = [0.0], [0.0]
@@ -178,12 +178,11 @@ def cmd_wavefunction(args):
 
 
 def cmd_hall_littlewood(args):
-    lam = bethe.Partition(args.lam)
-    value = bethe.hall_littlewood_P(lam, args.z, args.t)
+    value = bethe.hall_littlewood_P(args.lam, args.z, args.t)
     _emit(
         {
             "schema": 1,
-            "lam": list(lam.parts),
+            "lam": list(args.lam),
             "z": [str(v) for v in args.z],
             "t": str(args.t),
             "value": _scalar_cell(value),

@@ -22,8 +22,8 @@ class LaurentPolynomial:
         self.terms = clean
 
     @classmethod
-    def monomial(cls, exponent, coeff=1):
-        return cls({tuple(exponent): coeff})
+    def monomial(cls, exponent):
+        return cls({tuple(exponent): 1})
 
 
 def apply_T_check(i, p, params):

@@ -150,7 +150,7 @@ def test_criterion_08_bethe_pipeline():
             params = Params(2, L, alpha, beta)
             sp = solve_bethe(params, (0, 1), homotopy_steps=40)
             assert sp.residual < RESIDUAL_TOL
-            h = bethe_wave_function(sp, params)
+            h = bethe_wave_function(sp.p, params)
             lam = sum(sp.p)
             pi = weyl.pi_element(2, L)
             for x in window(2, 4):

@@ -22,7 +22,6 @@ from conftest import (
 from hecke_bose import bethe, verify, weyl
 from hecke_bose.bethe import (
     BetheSolverError,
-    Partition,
     SpectralPoint,
     bethe_residual,
     bethe_wave,
@@ -151,7 +150,7 @@ def test_wave_sums_once_per_orbit(monkeypatch, k, L):
 def test_wave_pi_invariance_for_bethe_roots_only():
     params = Params(2, 2, Fraction(-1), Fraction(1))
     sp = solve_bethe(params, (0, 1), homotopy_steps=40)
-    h = bethe_wave_function(sp, params)
+    h = bethe_wave_function(sp.p, params)
     pi = weyl.pi_element(2, 2)
     defect = max(
         abs(h(weyl.act(pi, x)) - h(x)) / (1 + abs(h(x))) for x in window(2, 4)
@@ -169,7 +168,7 @@ def test_wave_pi_invariance_for_bethe_roots_only():
 def test_wave_is_H_eigenfunction_for_roots():
     params = Params(2, 3, Fraction(0), Fraction(1, 2))
     sp = solve_bethe(params, (0, 1), homotopy_steps=40)
-    h = bethe_wave_function(sp, params)
+    h = bethe_wave_function(sp.p, params)
     lam = sum(sp.p)
     for x in window(2, 4):
         defect = abs(apply_H(h, x, params) - lam * h(x)) / (1 + abs(h(x)))
@@ -177,22 +176,28 @@ def test_wave_is_H_eigenfunction_for_roots():
 
 
 def test_partition_validation_and_normalization():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, -1))
-    lam = Partition((2, 1, 1))
+    z3 = (Fraction(2), Fraction(7), Fraction(-3))
+    with pytest.raises(ValueError, match="partition parts must be weakly decreasing"):
+        hall_littlewood_P((1, 2), z3, Fraction(1, 3))
+    with pytest.raises(ValueError, match="partition parts must be nonnegative"):
+        hall_littlewood_P((2, -1), z3, Fraction(1, 3))
+
+    def v(lam, z, t):
+        # P_lambda = R_lambda / v_lambda(t)
+        return hall_littlewood_R(lam, z, t) / hall_littlewood_P(lam, z, t)
+
     t = Fraction(1, 3)
-    assert lam.normalization(t, length=3) == (1 - t ** 2) / (1 - t)
+    assert v((2, 1, 1), z3, t) == (1 - t ** 2) / (1 - t)
     # the zero parts, padding up to the variable count included, contribute too
-    assert Partition((1,)).normalization(Fraction(1), length=3) == 2
+    assert v((1,), z3, Fraction(1)) == 2
     # each factor (1 - t^n)/(1 - t) is 1 + t + ... + t^{n-1}: n at t = 1, exact at any t
-    assert Partition((2, 2, 2)).normalization(Fraction(1), length=3) == 6
-    assert Partition((2, 2)).normalization(Fraction(0), length=2) == 1
-    assert Partition((1, 1)).normalization(Fraction(-1), length=2) == 0
-    assert Partition((1, 1, 1)).normalization(2, length=3) == 1 * 3 * 7
-    with pytest.raises(ValueError):
-        Partition((1, 1)).normalization(t, length=1)
+    assert v((2, 2, 2), z3, Fraction(1)) == 6
+    assert v((2, 2), z3[:2], Fraction(0)) == 1
+    assert v((1, 1, 1), z3, 2) == 1 * 3 * 7
+    with pytest.raises(ValueError, match="vanishes at t = -1 with part 1 repeated"):
+        hall_littlewood_P((1, 1), z3[:2], Fraction(-1))
+    with pytest.raises(ValueError, match="exponent tuple longer than variable list"):
+        hall_littlewood_P((1, 1), z3[:1], t)
 
 
 def test_hall_littlewood_examples():
@@ -200,7 +205,7 @@ def test_hall_littlewood_examples():
     t = Fraction(1, 3)
     assert hall_littlewood_R((1, 1), z, t) == (1 + t) * z[0] * z[1]
     assert hall_littlewood_R((2, 0), z, t) == z[0] ** 2 + z[1] ** 2 + (1 - t) * z[0] * z[1]
-    assert hall_littlewood_R((0, 0), z, t) == Partition((0, 0)).normalization(t, 2)
+    assert hall_littlewood_R((0, 0), z, t) == 1 + t
     assert hall_littlewood_P((1, 0), z, t) == z[0] + z[1]
     assert hall_littlewood_P((1, 1), z, t) == z[0] * z[1]
     assert hall_littlewood_P((2, 0), z, t) == z[0] ** 2 + z[1] ** 2 + (1 - t) * z[0] * z[1]

@@ -258,6 +258,15 @@ def test_bad_input_exits_without_traceback(capsys, argv):
           "--p", "2,2", "--window", "1"], "p_1 = p_2, so h_p vanishes identically"),
         (["wavefunction", "--k", "3", "--L", "2", "--p", "1/2,5,5", "--window", "0"],
          "p_2 = p_3, so h_p vanishes identically"),
+        # several faults at once: the first in check order is named
+        (["hall-littlewood", "--lam=-1,2", "--z", "2,2", "--t=-1"],
+         "partition parts must be nonnegative"),
+        (["hall-littlewood", "--lam", "1,2,3", "--z", "2,2", "--t=-1"],
+         "partition parts must be weakly decreasing"),
+        (["hall-littlewood", "--lam", "1,1,1", "--z", "2,2", "--t", "1/3"],
+         "exponent tuple longer than variable list"),
+        (["hall-littlewood", "--lam", "1,1", "--z", "2,2", "--t=-1"],
+         "coincident variables z_1 = z_2"),
     ],
 )
 def test_bad_input_names_its_cause(capsys, argv, cause):

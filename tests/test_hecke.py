@@ -50,13 +50,21 @@ def test_Q_index_bounds():
         apply_Qw((1, 2), f, params)
 
 
+# far points, with |a_i(x)| >= 50 of both signs for each i, reach the late
+# steps of the telescoped sums that a window near the origin does not
+FAR_POINTS = {
+    2: [(60, 0), (-3, 57)],
+    3: [(60, 0, 1), (0, 60, -1), (-3, 57, 2), (1, 2, -55)],
+}
+
+
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (3, 3)])
 def test_duality_with_divided_difference(k, L):
     params = _params(k, L, "dual-%d-%d" % (k, L))
     f = random_rational_function("dual-%d-%d" % (k, L))
     for i in range(1, k):
         q = apply_Q(i, f, params)
-        for x in window(k, 2):
+        for x in [*window(k, 2), *FAR_POINTS[k]]:
             assert q(x) == pairing(f, apply_T_check(i, LaurentPolynomial.monomial(x), params))
 
 

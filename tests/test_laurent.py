@@ -64,7 +64,7 @@ def test_no_zero_coefficients_stored():
 
 def test_monomial_multiplication_adds_exponents():
     e = LaurentPolynomial.monomial((2, -1))
-    f = LaurentPolynomial.monomial((-1, 3), Fraction(1, 2))
+    f = LaurentPolynomial({(-1, 3): Fraction(1, 2)})
     assert (e * f).terms == {(1, 2): Fraction(1, 2)}
 
 
