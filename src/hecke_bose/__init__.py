@@ -2,6 +2,10 @@
 affine Weyl combinatorics, integral-reflection operators, the propagation
 operator, and Bethe-ansatz eigenfunctions."""
 
+# Lattice functions memoize with functools.cache; perfbench/workloads.py
+# `counted` builds its counting lattice functions with this name.
+from functools import cache as LatticeFunction
+
 from .weyl import (
     AffineWeylElement,
     Params,
@@ -9,7 +13,6 @@ from .weyl import (
     is_dominant,
     shortest_element,
 )
-from .functions import LatticeFunction, random_rational_function
 from .laurent import LaurentPolynomial, apply_T_check, pairing
 from .hamiltonian import apply_H, d_plus
 from .hecke import apply_Q, apply_Qw
@@ -24,6 +27,7 @@ from .bethe import (
     hall_littlewood_R,
     solve_bethe,
 )
+from .verify import random_rational_function
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

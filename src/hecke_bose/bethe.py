@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import weyl
-from .functions import LatticeFunction
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -315,8 +314,8 @@ def bethe_wave_function(p, params):
     the k! sum once per W-orbit: an inner memo is keyed on the dominant point."""
     p = tuple(p)
     terms = _wave_terms(p, params.alpha, params.beta)
-    on_dominant = LatticeFunction(lambda y: _sum_terms(terms, p, [-e for e in y]))
-    return LatticeFunction(lambda x: on_dominant(weyl.dominant_point(x, params)))
+    on_dominant = functools.cache(lambda y: _sum_terms(terms, p, [-e for e in y]))
+    return functools.cache(lambda x: on_dominant(weyl.dominant_point(x, params)))
 
 
 def hall_littlewood_R(lam, z, t):

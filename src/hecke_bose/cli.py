@@ -29,7 +29,13 @@ def _fraction_list(text):
 
 
 def _int_list(text):
-    return tuple(int(part) for part in text.split(","))
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid integer %r in %r" % (part, text))
+    return tuple(values)
 
 
 def _window(text):

@@ -3,13 +3,12 @@ that evaluates them."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, cycle, islice
 from numbers import Rational
 from operator import mul
-
-from .functions import LatticeFunction
 
 
 class _Reflection:
@@ -249,4 +248,4 @@ def apply_Qw(word, f, params):
     if not all(0 <= letter < params.k for letter in word):
         raise ValueError("Q_i index must satisfy 0 <= i < k")
     engine = QWordEngine(f, params)
-    return LatticeFunction(lambda x: engine.values(word, (x,))[0])
+    return functools.cache(lambda x: engine.values(word, (x,))[0])

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from numbers import Rational
 
-from .functions import LatticeFunction
 from .hecke import QWordEngine
 from . import weyl
 
@@ -14,7 +14,7 @@ def propagate(f, params):
     """G(f)(x) = (Q_{w_x} f)(w_x x), with w_x the shortest element moving x
     into the dominant chamber.  On dominant points G(f) agrees with f."""
     engine = QWordEngine(f, params)
-    return LatticeFunction(lambda x: propagate_many(engine, (x,))[x])
+    return functools.cache(lambda x: propagate_many(engine, (x,))[x])
 
 
 def propagate_many(engine, points):

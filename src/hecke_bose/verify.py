@@ -9,6 +9,7 @@ equality, never a tolerance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -16,7 +17,6 @@ import time
 from fractions import Fraction
 
 from . import bethe, hamiltonian, hecke, laurent, propagation, weyl
-from .functions import random_fraction, random_rational_function
 from .laurent import LaurentPolynomial
 
 _CHECKS = {}  # suite name -> (check generator, pinned params), in registration order
@@ -27,11 +27,28 @@ def window_points(k, window):
     return itertools.product(range(-window, window + 1), repeat=k)
 
 
+def random_fraction(rng):
+    """A random a/b with |a| <= 9 and 1 <= b <= 6, drawn from ``rng``."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def random_rational_function(seed):
+    """A deterministic pseudo-random rational-valued lattice function, memoized.
+
+    The value at each point is derived from (seed, point) alone, so the
+    function is reproducible across runs and processes.
+    """
+    return functools.cache(
+        lambda x: random_fraction(random.Random("%s|%s" % (seed, ",".join(map(str, x)))))
+    )
+
+
 def random_distinct_fractions(rng, k):
+    """k distinct nonzero random fractions, drawn from ``rng``."""
     vals = []
     while len(vals) < k:
-        v = random_fraction(rng, nonzero=True)
-        if v not in vals:
+        v = random_fraction(rng)
+        if v and v not in vals:
             vals.append(v)
     return tuple(vals)
 

@@ -7,19 +7,23 @@ residual/Jacobian/elimination as loops)."""
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from hecke_bose import hamiltonian, laurent, weyl
 from hecke_bose.bethe import POLE_TOL, BetheSolverError
-from hecke_bose.functions import LatticeFunction
-from hecke_bose.functions import random_fraction as rand_fraction
 from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
+from hecke_bose.verify import random_fraction as rand_fraction
 from hecke_bose.verify import window_points as window
 from hecke_bose.weyl import AffineWeylElement, act, simple_reflection_element
 
 
 def rand_params_pair(rng):
-    """A generic (alpha, beta) pair with beta nonzero."""
-    return rand_fraction(rng), rand_fraction(rng, nonzero=True)
+    """A generic (alpha, beta) pair with beta nonzero; alpha is drawn first."""
+    alpha = rand_fraction(rng)
+    beta = rand_fraction(rng)
+    while not beta:
+        beta = rand_fraction(rng)
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ def inverse(w):
 def act_on_function(w, f):
     """The action on functions: (w f)(x) = f(w^{-1} x)."""
     winv = inverse(w)
-    return LatticeFunction(lambda x: f(act(winv, x)))
+    return cache(lambda x: f(act(winv, x)))
 
 
 def from_word(word, k, L):

@@ -20,9 +20,9 @@ from hecke_bose.bethe import (
     seed_roots_of_unity,
     solve_bethe,
 )
-from hecke_bose.functions import random_rational_function
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import apply_Qw
+from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
 
 RESIDUAL_TOL = 1e-10

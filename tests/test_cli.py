@@ -232,6 +232,9 @@ def test_bethe_command_rejects_bad_seed_count(capsys):
         ["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
          "--p", "2,2", "--window", "1"],
         ["wavefunction", "--k", "3", "--L", "2", "--p", "1/2,5,5", "--window", "0"],
+        # a malformed entry of an integer list
+        ["hall-littlewood", "--lam", "1,,2", "--z", "1/2,3,-1", "--t", "1/3"],
+        ["bethe", "--k", "2", "--L", "2", "--seeds", "0,a"],
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, argv):
@@ -267,15 +270,21 @@ def test_bad_input_exits_without_traceback(capsys, argv):
          "exponent tuple longer than variable list"),
         (["hall-littlewood", "--lam", "1,1", "--z", "2,2", "--t=-1"],
          "coincident variables z_1 = z_2"),
+        # a malformed entry of an integer list is named with its argument
+        (["hall-littlewood", "--lam", "1,,2", "--z", "1/2,3,-1", "--t", "1/3"],
+         "argument --lam: invalid integer '' in '1,,2'"),
+        (["bethe", "--k", "2", "--L", "2", "--seeds", "0,a"],
+         "argument --seeds: invalid integer 'a' in '0,a'"),
     ],
 )
 def test_bad_input_names_its_cause(capsys, argv, cause):
     # a division by zero, or a table that would be zero everywhere, names the
-    # input that caused it
+    # input that caused it; a value argparse rejects is named with its argument
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "hecke-bose: error: ValueError: %s" % cause in capsys.readouterr().err
+    kind = "" if cause.startswith("argument ") else "ValueError: "
+    assert "hecke-bose: error: %s%s" % (kind, cause) in capsys.readouterr().err
 
 
 def test_overflowing_coupling_writes_one_stderr_line(capsys):

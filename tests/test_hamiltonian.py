@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,14 @@ from conftest import (
     simple_root,
     window,
 )
-from hecke_bose import hamiltonian, weyl
-from hecke_bose.functions import LatticeFunction, random_rational_function
+from hecke_bose import LatticeFunction, hamiltonian, propagation, verify, weyl
 from hecke_bose.hamiltonian import apply_H, d_plus
+from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
 
 
 def constant_function(value):
-    return LatticeFunction(lambda x: value)
+    return cache(lambda x: value)
 
 
 def test_d_examples():
@@ -79,7 +80,7 @@ def test_apply_H_weights_at_any_count(monkeypatch, name, exact):
     params = Params(k, 2, Fraction(-1, 3), Fraction(2, 5))
     f = random_rational_function("H-weights")
     if not exact:
-        f = LatticeFunction(lambda x, g=f: complex(g(x), sum(x) / 7))
+        f = cache(lambda x, g=f: complex(g(x), sum(x) / 7))
     y = (1, 0, -1)
     side = ["d_plus", "d_minus"].index(name)
     real = hamiltonian._d_counts
@@ -166,15 +167,37 @@ def test_w_invariance_on_regular_points(k, L):
     assert found_regular
 
 
-def test_memoized_and_unmemoized_agree():
-    from hecke_bose.functions import LatticeFunction
+def test_memoized_and_unmemoized_agree(monkeypatch):
+    # a lattice function agrees with its evaluator and calls it once per distinct
+    # point: through the LatticeFunction export, random_rational_function and propagate
+    calls = dict.fromkeys(("export", "random", "propagate"), 0)
+
+    def counted(name, ev):
+        def wrapped(*args):
+            calls[name] += 1
+            return ev(*args)
+
+        return wrapped
 
     def ev(x):
         return Fraction(sum(x), 3)
 
-    memo = LatticeFunction(ev)
-    for x in window(2, 3):
-        assert memo(x) == ev(x) == memo(x)
+    monkeypatch.setattr(verify, "random_fraction", counted("random", verify.random_fraction))
+    monkeypatch.setattr(
+        propagation, "propagate_many", counted("propagate", propagation.propagate_many)
+    )
+    memo = LatticeFunction(counted("export", ev))
+    f = random_rational_function("memo")
+    points = list(window(2, 3))
+    for _ in range(2):
+        for x in points:
+            assert memo(x) == ev(x) == memo(x)
+            assert f(x) == f(x)
+    G = propagation.propagate(ev, Params(2, 2, 1, 3))
+    for _ in range(2):
+        for x in points:
+            assert G(x) == G(x)
+    assert calls == dict.fromkeys(("export", "random", "propagate"), len(points))
 
 
 def _d_count_by_roots(x, params, start, step):

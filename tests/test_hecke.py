@@ -4,16 +4,17 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from conftest import rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
-from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import QWordEngine, apply_Q, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
 from hecke_bose.propagation import plane_wave, propagate
+from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
 
 
@@ -91,7 +92,7 @@ def _explicit_Q(i, f, params):
             total += sign * (alpha * f(tuple(y2)) + (1 - beta) * f(tuple(y)))
         return total
 
-    return LatticeFunction(ev)
+    return cache(ev)
 
 
 def _line_points(k, i, rest, sums, reach):
@@ -167,7 +168,7 @@ def _explicit_Q0(f, params):
                 total -= alpha * f(tuple(y2)) + (1 - beta) * f(tuple(y))
         return total
 
-    return LatticeFunction(ev)
+    return cache(ev)
 
 
 def _explicit_word(word, f, params):
@@ -284,7 +285,7 @@ def test_theorem_through_plane_wave_oracle_at_1000():
     # 1999 letters, out of the engine's reach in tier-1 time
     params = Params(2, 1, Fraction(1, 2), Fraction(2))
     p = rand_distinct_fractions(random.Random("far-theorem"), 2)
-    G = LatticeFunction(lambda x: _plane_wave_G(p, x, params))
+    G = cache(lambda x: _plane_wave_G(p, x, params))
     x = (1000, -1000)
     assert apply_H(G, x, params) == sum(p) * G(x)
 
@@ -313,7 +314,7 @@ def test_engine_rescales_when_new_denominators_arrive(word):
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     reads = Counter()
     engine = QWordEngine(_far_denominators("rescale", reads), params)
-    plain = LatticeFunction(_far_denominators("rescale"))
+    plain = cache(_far_denominators("rescale"))
     oracle = _explicit_word(word, plain, params)
     near = list(window(2, 1))
     far = [(9, -8), (-7, 10), (12, 3)]
@@ -337,7 +338,7 @@ def test_engine_rescales_every_layer_of_the_table():
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     reads = Counter()
     engine = QWordEngine(_far_denominators("table", reads), params)
-    plain = LatticeFunction(_far_denominators("table"))
+    plain = cache(_far_denominators("table"))
     near = list(window(2, 1))
     words = [(1, 0), (0, 1)]
     for word in words:
@@ -444,7 +445,7 @@ def _shift(f, slot):
         y[slot] -= 1
         return f(tuple(y))
 
-    return LatticeFunction(ev)
+    return cache(ev)
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (3, 3)])
@@ -486,7 +487,7 @@ def test_laplacian_commutes_with_Qw(k, L):
                 total += g(tuple(y))
             return total
 
-        return LatticeFunction(ev)
+        return cache(ev)
 
     for word in [(1,), (0,), (0, 1), (1, 0, 1)]:
         if k == 2 and max(word) > 1:

@@ -17,8 +17,8 @@ from conftest import (
     window,
 )
 from hecke_bose import laurent, weyl
-from hecke_bose.functions import random_rational_function
 from hecke_bose.laurent import pairing
+from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
 
 

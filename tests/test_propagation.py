@@ -4,22 +4,23 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from conftest import rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import verify, weyl
-from hecke_bose.functions import LatticeFunction, random_rational_function
 from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.hecke import QWordEngine
 from hecke_bose.propagation import plane_wave, propagate, propagate_many
+from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
 
 
 def linear_combination(coeffs_and_functions):
     """Pointwise linear combination of lattice functions."""
     pairs = list(coeffs_and_functions)
-    return LatticeFunction(lambda x: sum(c * f(x) for c, f in pairs))
+    return cache(lambda x: sum(c * f(x) for c, f in pairs))
 
 
 def _params(k, L, seed):

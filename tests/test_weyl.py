@@ -21,7 +21,7 @@ from conftest import (
     window,
 )
 from hecke_bose import weyl
-from hecke_bose.functions import random_rational_function
+from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import (
     Params,
     act,
