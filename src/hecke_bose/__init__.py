@@ -6,13 +6,7 @@ operator, and Bethe-ansatz eigenfunctions."""
 # `counted` builds its counting lattice functions with this name.
 from functools import cache as LatticeFunction
 
-from .weyl import (
-    AffineWeylElement,
-    Params,
-    act,
-    is_dominant,
-    shortest_element,
-)
+from .weyl import Params, is_dominant, shortest_element
 from .laurent import LaurentPolynomial, apply_T_check, pairing
 from .hamiltonian import apply_H, d_plus
 from .hecke import apply_Q, apply_Qw

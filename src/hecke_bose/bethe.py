@@ -199,7 +199,7 @@ def seed_roots_of_unity(seed_selection, L):
     return tuple(cmath.exp(2j * cmath.pi * (m % L) / L) for m in sel)
 
 
-def solve_bethe(params, seed_selection, homotopy_steps=40):
+def solve_bethe(params, seed_selection, homotopy_steps):
     """Continue a free solution (alpha, beta) = (0, 1) to the target couplings.
 
     At the free point the Bethe equations reduce to p_i^L = 1, so any choice

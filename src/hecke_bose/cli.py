@@ -100,13 +100,12 @@ def cmd_bethe(args):
 
     h = bethe_wave_function(root.p, floats)
     lam = sum(root.p)
-    pi = weyl.pi_element(params.k, params.L)
     eig_defects, pi_defects = [0.0], [0.0]
     for x in verify.window_points(params.k, args.window):
         hx = h(x)
         scale = 1.0 + abs(hx)
         eig_defects.append(abs(hamiltonian.apply_H(h, x, floats) - lam * hx) / scale)
-        pi_defects.append(abs(h(weyl.act(pi, x)) - hx) / scale)
+        pi_defects.append(abs(h(weyl.rotate(x, params.L)) - hx) / scale)
 
     report = {
         "schema": 1,

@@ -13,12 +13,11 @@ class LaurentPolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
         clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff != 0:
-                    clean[tuple(exp)] = coeff
+        for exp, coeff in terms.items():
+            if coeff != 0:
+                clean[tuple(exp)] = coeff
         self.terms = clean
 
     @classmethod

@@ -22,8 +22,8 @@ def propagate_many(engine, points):
     reduced word w_x, and each group takes one engine call."""
     groups = {}  # w_x -> [(x, w_x x)]
     for x in points:
-        w, word = weyl.shortest_element(x, engine.params)
-        groups.setdefault(word, []).append((x, weyl.act(w, x)))
+        (_, wx), word = weyl.shortest_element(x, engine.params)
+        groups.setdefault(word, []).append((x, wx))
     values = {}
     for word, pairs in groups.items():
         xs, moved = zip(*pairs)

@@ -167,7 +167,6 @@ def suite_d_change(params, window, seed):
     +-theta(a_j(x) = 0).  s_j fixes x exactly where a_j(x) = 0, so theta reads
     s_j x == x.  The counts are taken once per point and per reflected point."""
     k = params.k
-    reflections = [weyl.simple_reflection_element(j, k, params.L) for j in range(k)]
     # (index of d_i, j, index of the d read at x, sign of theta in d^+, detail)
     cases = []
     for i in range(1, k + 1):
@@ -182,8 +181,8 @@ def suite_d_change(params, window, seed):
     for x in window_points(k, window):
         plus, minus = hamiltonian._d_counts(x, params)
         reflected = []
-        for sj in reflections:
-            sx = weyl.act(sj, x)
+        for j in range(k):
+            sx = weyl.simple_reflection(j, x, params.L)
             reflected.append((*hamiltonian._d_counts(sx, params), sx == x))
         for r, j, src, c, detail in cases:
             sx_plus, sx_minus, theta = reflected[j]
@@ -194,16 +193,15 @@ def suite_d_change(params, window, seed):
 @_suite("w-invariance")
 def suite_w_invariance(params, window, seed):
     """w H w^{-1} f = H f on regular points, for every simple reflection."""
-    k = params.k
+    k, L = params.k, params.L
     f = random_rational_function("winv-%s" % seed)
     for j in range(k):
-        sj = weyl.simple_reflection_element(j, k, params.L)
         # (s_j f)(y) = f(s_j^{-1} y), and s_j is its own inverse
-        sj_f = lambda y, sj=sj: f(weyl.act(sj, y))
+        sj_f = lambda y, j=j: f(weyl.simple_reflection(j, y, L))
         detail = "W-invariance fails for s_%d" % j
         for x in window_points(k, window):
             if weyl.is_regular(x, params):
-                lhs = hamiltonian.apply_H(sj_f, weyl.act(sj, x), params)
+                lhs = hamiltonian.apply_H(sj_f, weyl.simple_reflection(j, x, L), params)
                 yield x, lhs == hamiltonian.apply_H(f, x, params), detail
 
 
@@ -227,8 +225,7 @@ def suite_lemma_main(params, window, seed):
     sides = []  # (x, i, w_x, lhs, the right-hand points, v_sigma(i) first), x-major
     needed = {}  # w_x -> the right-hand points of every x with that reduced word
     for x in points:
-        w, word = weyl.shortest_element(x, params)
-        wx, sigma = weyl.act(w, x), w.perm
+        (sigma, wx), word = weyl.shortest_element(x, params)
         for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
             lhs = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]
             if dp and alpha != 0:

@@ -1,17 +1,14 @@
-"""Lattice points and the (extended) affine Weyl group of type A.
+"""Lattice points and the action of the (extended) affine Weyl group of type A.
 
-Points of the lattice are plain integer tuples of length k.  Group elements
-are stored as a permutation of coordinate slots together with a raw
-translation vector, so that an element acts by ``x -> perm(x) + trans``.
-The diagram rotation pi, which lies outside W, is therefore representable
-directly; membership in the affine Weyl group W requires ``trans`` to lie in
-L * Q^vee.
+Points of the lattice are plain integer tuples of length k.  The group enters
+only through its action on points: the simple reflections s_0, ..., s_{k-1},
+the diagram rotation pi (which lies outside W), and the greedy descent that
+moves a point into the dominant chamber along a reduced word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Complex
 
 
@@ -21,8 +18,8 @@ class Params:
 
     k: int
     L: int
-    alpha: Complex = Fraction(0)
-    beta: Complex = Fraction(1)
+    alpha: Complex
+    beta: Complex
 
     def __post_init__(self):
         if self.k < 2:
@@ -33,42 +30,18 @@ class Params:
             raise ValueError("beta must be nonzero")
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
-    """Element of the extended affine Weyl group, acting by x -> perm(x) + trans.
-
-    ``perm`` is 0-based: basis vector v_{i+1} is sent to v_{perm[i]+1}.
-    ``trans`` is the raw translation vector (already including any L factor).
-    """
-
-    perm: tuple
-    trans: tuple
+def simple_reflection(j, x, L):
+    """s_j x for 0 <= j < k: s_j (j >= 1) swaps x_j and x_{j+1}, and s_0 sends x
+    to (x_k + L, x_2, ..., x_{k-1}, x_1 - L)."""
+    if j == 0:
+        return (x[-1] + L,) + x[1:-1] + (x[0] - L,)
+    return x[: j - 1] + (x[j], x[j - 1]) + x[j + 1 :]
 
 
-def simple_reflection_element(i, k, L):
-    """The generator s_i as a group element, 0 <= i < k."""
-    perm = list(range(k))
-    trans = [0] * k
-    if i == 0:
-        perm[0], perm[k - 1] = perm[k - 1], perm[0]
-        trans[0], trans[k - 1] = L, -L
-    else:
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return AffineWeylElement(tuple(perm), tuple(trans))
-
-
-def pi_element(k, L):
+def rotate(x, L):
     """The diagram rotation pi = t_{L v_1} s_1 ... s_{k-1}, which sends x to
     (x_k + L, x_1, ..., x_{k-1})."""
-    return AffineWeylElement(tuple(range(1, k)) + (0,), (L,) + (0,) * (k - 1))
-
-
-def act(w, x):
-    """Apply the group element w to the lattice point x."""
-    out = list(w.trans)
-    for i, p in enumerate(w.perm):
-        out[p] += x[i]
-    return tuple(out)
+    return (x[-1] + L,) + x[:-1]
 
 
 def is_dominant(x, params):
@@ -78,14 +51,14 @@ def is_dominant(x, params):
 
 
 def shortest_element(x, params):
-    """The shortest w with w(x) dominant, together with a reduced word for it.
+    """The shortest w with w(x) dominant, as ((perm, w(x)), word).
 
     Greedy descent: repeatedly apply the smallest-index simple reflection
-    whose root is negative at the current point.  The collected letters,
-    reversed, form a reduced word read left to right.  The descent moves
-    the coordinates of x between slots, so it tracks which coordinate sits
-    in each slot; w's permutation is read off that and its translation is
-    w(x) - perm(x).
+    whose root is negative at the current point, until the point is dominant;
+    that point is w(x).  The collected letters, reversed, form a reduced word
+    for w read left to right.  The descent moves the coordinates of x between
+    slots, so it tracks which coordinate sits in each slot: w's coordinate
+    permutation, 0-based, sends slot i of x to slot perm[i] of w(x).
     """
     k, L = params.k, params.L
     y = list(x)
@@ -108,14 +81,13 @@ def shortest_element(x, params):
     perm = [0] * k
     for slot, j in enumerate(src):
         perm[j] = slot
-    trans = tuple(y[slot] - x[j] for slot, j in enumerate(src))
-    return AffineWeylElement(tuple(perm), trans), tuple(reversed(letters))
+    return (tuple(perm), tuple(y)), tuple(reversed(letters))
 
 
 def dominant_point(x, params):
-    """act(shortest_element(x)[0], x) without a word: the orbit keeps the
-    residues mod L and the sum of x, and with (q, e) = divmod((sum x - sum of
-    residues) / L, k) the e smallest residues rise by L(q + 1), the rest by Lq."""
+    """The dominant point w_x x of shortest_element(x), without the descent: the
+    orbit keeps the residues mod L and the sum of x, and with (q, e) = divmod((sum x
+    - sum of residues) / L, k) the e smallest residues rise by L(q + 1), the rest by Lq."""
     L = params.L
     r = sorted(v % L for v in x)
     q, e = divmod((sum(x) - sum(r)) // L, params.k)

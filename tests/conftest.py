@@ -1,20 +1,19 @@
 """Shared helpers: window iteration, random exact scalars, oracles (among
-them the affine roots, the group algebra of the affine Weyl group and the
-element of a word, the Laurent polynomial ring with the affine Weyl action on
-exponents, the undeformed Hamiltonian, d_i^-, and the Bethe
-residual/Jacobian/elimination as loops)."""
+them the affine roots, the affine Weyl group as elements with their product,
+inverse and action on points and functions, the element of a word, the Laurent
+polynomial ring with the affine Weyl action on exponents, the undeformed
+Hamiltonian, d_i^-, and the Bethe residual/Jacobian/elimination as loops)."""
 
 import itertools
 import random
 from dataclasses import dataclass
 from functools import cache
 
-from hecke_bose import hamiltonian, laurent, weyl
+from hecke_bose import hamiltonian, laurent
 from hecke_bose.bethe import POLE_TOL, BetheSolverError
 from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
 from hecke_bose.verify import random_fraction as rand_fraction
 from hecke_bose.verify import window_points as window
-from hecke_bose.weyl import AffineWeylElement, act, simple_reflection_element
 
 
 def rand_params_pair(rng):
@@ -58,6 +57,44 @@ def reflect(a, x, L):
     y[a.i - 1] -= c
     y[a.j - 1] += c
     return tuple(y)
+
+
+@dataclass(frozen=True)
+class AffineWeylElement:
+    """Element of the extended affine Weyl group, acting by x -> perm(x) + trans.
+
+    ``perm`` is 0-based: basis vector v_{i+1} is sent to v_{perm[i]+1}.
+    ``trans`` is the raw translation vector (already including any L factor).
+    """
+
+    perm: tuple
+    trans: tuple
+
+
+def simple_reflection_element(i, k, L):
+    """The generator s_i as a group element, 0 <= i < k."""
+    perm = list(range(k))
+    trans = [0] * k
+    if i == 0:
+        perm[0], perm[k - 1] = perm[k - 1], perm[0]
+        trans[0], trans[k - 1] = L, -L
+    else:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return AffineWeylElement(tuple(perm), tuple(trans))
+
+
+def pi_element(k, L):
+    """The diagram rotation pi = t_{L v_1} s_1 ... s_{k-1}, which sends x to
+    (x_k + L, x_1, ..., x_{k-1})."""
+    return AffineWeylElement(tuple(range(1, k)) + (0,), (L,) + (0,) * (k - 1))
+
+
+def act(w, x):
+    """Apply the group element w to the lattice point x."""
+    out = list(w.trans)
+    for i, p in enumerate(w.perm):
+        out[p] += x[i]
+    return tuple(out)
 
 
 def identity_element(k):
@@ -116,7 +153,7 @@ class LaurentPolynomial(laurent.LaurentPolynomial):
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls, k):
@@ -190,7 +227,7 @@ def weyl_act_poly(w, p):
     """Action of a (extended) affine Weyl element on exponents: w(e^x) = e^{w x}."""
     out = {}
     for exp, coeff in p.terms.items():
-        moved = weyl.act(w, exp)
+        moved = act(w, exp)
         out[moved] = out.get(moved, 0) + coeff
     return LaurentPolynomial(out)
 

@@ -11,8 +11,16 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from conftest import apply_H_tilde, monomial_symmetric, rand_params_pair, schur, window
-from hecke_bose import verify, weyl
+from conftest import (
+    act,
+    apply_H_tilde,
+    monomial_symmetric,
+    pi_element,
+    rand_params_pair,
+    schur,
+    window,
+)
+from hecke_bose import verify
 from hecke_bose.bethe import (
     bethe_residual,
     bethe_wave_function,
@@ -92,7 +100,7 @@ def test_criterion_02_duality():
 @criterion(3, "counting-function change under every simple reflection")
 def test_criterion_03_d_change():
     for (k, L) in GRID_FULL:
-        report = verify.run_suite("d-change", Params(k, L), 4, 0)
+        report = verify.run_suite("d-change", Params(k, L, Fraction(0), Fraction(1)), 4, 0)
         assert report["failures"] == []
         assert report["checks_run"] == (9 ** k) * k * k
 
@@ -152,18 +160,18 @@ def test_criterion_08_bethe_pipeline():
             assert sp.residual < RESIDUAL_TOL
             h = bethe_wave_function(sp.p, params)
             lam = sum(sp.p)
-            pi = weyl.pi_element(2, L)
+            pi = pi_element(2, L)
             for x in window(2, 4):
                 scale = 1.0 + abs(h(x))
                 assert abs(apply_H(h, x, params) - lam * h(x)) / scale < EIGEN_TOL
-                assert abs(h(weyl.act(pi, x)) - h(x)) / scale < PI_TOL
+                assert abs(h(act(pi, x)) - h(x)) / scale < PI_TOL
 
     # non-Bethe spectral parameters must break the periodicity
     params = Params(2, 2, Fraction(-1), Fraction(1))
     generic = bethe_wave_function((1.3 + 0j, 0.7 + 0j), params)
-    pi = weyl.pi_element(2, 2)
+    pi = pi_element(2, 2)
     defect = max(
-        abs(generic(weyl.act(pi, x)) - generic(x)) / (1.0 + abs(generic(x)))
+        abs(generic(act(pi, x)) - generic(x)) / (1.0 + abs(generic(x)))
         for x in window(2, 4)
     )
     assert defect > CONTROL_FLOOR
@@ -221,7 +229,7 @@ def test_criterion_09_hall_littlewood():
 
     # the alpha = 0 Bethe sum factors through Hall-Littlewood, exactly
     for (k, L) in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        report = verify.run_suite("hl-identity", Params(k, L), 4, 0)
+        report = verify.run_suite("hl-identity", Params(k, L, Fraction(0), Fraction(1)), 4, 0)
         assert report["failures"] == []
         assert report["checks_run"] > 0
 

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    act,
     act_on_function,
     apply_H_tilde,
     d_minus,
     eval_root,
     inverse,
     rand_params_pair,
+    simple_reflection_element,
     simple_root,
     window,
 )
@@ -29,7 +31,7 @@ def constant_function(value):
 
 
 def test_d_examples():
-    params = Params(2, 2)
+    params = Params(2, 2, Fraction(0), Fraction(1))
     assert d_plus(1, (0, 0), params) == 1
     assert d_plus(2, (0, 0), params) == 0
     assert d_minus(1, (0, 0), params) == 0
@@ -38,7 +40,7 @@ def test_d_examples():
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_d_bounds(k, L):
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     for x in window(k, 3):
         for i in range(1, k + 1):
             assert 0 <= d_plus(i, x, params) <= k - 1
@@ -47,7 +49,7 @@ def test_d_bounds(k, L):
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (3, 3)])
 def test_dominant_d_sum_bound_and_max_run(k, L):
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     for z in window(k, 3):
         if not weyl.is_dominant(z, params):
             continue
@@ -128,7 +130,7 @@ def test_undeformed_reduction_constant(k, L):
 def test_interaction_term_counts_coincidences():
     # sum_i d_i^+(x) equals the number of pairs equal modulo L
     for (k, L) in [(2, 2), (3, 2), (3, 3)]:
-        params = Params(k, L)
+        params = Params(k, L, Fraction(0), Fraction(1))
         for x in window(k, 3):
             pairs = sum(
                 1
@@ -140,10 +142,10 @@ def test_interaction_term_counts_coincidences():
 
 
 def test_d_change_unaffected_index():
-    params = Params(4, 2)
+    params = Params(4, 2, Fraction(0), Fraction(1))
     x = (1, -2, 0, 3)
     # i away from {j, j+1} mod k leaves d unchanged
-    sx = weyl.act(weyl.simple_reflection_element(1, 4, 2), x)
+    sx = act(simple_reflection_element(1, 4, 2), x)
     assert d_plus(3, sx, params) == d_plus(3, x, params)
     assert d_minus(4, sx, params) == d_minus(4, x, params)
 
@@ -156,14 +158,14 @@ def test_w_invariance_on_regular_points(k, L):
     f = random_rational_function("winv-%d-%d" % (k, L))
     found_regular = False
     for j in range(k):
-        w = weyl.simple_reflection_element(j, k, L)
+        w = simple_reflection_element(j, k, L)
         winv = inverse(w)
         wf = act_on_function(winv, f)
         for x in window(k, 3):
             if not weyl.is_regular(x, params):
                 continue
             found_regular = True
-            assert apply_H(wf, weyl.act(winv, x), params) == apply_H(f, x, params)
+            assert apply_H(wf, act(winv, x), params) == apply_H(f, x, params)
     assert found_regular
 
 
@@ -215,7 +217,7 @@ def _d_count_by_roots(x, params, start, step):
 
 @pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
 def test_d_counts_match_root_sums(k, L):
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     for x in window(k, 3):
         for i in range(1, k + 1):
             assert d_plus(i, x, params) == _d_count_by_roots(x, params, i, 1)
@@ -230,7 +232,7 @@ def test_d_counts_match_root_sums(k, L):
 def test_d_counts_match_root_sums_far_out(kL, coords):
     # the one pass over coordinate pairs against the root-by-root sums, far points included
     k, L = kL
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     x = tuple(coords[:k])
     plus, minus = hamiltonian._d_counts(x, params)
     assert plus == [_d_count_by_roots(x, params, i, 1) for i in range(1, k + 1)]

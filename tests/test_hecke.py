@@ -41,7 +41,7 @@ def test_Q_single_step_example():
 
 
 def test_Q_index_bounds():
-    params = Params(2, 2)
+    params = Params(2, 2, Fraction(0), Fraction(1))
     f = random_rational_function("idx")
     with pytest.raises(ValueError):
         apply_Q(0, f, params)
@@ -255,8 +255,8 @@ def _plane_wave_G(p, x, params):
     """G(g_p)(x) = (Q_{w_x} g_p)(w_x x) through the closed form: O(|w_x| k!)
     rationals, however far x lies from the dominant chamber."""
     waves = _plane_waves(p)
-    w, word = weyl.shortest_element(x, params)
-    return _plane_wave_value(_plane_wave_word(word, waves, params), weyl.act(w, x))
+    (_, wx), word = weyl.shortest_element(x, params)
+    return _plane_wave_value(_plane_wave_word(word, waves, params), wx)
 
 
 @pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3)])

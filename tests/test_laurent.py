@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     LaurentPolynomial,
+    act,
     from_word,
     inverse,
+    pi_element,
     rand_params_pair,
+    simple_reflection_element,
     weyl_act_poly,
     window,
 )
-from hecke_bose import laurent, weyl
+from hecke_bose import laurent
 from hecke_bose.laurent import pairing
 from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
@@ -29,7 +32,7 @@ def apply_T_check(i, p, params):
 
 def apply_pi_check(p, params):
     """Action of the rotation pi on Laurent polynomials."""
-    return weyl_act_poly(weyl.pi_element(params.k, params.L), p)
+    return weyl_act_poly(pi_element(params.k, params.L), p)
 
 coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 exponents = st.tuples(*([st.integers(-3, 3)] * 3))
@@ -69,13 +72,13 @@ def test_monomial_multiplication_adds_exponents():
 
 
 def test_weyl_act_poly_examples():
-    s1 = weyl.simple_reflection_element(1, 2, 2)
+    s1 = simple_reflection_element(1, 2, 2)
     e_10, e_01 = LaurentPolynomial.monomial((1, 0)), LaurentPolynomial.monomial((0, 1))
     assert weyl_act_poly(s1, e_10) == e_01
     # pi(e^{v_2}) = e^{pi v_2}, with pi acting affinely on exponents
-    pi = weyl.pi_element(2, 2)
+    pi = pi_element(2, 2)
     assert weyl_act_poly(pi, LaurentPolynomial.monomial((0, 1))) == LaurentPolynomial.monomial(
-        weyl.act(pi, (0, 1))
+        act(pi, (0, 1))
     )
 
 
@@ -115,7 +118,7 @@ def test_T_check_on_constants_and_monomials():
     free = Params(3, 2, Fraction(0), Fraction(1))
     p = _random_poly(3, "free")
     for i in (1, 2):
-        si = weyl.simple_reflection_element(i, 3, 2)
+        si = simple_reflection_element(i, 3, 2)
         assert apply_T_check(i, p, free) == weyl_act_poly(si, p)
     for i in (0, 3):
         with pytest.raises(ValueError):

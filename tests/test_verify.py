@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_bose import bethe, hamiltonian, hecke, verify, weyl
+from conftest import act, simple_reflection_element
+from hecke_bose import bethe, hamiltonian, hecke, verify
 from hecke_bose.weyl import Params
 
 
@@ -13,16 +14,17 @@ def test_suite_registry_order():
         "hecke", "duality", "d-change", "w-invariance", "lemma-main", "theorem", "hl-identity",
     )
     with pytest.raises(ValueError, match="unknown suite"):
-        verify.run_suite("nope", Params(2, 2), 1, 0)
+        verify.run_suite("nope", Params(2, 2, Fraction(0), Fraction(1)), 1, 0)
 
 
 def test_run_suite_marks_a_run_without_checks_vacuous():
     # with k > L no point is regular, so w-invariance has nothing to check
-    report = verify.run_suite("w-invariance", Params(3, 2), 1, 0)
+    report = verify.run_suite("w-invariance", Params(3, 2, Fraction(0), Fraction(1)), 1, 0)
     assert report["checks_run"] == 0
     assert report["failures"] == []
     assert report["vacuous"] is True
-    assert "vacuous" not in verify.run_suite("d-change", Params(2, 2), 1, 0)
+    report = verify.run_suite("d-change", Params(2, 2, Fraction(0), Fraction(1)), 1, 0)
+    assert "vacuous" not in report
 
 
 def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
@@ -48,7 +50,7 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
 def test_d_change_suite_detects_injected_defect(monkeypatch):
     # d_i^+ off by one at one point y: the suite must fail there, or where a
     # simple reflection lands on y, and nowhere else
-    params = Params(3, 2)
+    params = Params(3, 2, Fraction(0), Fraction(1))
     clean = verify.run_suite("d-change", params, 1, 0)
     assert clean["failures"] == []
     y = (1, 0, -1)
@@ -63,12 +65,12 @@ def test_d_change_suite_detects_injected_defect(monkeypatch):
     assert report["checks_run"] == clean["checks_run"]
     failed = {tuple(entry["x"]) for entry in report["failures"]}
     assert y in failed
-    preimages = {weyl.act(weyl.simple_reflection_element(j, 3, 2), y) for j in range(3)}
+    preimages = {act(simple_reflection_element(j, 3, 2), y) for j in range(3)}
     assert failed <= {y} | preimages
 
 
 def test_hl_identity_suite_names_a_corrupted_point(monkeypatch):
-    params = Params(3, 2, beta=Fraction(2, 7))
+    params = Params(3, 2, Fraction(0), Fraction(2, 7))
     clean = verify.run_suite("hl-identity", params, 1, 0)
     assert clean["failures"] == []
     real = bethe._hl_R
@@ -104,7 +106,7 @@ def test_w_invariance_suite_detects_injected_defect(monkeypatch):
     assert report["checks_run"] == clean["checks_run"]
     failed = {tuple(entry["x"]) for entry in report["failures"]}
     assert y in failed
-    preimages = {weyl.act(weyl.simple_reflection_element(j, 3, 5), y) for j in range(3)}
+    preimages = {act(simple_reflection_element(j, 3, 5), y) for j in range(3)}
     assert failed <= {y} | preimages
 
 

@@ -9,27 +9,23 @@ from hypothesis import strategies as st
 
 from conftest import (
     AffineRoot,
+    act,
     act_on_function,
     compose,
     eval_root,
     from_word,
     identity_element,
     inverse,
+    pi_element,
     reflect,
+    simple_reflection_element,
     simple_root,
     translation_element,
     window,
 )
 from hecke_bose import weyl
 from hecke_bose.verify import random_rational_function
-from hecke_bose.weyl import (
-    Params,
-    act,
-    is_dominant,
-    pi_element,
-    shortest_element,
-    simple_reflection_element,
-)
+from hecke_bose.weyl import Params, is_dominant, shortest_element
 
 
 def inversion_set(x, params):
@@ -56,9 +52,9 @@ def in_affine_weyl_group(w, L):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        Params(1, 2)
+        Params(1, 2, Fraction(0), Fraction(1))
     with pytest.raises(ValueError):
-        Params(2, 0)
+        Params(2, 0, Fraction(0), Fraction(1))
     with pytest.raises(ValueError):
         Params(2, 2, Fraction(1), Fraction(0))
 
@@ -89,13 +85,12 @@ def test_reflect_fixes_hyperplane_and_is_involution():
 
 @pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
 def test_coordinate_reflection_matches_root_reflection(k, L):
-    # the group element s_j reflects points as the root a_j does, and fixes
-    # exactly the points where a_j vanishes (the theta of the d-change check)
+    # s_j reflects points as the root a_j does, and fixes exactly the points
+    # where a_j vanishes (the theta of the d-change check)
     for j in range(k):
-        sj = simple_reflection_element(j, k, L)
         a = simple_root(j, k)
         for x in window(k, 3):
-            sx = act(sj, x)
+            sx = weyl.simple_reflection(j, x, L)
             assert sx == reflect(a, x, L)
             assert (sx == x) == (eval_root(a, x, L) == 0)
 
@@ -104,6 +99,18 @@ def test_act_examples():
     assert act(identity_element(2), (5, -3)) == (5, -3)
     assert act(pi_element(2, 2), (0, 0)) == (2, 0)
     assert act(translation_element((2, -2)), (1, 1)) == (3, -1)
+
+
+def test_point_maps_match_the_group_elements():
+    # weyl's maps on points are the action of the oracle's group elements
+    for k in range(2, 7):
+        for L in range(1, 6):
+            reflections = [simple_reflection_element(j, k, L) for j in range(k)]
+            pi = pi_element(k, L)
+            for x in window(k, 3):
+                for j, sj in enumerate(reflections):
+                    assert weyl.simple_reflection(j, x, L) == act(sj, x)
+                assert weyl.rotate(x, L) == act(pi, x)
 
 
 def test_act_is_group_action():
@@ -170,7 +177,7 @@ def test_coxeter_relations_on_lattice(k, L):
 
 
 def test_pi_element_is_the_compose_chain():
-    # weyl builds pi directly; it must be the product t_{L v_1} s_1 ... s_{k-1}
+    # pi_element builds pi directly; it must be the product t_{L v_1} s_1 ... s_{k-1}
     for k in range(2, 7):
         for L in range(1, 6):
             w = translation_element((L,) + (0,) * (k - 1))
@@ -193,28 +200,26 @@ def test_pi_conjugates_generators(k, L):
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (3, 3)])
 def test_dominance_and_shortest_element(k, L):
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     for x in window(k, 3):
-        w, word = shortest_element(x, params)
-        y = act(w, x)
+        (perm, y), word = shortest_element(x, params)
+        w = from_word(word, k, L)
         assert is_dominant(y, params)
-        assert from_word(word, k, L) == w
+        assert (perm, y) == (w.perm, act(w, x))
         assert len(word) == len(inversion_set(x, params))
         if is_dominant(x, params):
             assert word == ()
-            assert w == identity_element(k)
+            assert (perm, y) == (identity_element(k).perm, x)
 
 
 def test_shortest_element_examples():
-    params = Params(2, 2)
-    w, word = shortest_element((0, 1), params)
-    assert word == (1,)
-    w, word = shortest_element((3, 0), params)
-    assert word == (0,)
+    params = Params(2, 2, Fraction(0), Fraction(1))
+    assert shortest_element((0, 1), params) == (((1, 0), (1, 0)), (1,))
+    assert shortest_element((3, 0), params) == (((1, 0), (2, 1)), (0,))
 
 
 def test_inversion_set_examples():
-    params = Params(2, 2)
+    params = Params(2, 2, Fraction(0), Fraction(1))
     assert inversion_set((0, 0), params) == set()
     assert inversion_set((0, 1), params) == {AffineRoot(1, 2, 0)}
 
@@ -232,7 +237,7 @@ def _image_root(w, a, k, L):
 def test_inversion_set_matches_word_reflections():
     # I(x) = { s_{i_r} ... s_{i_{p+1}} (a_{i_p}) } read off the reduced word
     k, L = 3, 2
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     for x in [(0, 1, 2), (-2, 3, 1), (2, -1, -3), (1, 1, 4)]:
         _, word = shortest_element(x, params)
         roots = set()
@@ -246,7 +251,7 @@ def test_inversion_set_matches_word_reflections():
 def test_length_additivity_toward_chamber(k, L):
     # For v1 with I(v1) contained in I(v2): w_{v2} = w_{w_{v1} v2} w_{v1}
     # with additive lengths; exercised at points and their half-step midpoints.
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     rng = random.Random("lemma-key")
     half = Fraction(1, 2)
     for _ in range(200):
@@ -257,28 +262,23 @@ def test_length_additivity_toward_chamber(k, L):
             inv1 = inversion_set(v1, params)
             inv2 = inversion_set(xprime, params)
             assert inv1 <= inv2  # the containment from the half-step argument
-            w1, word1 = shortest_element(v1, params)
-            moved = act(w1, xprime)
-            w2, word2 = shortest_element(moved, params)
-            wfull, wordfull = shortest_element(xprime, params)
-            assert compose(w2, w1) == wfull
+            _, word1 = shortest_element(v1, params)
+            w1 = from_word(word1, k, L)
+            _, word2 = shortest_element(act(w1, xprime), params)
+            _, wordfull = shortest_element(xprime, params)
+            assert compose(from_word(word2, k, L), w1) == from_word(wordfull, k, L)
             assert len(wordfull) == len(word1) + len(word2)
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_orbit_meets_chamber_once(k, L):
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     # the dominant representative is constant along generator moves
     for x in window(k, 2):
-        rep = act(*_shortest_pair(x, params))
+        (_, rep), _ = shortest_element(x, params)
         for i in range(k):
-            y = reflect(simple_root(i, k), x, L)
-            assert act(*_shortest_pair(y, params)) == rep
-
-
-def _shortest_pair(x, params):
-    w, _ = shortest_element(x, params)
-    return w, x
+            (_, y), _ = shortest_element(reflect(simple_root(i, k), x, L), params)
+            assert y == rep
 
 
 def test_in_affine_weyl_group():
@@ -290,13 +290,14 @@ def test_in_affine_weyl_group():
 
 @pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3), (3, 5)])
 def test_descent_tracks_the_element_of_its_word(k, L):
-    # shortest_element builds w along the descent; it must be the element
-    # of the word it returns, and move x into the dominant chamber
-    params = Params(k, L)
+    # shortest_element tracks w's permutation and w(x) along the descent; they
+    # must be those of the element of the word it returns, and w(x) dominant
+    params = Params(k, L, Fraction(0), Fraction(1))
     for x in window(k, 4):
-        w, word = shortest_element(x, params)
-        assert w == from_word(word, k, L)
-        assert is_dominant(act(w, x), params)
+        (perm, y), word = shortest_element(x, params)
+        w = from_word(word, k, L)
+        assert (perm, y) == (w.perm, act(w, x))
+        assert is_dominant(y, params)
 
 
 @given(
@@ -307,7 +308,7 @@ def test_descent_tracks_the_element_of_its_word(k, L):
 def test_dominant_point_is_the_descent_endpoint(kL, coords):
     # the closed form lands where the greedy descent does, far points included
     k, L = kL
-    params = Params(k, L)
+    params = Params(k, L, Fraction(0), Fraction(1))
     x = tuple(coords[:k])
-    w, _ = shortest_element(x, params)
-    assert weyl.dominant_point(x, params) == act(w, x)
+    (_, y), _ = shortest_element(x, params)
+    assert weyl.dominant_point(x, params) == y
