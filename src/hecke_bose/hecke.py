@@ -136,10 +136,16 @@ class QWordEngine:
     All arithmetic is on Python ints.  f is read once per point, into a
     table of the ints f(x) * S with S the least common multiple of the
     denominators read so far; a layer of height h holds its values and line
-    sums as ints over S * D^h, with D the common denominator of alpha and
-    1 - beta.  When a read brings a new denominator, S grows by a factor m
-    and every stored int is multiplied by m.  So alpha, beta and the values
-    of f must be rationals (ints or Fractions); ``values`` returns Fractions.
+    sums as ints over S * D^h, with D = ``unit`` the common denominator of
+    alpha and 1 - beta.  When a read brings a new denominator, S grows by a
+    factor m and every stored int is multiplied by m.  So alpha, beta and the
+    values of f must be rationals (ints or Fractions).
+
+    There are two reads.  ``values`` returns Fractions, one word at a time.
+    ``ints`` hands out the stored ints of several words at one S, so a check
+    can compare words by cross-multiplying with powers of D and build no
+    Fraction; ``keep`` drops the layers that later reads will not need, so
+    one engine can serve many words without holding all their layers.
     """
 
     def __init__(self, f, params):
@@ -155,8 +161,8 @@ class QWordEngine:
         a, b = params.alpha, params.beta
         # alpha = n/d and 1 - beta = (d' - n')/d', both in lowest terms
         terms = ((a.numerator, a.denominator, 1), (b.denominator - b.numerator, b.denominator, 0))
-        self._unit = math.lcm(a.denominator, b.denominator)  # D
-        self._terms = [(n * (self._unit // d), shift) for n, d, shift in terms if n]
+        self.unit = math.lcm(a.denominator, b.denominator)  # D
+        self._terms = [(n * (self.unit // d), shift) for n, d, shift in terms if n]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
         self._layers = {}  # word -> the layer of Q_word[0] applied to that of word[1:]
@@ -165,12 +171,37 @@ class QWordEngine:
         """The values (Q_word f)(x) at the given points (integer tuples), as
         Fractions."""
         word = tuple(word)
+        top = self._evaluate(word, points)
+        scale = self._scale * self.unit ** len(word)
+        return [Fraction(top[x], scale) for x in points]
+
+    def ints(self, requests):
+        """The stored ints of several words at their points, at one scale.
+
+        ``requests`` is a sequence of (word, points).  Every word is
+        evaluated before any is read, so no rescale falls between two of
+        them: the int of a word of length h at x is (Q_word f)(x) * S * D^h,
+        with the one S returned.  Returns S and, per request, the list of
+        ints at its points."""
+        requests = [(tuple(word), points) for word, points in requests]
+        tops = [self._evaluate(word, points) for word, points in requests]
+        return self._scale, [[top[x] for x in points] for top, (_, points) in zip(tops, requests)]
+
+    def keep(self, words):
+        """Drop every layer except those the given words read: their nonempty
+        suffixes.  f's table stays."""
+        wanted = {word[d:] for word in map(tuple, words) for d in range(len(word))}
+        self._layers = {word: layer for word, layer in self._layers.items() if word in wanted}
+
+    def _evaluate(self, word, points):
+        """Make sure (Q_word f) is stored at the given points; return the
+        table of the word's top layer (f's own table for the empty word)."""
         layers = []
         for d, letter in enumerate(word):
             layer = self._layers.get(word[d:])
             if layer is None:
                 a, period = (letter - 1, None) if letter else (0, self.params.L)
-                layer = self._layers[word[d:]] = _Reflection(a, period, self._unit, self._terms)
+                layer = self._layers[word[d:]] = _Reflection(a, period, self.unit, self._terms)
             layers.append(layer)
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}
@@ -183,8 +214,7 @@ class QWordEngine:
         self._read(missing)  # nonempty only when the plan reached f
         for layer, work, below in reversed(plans):
             layer.fill(*work, below)
-        top, scale = memos[0], self._scale * self._unit ** len(layers)
-        return [Fraction(top[x], scale) for x in points]
+        return memos[0]
 
     def _read(self, points):
         """Read f at the given points, none of them in the table yet, in one

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -114,34 +115,35 @@ def _suite(name, **pinned):
 def suite_hecke(params, window, seed):
     """Quadratic relations for all Q_i and braid/commutation relations.
 
-    Each relation evaluates its Q-words over the whole window through one
-    engine for f, dropped once the relation is checked."""
-    k, beta = params.k, params.beta
+    One engine for f serves every relation, each of which reads its words'
+    ints over the whole window at one scale S (a word of length h at
+    S * D^h), so the checks are int equalities.  With beta = b_n / b_d, the
+    quadratic relation Q_i^2 = (1 - beta) Q_i + beta reads
+    h b_d + (b_n - b_d) D g - b_n D^2 f = 0 for h, g, f the ints of Q_i^2 f,
+    Q_i f and f.  After each relation the engine drops the layers no later
+    relation reads, so it holds the single letters and one relation's
+    layers at a time."""
+    k = params.k
     f = random_rational_function("hecke-%s" % seed)
     points = list(window_points(k, window))
-    f_values = [f(x) for x in points]
-
-    for i in range(k):
-        engine = hecke.QWordEngine(f, params)
-        h = engine.values((i, i), points)
-        g = engine.values((i,), points)
-        detail = "quadratic relation fails for Q_%d" % i
-        for x, hx, gx, fx in zip(points, h, g, f_values):
-            yield x, hx + (beta - 1) * gx - beta * fx == 0, detail
-
+    engine = hecke.QWordEngine(f, params)
+    bn, bd, D = params.beta.numerator, params.beta.denominator, engine.unit
+    quadratic = lambda h, g, fx: h * bd + (bn - bd) * D * g - bn * D * D * fx == 0
+    relations = [(((i, i), (i,), ()), quadratic, "quadratic relation fails for Q_%d" % i)
+                 for i in range(k)]
     # braids of the letters adjacent on the affine Dynkin cycle (none for
     # k = 2), then commutation of those that are not
     adjacent = [(i, (i + 1) % k) for i in range(k)] if k >= 3 else []
     distant = [(i, j) for i, j in itertools.combinations(range(k), 2) if 1 < j - i < k - 1]
-    relations = [((i, j, i), (j, i, j), "braid relation fails for (Q_%d, Q_%d)" % (i, j))
-                 for i, j in adjacent]
-    relations += [((i, j), (j, i), "commutation fails for (Q_%d, Q_%d)" % (i, j))
+    relations += [(((i, j, i), (j, i, j)), operator.eq,
+                   "braid relation fails for (Q_%d, Q_%d)" % (i, j)) for i, j in adjacent]
+    relations += [(((i, j), (j, i)), operator.eq, "commutation fails for (Q_%d, Q_%d)" % (i, j))
                   for i, j in distant]
-    for lhs, rhs, detail in relations:
-        engine = hecke.QWordEngine(f, params)
-        left, right = engine.values(lhs, points), engine.values(rhs, points)
-        for x, lx, rx in zip(points, left, right):
-            yield x, lx == rx, detail
+    for n, (words, holds, detail) in enumerate(relations):
+        _, columns = engine.ints([(word, points) for word in words])
+        engine.keep(word for later, _, _ in relations[n + 1 :] for word in later)
+        for x, *ints in zip(points, *columns):
+            yield x, holds(*ints), detail
 
 
 @_suite("duality")
@@ -214,32 +216,44 @@ def suite_lemma_main(params, window, seed):
       = ((t_{v_sigma(i)} + (1-beta) sum_{j=1}^{d_i^+(x)} t_{v_{sigma(i)+j}}) Q_{w_x} f)(w_x x)
 
     with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
-    One Q-word engine for f serves both sides: G comes from one propagate_many
-    over the window and its neighbours, and the right-hand sides of the points
-    sharing a reduced word w_x take one engine call."""
+    Every point of the window and its neighbours is descended once; one
+    Q-word engine for f then hands out, at one scale S, the ints of each
+    reduced word w at the points both sides read it: G(f)(y) = (Q_{w_y} f)(w_y y)
+    for the left-hand side, and the points near w_x x for the right-hand side.
+    A check multiplies both sides by the denominators of alpha and 1 - beta
+    and brings each word of length h up to the check's largest length H with
+    D^(H - h), so it compares ints."""
     k, alpha, beta = params.k, params.alpha, params.beta
+    an, ad = alpha.numerator, alpha.denominator
+    cn, cd = (1 - beta).numerator, (1 - beta).denominator
     f = random_rational_function("lemma-%s" % seed)
     points = list(window_points(k, window))
-    engine = hecke.QWordEngine(f, params)
-    G = propagation.propagate_many(engine, _neighbourhood(points))
-    sides = []  # (x, i, w_x, lhs, the right-hand points, v_sigma(i) first), x-major
-    needed = {}  # w_x -> the right-hand points of every x with that reduced word
+    descents = {y: weyl.shortest_element(y, params) for y in _neighbourhood(points)}
+    needed = {}  # reduced word -> the points its Q-word is read at
+    for (_, wy), word in descents.values():
+        needed.setdefault(word, set()).add(wy)
+    sides = []  # (x, i, d_i^+(x), the right-hand points, v_sigma(i) first), x-major
     for x in points:
-        (sigma, wx), word = weyl.shortest_element(x, params)
+        (sigma, wx), word = descents[x]
         for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
-            lhs = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]
-            if dp and alpha != 0:
-                lhs -= alpha * dp * G[x]
             terms = dp + 1 if beta != 1 else 1  # at beta = 1 only t_{v_sigma(i)} is left
             slots = [(sigma[i - 1] + j) % k for j in range(terms)]
             ys = [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]
-            sides.append((x, i, word, lhs, ys))
-            needed.setdefault(word, []).extend(ys)
-    Q = {word: dict(zip(ys, engine.values(word, ys))) for word, ys in needed.items()}
-    for x, i, word, lhs, (y, *rest) in sides:
-        q = Q[word]
-        ok = lhs == q[y] + (1 - beta) * sum(q[z] for z in rest)
-        yield x, ok, "lemma identity fails for i = %d" % i
+            sides.append((x, i, dp, ys))
+            needed[word].update(ys)
+    requests = [(word, list(ys)) for word, ys in needed.items()]
+    engine = hecke.QWordEngine(f, params)
+    _, columns = engine.ints(requests)
+    Q = {word: dict(zip(ys, column)) for (word, ys), column in zip(requests, columns)}
+    D = engine.unit
+    for x, i, dp, (y, *rest) in sides:
+        (_, wx), word = descents[x]
+        (_, wl), left_word = descents[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
+        q, h, hl = Q[word], len(word), len(left_word)
+        H = max(h, hl)
+        lhs = ad * cd * D ** (H - hl) * Q[left_word][wl] - an * cd * dp * D ** (H - h) * q[wx]
+        rhs = D ** (H - h) * (ad * cd * q[y] + ad * cn * sum(q[z] for z in rest))
+        yield x, lhs == rhs, "lemma identity fails for i = %d" % i
 
 
 @_suite("theorem")

@@ -31,20 +31,37 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
     params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
     clean = verify.run_suite("hecke", params, 1, 0)
     assert clean["failures"] == []
-    values = hecke.QWordEngine.values
-
-    def corrupted(self, word, points):
-        out = values(self, word, points)
-        if tuple(word) == (0, 1, 0):
-            out[0] += 1  # one wrong Q-word value, at the first window point
-        return out
-
-    monkeypatch.setattr(hecke.QWordEngine, "values", corrupted)
+    # one wrong Q-word value, at the first window point
+    _corrupt_one_value(monkeypatch, (0, 1, 0), (-1, -1, -1))
     report = verify.run_suite("hecke", params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
     assert report["failures"] == [
         {"x": [-1, -1, -1], "detail": "braid relation fails for (Q_0, Q_1)"}
     ]
+
+
+def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
+    # the shared engine drops, after each relation, the layers no later
+    # relation reads: it never holds more than the single letters and the
+    # layers of the relation it is reading
+    params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+    letters = {(a,) for a in range(4)}
+    ints = hecke.QWordEngine.ints
+    held = []  # per read: (the layers of its own words, the layers held after it)
+
+    def recording(self, requests):
+        requests = [(tuple(word), list(points)) for word, points in requests]
+        out = ints(self, requests)
+        held.append(({word[d:] for word, _ in requests for d in range(len(word))},
+                     set(self._layers)))
+        return out
+
+    monkeypatch.setattr(hecke.QWordEngine, "ints", recording)
+    report = verify.run_suite("hecke", params, 1, 0)
+    assert report["failures"] == []
+    assert len(held) == 4 + 4 + 2  # quadratic relations, braids, commutations
+    for own, layers in held:
+        assert layers <= letters | own
 
 
 def test_d_change_suite_detects_injected_defect(monkeypatch):
@@ -111,16 +128,27 @@ def test_w_invariance_suite_detects_injected_defect(monkeypatch):
 
 
 def _corrupt_one_value(monkeypatch, target_word, target_point):
-    """Make every engine report (Q_word f)(point) off by one at one word and point."""
-    values = hecke.QWordEngine.values
+    """Make every engine hand out (Q_word f)(point) off by one at one word and
+    point: as a Fraction from ``values``, and as an int, one unit of its
+    scale, from ``ints``."""
+    values, ints = hecke.QWordEngine.values, hecke.QWordEngine.ints
 
-    def corrupted(self, word, points):
-        points = list(points)
-        out = values(self, word, points)
+    def bump(word, points, out):
         return [v + 1 if tuple(word) == target_word and x == target_point else v
                 for x, v in zip(points, out)]
 
-    monkeypatch.setattr(hecke.QWordEngine, "values", corrupted)
+    def corrupted_values(self, word, points):
+        points = list(points)
+        return bump(word, points, values(self, word, points))
+
+    def corrupted_ints(self, requests):
+        requests = [(word, list(points)) for word, points in requests]
+        scale, columns = ints(self, requests)
+        return scale, [bump(word, points, column)
+                       for (word, points), column in zip(requests, columns)]
+
+    monkeypatch.setattr(hecke.QWordEngine, "values", corrupted_values)
+    monkeypatch.setattr(hecke.QWordEngine, "ints", corrupted_ints)
 
 
 @pytest.mark.parametrize(
@@ -144,6 +172,9 @@ def _corrupt_one_value(monkeypatch, target_word, target_point):
             {"x": [0, 1, -1], "detail": "lemma identity fails for i = 2"},
             {"x": [1, 0, -1], "detail": "lemma identity fails for i = 3"},
         ]),
+        # Q_1 f at one window point, read only by the quadratic relation for Q_1
+        ("hecke", (1,), (1, 0, -1),
+         [{"x": [1, 0, -1], "detail": "quadratic relation fails for Q_1"}]),
     ],
 )
 def test_batched_suites_name_a_corrupted_value(monkeypatch, suite, word, point, failure):
