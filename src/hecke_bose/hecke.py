@@ -136,16 +136,14 @@ class QWordEngine:
     All arithmetic is on Python ints.  f is read once per point, into a
     table of the ints f(x) * S with S the least common multiple of the
     denominators read so far; a layer of height h holds its values and line
-    sums as ints over S * D^h, with D = ``unit`` the common denominator of
-    alpha and 1 - beta.  When a read brings a new denominator, S grows by a
-    factor m and every stored int is multiplied by m.  So alpha, beta and the
-    values of f must be rationals (ints or Fractions).
-
-    There are two reads.  ``values`` returns Fractions, one word at a time.
-    ``ints`` hands out the stored ints of several words at one S, so a check
-    can compare words by cross-multiplying with powers of D and build no
-    Fraction; ``keep`` drops the layers that later reads will not need, so
-    one engine can serve many words without holding all their layers.
+    sums as ints over S * D^h, with D the common denominator of alpha and
+    1 - beta.  When a read brings a new denominator, S grows by a factor m
+    and every stored int is multiplied by m.  So alpha, beta and the values
+    of f must be rationals (ints or Fractions).  S and D stay inside the
+    engine: ``ints`` hands out every word at one scale T, and ``values``
+    divides by it.  ``keep`` drops the layers that later reads will not
+    need, so one engine can serve many words without holding all their
+    layers.
     """
 
     def __init__(self, f, params):
@@ -161,8 +159,8 @@ class QWordEngine:
         a, b = params.alpha, params.beta
         # alpha = n/d and 1 - beta = (d' - n')/d', both in lowest terms
         terms = ((a.numerator, a.denominator, 1), (b.denominator - b.numerator, b.denominator, 0))
-        self.unit = math.lcm(a.denominator, b.denominator)  # D
-        self._terms = [(n * (self.unit // d), shift) for n, d, shift in terms if n]
+        self._unit = math.lcm(a.denominator, b.denominator)  # D
+        self._terms = [(n * (self._unit // d), shift) for n, d, shift in terms if n]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
         self._layers = {}  # word -> the layer of Q_word[0] applied to that of word[1:]
@@ -170,22 +168,25 @@ class QWordEngine:
     def values(self, word, points):
         """The values (Q_word f)(x) at the given points (integer tuples), as
         Fractions."""
-        word = tuple(word)
-        top = self._evaluate(word, points)
-        scale = self._scale * self.unit ** len(word)
-        return [Fraction(top[x], scale) for x in points]
+        scale, (column,) = self.ints([(word, points)])
+        return [Fraction(v, scale) for v in column]
 
     def ints(self, requests):
-        """The stored ints of several words at their points, at one scale.
+        """The values of several words at their points, as ints at one scale.
 
         ``requests`` is a sequence of (word, points).  Every word is
         evaluated before any is read, so no rescale falls between two of
-        them: the int of a word of length h at x is (Q_word f)(x) * S * D^h,
-        with the one S returned.  Returns S and, per request, the list of
-        ints at its points."""
+        them.  Returns T and, per request, the list of the ints
+        (Q_word f)(x) * T at its points: T = S * D^H, with H the length of
+        the longest requested word, and ``ints([])`` returns (S, [])."""
         requests = [(tuple(word), points) for word, points in requests]
         tops = [self._evaluate(word, points) for word, points in requests]
-        return self._scale, [[top[x] for x in points] for top, (_, points) in zip(tops, requests)]
+        height = max((len(word) for word, _ in requests), default=0)
+        columns = []
+        for top, (word, points) in zip(tops, requests):
+            m = self._unit ** (height - len(word))  # a word of length h is stored at S * D^h
+            columns.append([top[x] * m for x in points])
+        return self._scale * self._unit**height, columns
 
     def keep(self, words):
         """Drop every layer except those the given words read: their nonempty
@@ -201,7 +202,7 @@ class QWordEngine:
             layer = self._layers.get(word[d:])
             if layer is None:
                 a, period = (letter - 1, None) if letter else (0, self.params.L)
-                layer = self._layers[word[d:]] = _Reflection(a, period, self.unit, self._terms)
+                layer = self._layers[word[d:]] = _Reflection(a, period, self._unit, self._terms)
             layers.append(layer)
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}

@@ -14,21 +14,25 @@ def propagate(f, params):
     """G(f)(x) = (Q_{w_x} f)(w_x x), with w_x the shortest element moving x
     into the dominant chamber.  On dominant points G(f) agrees with f."""
     engine = QWordEngine(f, params)
-    return functools.cache(lambda x: propagate_many(engine, (x,))[x])
+
+    def G(x):
+        scale, values = propagate_many(engine, (x,))
+        return Fraction(values[x], scale)
+
+    return functools.cache(G)
 
 
 def propagate_many(engine, points):
-    """G(f) at many points, as {x: G(f)(x)}.  The points are grouped by their
-    reduced word w_x, and each group takes one engine call."""
+    """G(f) at many points as ints at one scale: T and {x: G(f)(x) * T}.
+    The points are grouped by their reduced word w_x, and the groups take
+    one engine read."""
     groups = {}  # w_x -> [(x, w_x x)]
     for x in points:
         (_, wx), word = weyl.shortest_element(x, engine.params)
         groups.setdefault(word, []).append((x, wx))
-    values = {}
-    for word, pairs in groups.items():
-        xs, moved = zip(*pairs)
-        values.update(zip(xs, engine.values(word, moved)))
-    return values
+    scale, columns = engine.ints((word, [wx for _, wx in pairs]) for word, pairs in groups.items())
+    return scale, {x: v for pairs, column in zip(groups.values(), columns)
+                   for (x, _), v in zip(pairs, column)}
 
 
 def plane_wave(p):

@@ -116,19 +116,18 @@ def suite_hecke(params, window, seed):
     """Quadratic relations for all Q_i and braid/commutation relations.
 
     One engine for f serves every relation, each of which reads its words'
-    ints over the whole window at one scale S (a word of length h at
-    S * D^h), so the checks are int equalities.  With beta = b_n / b_d, the
-    quadratic relation Q_i^2 = (1 - beta) Q_i + beta reads
-    h b_d + (b_n - b_d) D g - b_n D^2 f = 0 for h, g, f the ints of Q_i^2 f,
-    Q_i f and f.  After each relation the engine drops the layers no later
-    relation reads, so it holds the single letters and one relation's
-    layers at a time."""
+    ints over the whole window at one scale, so the checks are int
+    equalities.  With beta = b_n / b_d, the quadratic relation
+    Q_i^2 = (1 - beta) Q_i + beta reads h b_d = (b_d - b_n) g + b_n f for
+    h, g, f the ints of Q_i^2 f, Q_i f and f.  After each relation the
+    engine drops the layers no later relation reads, so it holds the single
+    letters and one relation's layers at a time."""
     k = params.k
     f = random_rational_function("hecke-%s" % seed)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(f, params)
-    bn, bd, D = params.beta.numerator, params.beta.denominator, engine.unit
-    quadratic = lambda h, g, fx: h * bd + (bn - bd) * D * g - bn * D * D * fx == 0
+    bn, bd = params.beta.numerator, params.beta.denominator
+    quadratic = lambda h, g, fx: h * bd == (bd - bn) * g + bn * fx
     relations = [(((i, i), (i,), ()), quadratic, "quadratic relation fails for Q_%d" % i)
                  for i in range(k)]
     # braids of the letters adjacent on the affine Dynkin cycle (none for
@@ -216,53 +215,47 @@ def suite_lemma_main(params, window, seed):
       = ((t_{v_sigma(i)} + (1-beta) sum_{j=1}^{d_i^+(x)} t_{v_{sigma(i)+j}}) Q_{w_x} f)(w_x x)
 
     with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
-    Every point of the window and its neighbours is descended once; one
-    Q-word engine for f then hands out, at one scale S, the ints of each
-    reduced word w at the points both sides read it: G(f)(y) = (Q_{w_y} f)(w_y y)
-    for the left-hand side, and the points near w_x x for the right-hand side.
-    A check multiplies both sides by the denominators of alpha and 1 - beta
-    and brings each word of length h up to the check's largest length H with
-    D^(H - h), so it compares ints."""
+    One Q-word engine for f serves both sides: ``propagate_many`` gives G(f)
+    on the window and its neighbours as ints at one scale T_G, and one read
+    gives each w_x at the points near w_x x as ints at one scale T_Q.  A
+    check multiplies the left-hand side by T_Q, the right-hand side by T_G
+    and both by the denominators of alpha and 1 - beta, so it compares
+    ints."""
     k, alpha, beta = params.k, params.alpha, params.beta
     an, ad = alpha.numerator, alpha.denominator
     cn, cd = (1 - beta).numerator, (1 - beta).denominator
     f = random_rational_function("lemma-%s" % seed)
     points = list(window_points(k, window))
-    descents = {y: weyl.shortest_element(y, params) for y in _neighbourhood(points)}
-    needed = {}  # reduced word -> the points its Q-word is read at
-    for (_, wy), word in descents.values():
-        needed.setdefault(word, set()).add(wy)
-    sides = []  # (x, i, d_i^+(x), the right-hand points, v_sigma(i) first), x-major
+    engine = hecke.QWordEngine(f, params)
+    scale_g, G = propagation.propagate_many(engine, _neighbourhood(points))
+    needed = {}  # w_x -> the points near w_x x that the right-hand sides read
+    sides = []  # (x, i, d_i^+(x), w_x, the right-hand points, v_sigma(i) first), x-major
     for x in points:
-        (sigma, wx), word = descents[x]
+        (sigma, wx), word = weyl.shortest_element(x, params)
         for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
             terms = dp + 1 if beta != 1 else 1  # at beta = 1 only t_{v_sigma(i)} is left
             slots = [(sigma[i - 1] + j) % k for j in range(terms)]
             ys = [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]
-            sides.append((x, i, dp, ys))
-            needed[word].update(ys)
+            sides.append((x, i, dp, word, ys))
+            needed.setdefault(word, set()).update(ys)
     requests = [(word, list(ys)) for word, ys in needed.items()]
-    engine = hecke.QWordEngine(f, params)
-    _, columns = engine.ints(requests)
+    scale_q, columns = engine.ints(requests)
     Q = {word: dict(zip(ys, column)) for (word, ys), column in zip(requests, columns)}
-    D = engine.unit
-    for x, i, dp, (y, *rest) in sides:
-        (_, wx), word = descents[x]
-        (_, wl), left_word = descents[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
-        q, h, hl = Q[word], len(word), len(left_word)
-        H = max(h, hl)
-        lhs = ad * cd * D ** (H - hl) * Q[left_word][wl] - an * cd * dp * D ** (H - h) * q[wx]
-        rhs = D ** (H - h) * (ad * cd * q[y] + ad * cn * sum(q[z] for z in rest))
+    for x, i, dp, word, (y, *rest) in sides:
+        q, left = Q[word], G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
+        lhs = scale_q * cd * (ad * left - an * dp * G[x])
+        rhs = scale_g * ad * (cd * q[y] + cn * sum(q[z] for z in rest))
         yield x, lhs == rhs, "lemma identity fails for i = %d" % i
 
 
 @_suite("theorem")
 def suite_theorem(params, window, seed):
-    """H G(g_p) = (sum p_i) G(g_p) for a random rational plane wave, exactly."""
+    """H G(g_p) = (sum p_i) G(g_p) for a random rational plane wave, exactly.
+    H is linear, so the suite applies it to G's ints at their one scale."""
     p = random_distinct_fractions(random.Random("theorem-%s" % seed), params.k)
     points = list(window_points(params.k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
-    G = propagation.propagate_many(engine, _neighbourhood(points))
+    _, G = propagation.propagate_many(engine, _neighbourhood(points))
     lam = sum(p)
     detail = "eigenfunction identity fails, p = %s" % (p,)
     for x in points:

@@ -485,8 +485,7 @@ def _cli_argv(draw):
     count = draw(st.one_of(st.just(k), st.integers(1, 5)))
     argv = [command, "--k", str(k), "--L", str(draw(st.integers(0, 5))),
             "--alpha=" + draw(_rationals), "--beta=" + draw(_rationals),
-            # window 2 at k = 4 takes a second per lemma-main or theorem run
-            "--window", str(draw(st.integers(0, 2 if k < 4 else 1)))]
+            "--window", str(draw(st.integers(0, 2)))]
     if command == "verify":
         suite = draw(st.sampled_from(verify.SUITES))
         return argv[:1] + [suite] + argv[1:] + ["--seed", str(draw(st.integers(0, 9)))]

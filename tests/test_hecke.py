@@ -353,30 +353,30 @@ def test_engine_rescales_every_layer_of_the_table():
 
 
 def test_engine_hands_out_ints_of_several_words_at_one_scale():
-    # the second word's far reads bring denominators the first word's did
-    # not: both words are evaluated before either is read, so the ints of
-    # both sit at one S, with a word of length h at S * D^h
+    # one request mixes words of lengths 0, 1 and 2, and the far reads of the
+    # longest bring denominators the others' reads did not: every word is
+    # evaluated before any is read, and all come out at one T = S * D^2, with
+    # S the lcm of the denominators read
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     D = 12  # the lcm of the denominators of alpha = -2/3 and 1 - beta = -1/4
     plain = cache(_far_denominators("ints"))
     near = list(window(2, 1))
     far = [(9, -8), (-7, 10), (12, 3)]
-    first, second = ((1,), near), ((0, 1), far)
+    requests = [((), near), ((1,), near), ((0, 1), far)]
     alone = Counter()
-    QWordEngine(_far_denominators("ints", alone), params).values(*first)
+    QWordEngine(_far_denominators("ints", alone), params).ints(requests[:2])
     first_scale = math.lcm(*(plain(x).denominator for x in alone))
 
     reads = Counter()
     engine = QWordEngine(_far_denominators("ints", reads), params)
-    assert engine.unit == D
-    scale, columns = engine.ints([first, second])
-    assert scale == math.lcm(*(plain(x).denominator for x in reads))
-    assert scale != first_scale
-    for (word, points), column in zip([first, second], columns):
-        at = scale * D ** len(word)
+    scale, columns = engine.ints(requests)
+    S = math.lcm(*(plain(x).denominator for x in reads))
+    assert S != first_scale
+    assert scale == S * D**2
+    for (word, points), column in zip(requests, columns):
         oracle = _explicit_word(word, plain, params)
-        assert column == [v * at for v in engine.values(word, points)]
-        assert column == [oracle(x) * at for x in points]
+        assert column == [oracle(x) * scale for x in points]
+    assert engine.ints([]) == (S, [])
     assert set(reads.values()) == {1}
 
 

@@ -129,25 +129,17 @@ def test_w_invariance_suite_detects_injected_defect(monkeypatch):
 
 def _corrupt_one_value(monkeypatch, target_word, target_point):
     """Make every engine hand out (Q_word f)(point) off by one at one word and
-    point: as a Fraction from ``values``, and as an int, one unit of its
-    scale, from ``ints``."""
-    values, ints = hecke.QWordEngine.values, hecke.QWordEngine.ints
-
-    def bump(word, points, out):
-        return [v + 1 if tuple(word) == target_word and x == target_point else v
-                for x, v in zip(points, out)]
-
-    def corrupted_values(self, word, points):
-        points = list(points)
-        return bump(word, points, values(self, word, points))
+    point: its int from ``ints`` one whole unit of the read's scale T off, so
+    the Fractions of ``values`` are off by one as well."""
+    ints = hecke.QWordEngine.ints
 
     def corrupted_ints(self, requests):
         requests = [(word, list(points)) for word, points in requests]
         scale, columns = ints(self, requests)
-        return scale, [bump(word, points, column)
+        return scale, [[v + scale if tuple(word) == target_word and x == target_point else v
+                        for x, v in zip(points, column)]
                        for (word, points), column in zip(requests, columns)]
 
-    monkeypatch.setattr(hecke.QWordEngine, "values", corrupted_values)
     monkeypatch.setattr(hecke.QWordEngine, "ints", corrupted_ints)
 
 
@@ -175,6 +167,12 @@ def _corrupt_one_value(monkeypatch, target_word, target_point):
         # Q_1 f at one window point, read only by the quadratic relation for Q_1
         ("hecke", (1,), (1, 0, -1),
          [{"x": [1, 0, -1], "detail": "quadratic relation fails for Q_1"}]),
+        # G(g_p) at the neighbour (-2, -1, 1) of x = (-1, -1, 1), read only by H there
+        ("theorem", (0, 1, 2, 1), (0, -1, -1), [{
+            "x": [-1, -1, 1],
+            "detail": "eigenfunction identity fails, p = "
+                      "(Fraction(4, 1), Fraction(1, 5), Fraction(-3, 2))",
+        }]),
     ],
 )
 def test_batched_suites_name_a_corrupted_value(monkeypatch, suite, word, point, failure):
