@@ -9,7 +9,9 @@ import math
 import types
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
+from numbers import Rational
 
 from . import weyl
 
@@ -290,16 +292,56 @@ def _sum_terms(terms, z, exps):
     return total
 
 
-def _wave_terms(p, alpha, beta):
-    """The terms (sigma, sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)):
-    the factor of a pair (a, b) is negated when a > b, so every inversion of
-    sigma flips the sign once."""
+def _symmetrizer(pair, z):
+    """exps -> sum_sigma prod_{i<j} pair[sigma(i)][sigma(j)] prod_i z_{sigma(i)}^{exps_i}
+    for a k x k table of pair factors (its diagonal is not read) and k variables
+    z, at integer exponent tuples of length k.  The k! coefficients are computed
+    once, here.
+
+    When every pair factor and every z_i is rational (ints included), the sum
+    runs in ints: the pair table over one common denominator D_p, so the
+    coefficients are ints over D_p^(k(k-1)/2); z_i = m_i / D_z; the exponents
+    shifted by u = min(0, min(exps)) to be nonnegative.  Each value is then one
+    exact Fraction, total / (D_p^(k(k-1)/2) D_z^(sum e)) times (prod z)^u.
+    Otherwise the sum runs in the arithmetic of the inputs."""
+    k = len(z)
+    off = [pair[a][b] for a, b in permutations(range(k), 2)]
+    if not all(isinstance(v, Rational) for v in off + list(z)):
+        terms = _symmetrized_terms(pair)
+        return lambda exps: _sum_terms(terms, z, exps)
+    d_p = math.lcm(*(v.denominator for v in off))
+    terms = _symmetrized_terms(
+        [[v.numerator * (d_p // v.denominator) if a != b else None for b, v in enumerate(row)]
+         for a, row in enumerate(pair)]
+    )
+    d_terms = d_p ** (k * (k - 1) // 2)
+    d_z = math.lcm(*(v.denominator for v in z))
+    m = [v.numerator * (d_z // v.denominator) for v in z]
+    # prod z = prod m / D_z^k
+    prod_m, d_prod = math.prod(m), d_z ** k
+
+    def value(exps):
+        u = min((0, *exps))
+        e = [n - u for n in exps]
+        num, den = _sum_terms(terms, m, e), d_terms * d_z ** sum(e)
+        if u:
+            num, den = num * d_prod ** -u, den * prod_m ** -u
+        return Fraction(num, den)
+
+    return value
+
+
+def _wave_pairs(p, alpha, beta):
+    """The pair factors (beta p_a - p_b - alpha) of h_p, the factor of a pair
+    (a, b) negated when a > b, so every inversion of sigma flips the sign once:
+    the symmetrized coefficients are sgn(sigma) prod_{i<j} (beta p_{sigma(i)}
+    - p_{sigma(j)} - alpha)."""
     k = len(p)
     pair = [[beta * p[a] - p[b] - alpha for b in range(k)] for a in range(k)]
     for a in range(k):
         for b in range(a):
             pair[a][b] = -pair[a][b]
-    return _symmetrized_terms(pair)
+    return pair
 
 
 def bethe_wave(p, x, params):
@@ -311,10 +353,12 @@ def bethe_wave_function(p, params):
     """h_p: sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
     prod_i p_{sigma(i)}^{-x_i} on the dominant chamber, Weyl-invariant, as a
     memoizing lattice function.  The k! coefficients are computed once, here, and
-    the k! sum once per W-orbit: an inner memo is keyed on the dominant point."""
+    the k! sum once per W-orbit: an inner memo is keyed on the dominant point.
+    At rational p and couplings (ints included) the sum runs in ints over one
+    common denominator and each value is one exact Fraction (see _symmetrizer)."""
     p = tuple(p)
-    terms = _wave_terms(p, params.alpha, params.beta)
-    on_dominant = functools.cache(lambda y: _sum_terms(terms, p, [-e for e in y]))
+    sym = _symmetrizer(_wave_pairs(p, params.alpha, params.beta), p)
+    on_dominant = functools.cache(lambda y: sym([-e for e in y]))
     return functools.cache(lambda x: on_dominant(weyl.dominant_point(x, params)))
 
 
@@ -324,6 +368,8 @@ def hall_littlewood_R(lam, z, t):
     prod_i z_{sigma(i)}^{lambda_i}.
 
     Accepts any integer exponent tuple of length <= k (padded with zeros).
+    At rational z and t (ints included) the value is one exact Fraction, summed
+    in ints over one common denominator (see _hl_R).
     """
     z = tuple(z)
     k = len(z)
@@ -335,8 +381,11 @@ def hall_littlewood_R(lam, z, t):
 
 def _hl_R(z, t):
     """lambda -> R_lambda(z; t) at fixed z and t, for exponent tuples of length
-    k.  The k! coefficients are computed once, here."""
+    k.  The k! coefficients are computed once, here.  At rational z and t the
+    pair factors are exact Fractions, so each R_lambda is summed in ints over
+    one common denominator and comes back as one Fraction (see _symmetrizer)."""
     k = len(z)
+    exact = all(isinstance(v, Rational) for v in (*z, t))
     pair = [[None] * k for _ in range(k)]
     for a in range(k):
         for b in range(k):
@@ -344,9 +393,9 @@ def _hl_R(z, t):
                 continue
             if z[a] == z[b]:
                 raise ValueError("coincident variables z_%d = z_%d" % (a + 1, b + 1))
-            pair[a][b] = (z[a] - t * z[b]) / (z[a] - z[b])
-    terms = _symmetrized_terms(pair)
-    return lambda exps: _sum_terms(terms, z, exps)
+            num = z[a] - t * z[b]
+            pair[a][b] = (Fraction(num) if exact else num) / (z[a] - z[b])
+    return _symmetrizer(pair, z)
 
 
 def hall_littlewood_P(lam, z, t):

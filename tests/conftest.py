@@ -2,9 +2,11 @@
 them the affine roots, the affine Weyl group as elements with their product,
 inverse and action on points and functions, the element of a word, the Laurent
 polynomial ring with the affine Weyl action on exponents, the undeformed
-Hamiltonian, d_i^-, and the Bethe residual/Jacobian/elimination as loops)."""
+Hamiltonian, d_i^-, the Bethe residual/Jacobian/elimination as loops, and
+the symmetrized sums of h_p and R_lambda term by term)."""
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cache
@@ -379,6 +381,48 @@ def loop_solve(jac, res):
         row = rows[i]
         x[i] = (row[k] - sum(row[j] * x[j] for j in range(i + 1, k))) / row[i]
     return x
+
+
+# -- the symmetrized sums term by term ----------------------------------------
+#
+# bethe.py sums a rational symmetrization in ints over one common denominator;
+# these are the sums as it made them before, each term in the inputs' own
+# arithmetic (Fractions at rational inputs).  They are the oracle that the int
+# sums must equal exactly and the complex sums bit for bit.
+
+
+def symmetrized_terms(pair):
+    """The k! pairs (sigma, prod_{i<j} pair[sigma(i)][sigma(j)]) of a k x k
+    table of pair factors, sigma in lexicographic order."""
+    k = len(pair)
+    ij = list(itertools.combinations(range(k), 2))
+    sigmas = itertools.permutations(range(k))
+    return [(s, math.prod(pair[s[i]][s[j]] for i, j in ij)) for s in sigmas]
+
+
+def sum_terms(terms, z, exps):
+    """sum over (sigma, coef) in terms of coef * prod_i z_{sigma(i)}^{exps_i},
+    from one k x k table of powers."""
+    powers = [[v ** e for v in z] for e in exps]
+    total = 0
+    for sigma, coef in terms:
+        mono = 1
+        for row, s in zip(powers, sigma):
+            mono *= row[s]
+        total += coef * mono
+    return total
+
+
+def symmetrized_sum(pair, z, exps):
+    """sum_sigma prod_{i<j} pair[sigma(i)][sigma(j)] prod_i z_{sigma(i)}^{exps_i}."""
+    return sum_terms(symmetrized_terms(pair), z, exps)
+
+
+def hl_pairs(z, t):
+    """R_lambda's pair factors (z_a - t z_b)/(z_a - z_b), None on the diagonal."""
+    k = len(z)
+    return [[None if a == b else (z[a] - t * z[b]) / (z[a] - z[b]) for b in range(k)]
+            for a in range(k)]
 
 
 def seeded(name):

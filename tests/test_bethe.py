@@ -13,13 +13,17 @@ import pytest
 
 from conftest import (
     act,
+    hl_pairs,
     loop_bethe_system,
     loop_solve,
     monomial_symmetric,
     pi_element,
     rand_distinct_fractions,
+    rand_fraction,
+    rand_params_pair,
     schur,
     simple_reflection_element,
+    symmetrized_sum,
     window,
 )
 from hecke_bose import bethe, verify, weyl
@@ -121,7 +125,8 @@ def test_wave_weyl_invariance():
 @pytest.mark.parametrize("k, L", [(3, 5), (4, 7)])
 def test_wave_sums_once_per_orbit(monkeypatch, k, L):
     # h_p reads x only through its dominant point, so the k! signed sum runs
-    # once per W-orbit, and every point of an orbit gets the very same value
+    # once per W-orbit, at the exponents -y of the orbit's dominant point y,
+    # and every point of an orbit gets the very same value
     params = Params(k, L, Fraction(-1, 2), Fraction(3, 4))
     pi = pi_element(k, L)
     points = set()
@@ -130,14 +135,19 @@ def test_wave_sums_once_per_orbit(monkeypatch, k, L):
         points.add(act(pi, x))
         points.update(tuple(v - (j == i) for j, v in enumerate(x)) for i in range(k))
     dominant = {x: weyl.dominant_point(x, params) for x in points}
-    real = bethe._sum_terms
+    real = bethe._symmetrizer
     calls = []
 
-    def counting(terms, z, exps):
-        calls.append(tuple(exps))
-        return real(terms, z, exps)
+    def counting(pair, z):
+        sym = real(pair, z)
 
-    monkeypatch.setattr(bethe, "_sum_terms", counting)
+        def value(exps):
+            calls.append(tuple(exps))
+            return sym(exps)
+
+        return value
+
+    monkeypatch.setattr(bethe, "_symmetrizer", counting)
     rng = random.Random(k * 100 + L)
     for p in (seed_roots_of_unity(range(k), L), rand_distinct_fractions(rng, k)):
         calls.clear()
@@ -452,6 +462,90 @@ def test_bethe_wave_function_matches_reference_exactly():
             value = h(x)
             assert type(value) is type(expected)
             assert value == expected
+
+
+def _exponent_tuples(rng, k):
+    """Exponent tuples with negative, zero and positive entries, and tuples of
+    one sign."""
+    yield (0,) * k
+    yield tuple(range(k))
+    yield tuple(-1 - i for i in range(k))
+    yield (-2,) + (0,) * (k - 2) + (3,)
+    for _ in range(8):
+        yield tuple(rng.randint(-4, 4) for _ in range(k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_int_symmetrizer_matches_the_fraction_sum(k):
+    # the int sums over one common denominator give the Fraction the
+    # term-by-term sum gives, whatever the signs of the exponents
+    rng = random.Random("symmetrizer-%d" % k)
+    p = rand_distinct_fractions(rng, k)
+    alpha, beta = rand_params_pair(rng)
+    z = rand_distinct_fractions(rng, k)
+    t = rand_fraction(rng)
+    # alpha = beta p_1 - p_2 makes the pair factor of (1, 2) vanish
+    wave_zero = bethe._wave_pairs(p, beta * p[0] - p[1], beta)
+    assert wave_zero[0][1] == 0
+    z_zero = (Fraction(0),) + z[1:]
+    # (pair table, variables, the evaluator built on them, negative exponents)
+    cases = [
+        (bethe._wave_pairs(p, alpha, beta), p, None, True),
+        (wave_zero, p, None, True),
+        (hl_pairs(z, t), z, bethe._hl_R(z, t), True),
+        # a zero z_i takes no negative power
+        (hl_pairs(z_zero, t), z_zero, bethe._hl_R(z_zero, t), False),
+    ]
+    for pair, zs, built, negative in cases:
+        for sym in filter(None, (bethe._symmetrizer(pair, zs), built)):
+            for exps in _exponent_tuples(rng, k):
+                if not negative:
+                    exps = tuple(map(abs, exps))
+                expected, value = symmetrized_sum(pair, zs, exps), sym(exps)
+                assert type(value) is Fraction and type(expected) is Fraction
+                assert value == expected, (pair, zs, exps)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_complex_symmetrizer_is_the_term_by_term_sum(k):
+    # complex inputs are summed term by term as before, bit for bit
+    def bits(v):
+        return v.real.hex(), v.imag.hex()
+
+    rng = random.Random("complex-symmetrizer-%d" % k)
+    p = tuple(complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for _ in range(k))
+    alpha, beta = rand_params_pair(rng)
+    for a, b in ((alpha, beta), (complex(alpha), complex(beta))):
+        pair = bethe._wave_pairs(p, a, b)
+        sym = bethe._symmetrizer(pair, p)
+        for exps in _exponent_tuples(rng, k):
+            value, expected = sym(exps), symmetrized_sum(pair, p, exps)
+            assert type(value) is complex and bits(value) == bits(expected)
+    t = complex(0.25, -0.5)
+    R = bethe._hl_R(p, t)
+    for exps in _exponent_tuples(rng, k):
+        value, expected = R(exps), symmetrized_sum(hl_pairs(p, t), p, exps)
+        assert type(value) is complex and bits(value) == bits(expected)
+
+
+def test_int_inputs_give_the_fractions_of_equal_fraction_inputs():
+    # ints are rational: they take the exact path, and never int ** negative
+    # or int / int
+    as_fractions = lambda v: tuple(map(Fraction, v))
+    for k, L, alpha, beta, p in [(2, 3, Fraction(1, 2), Fraction(2), (2, 3)),
+                                 (3, 4, 1, -2, (1, -3, 5))]:
+        h = bethe_wave_function(p, Params(k, L, alpha, beta))
+        exact = bethe_wave_function(as_fractions(p), Params(k, L, Fraction(alpha), Fraction(beta)))
+        for x in window(k, 2):
+            assert type(h(x)) is Fraction and h(x) == exact(x)
+    h = bethe_wave_function((2, 3), Params(2, 3, Fraction(1, 2), Fraction(2)))
+    assert h((1, 0)) == Fraction(-11, 12)
+    z, t = (2, 3, -1), 0
+    for lam in [(1, 0), (2, 1), (3, 1, 1), (0, 0, 0)]:
+        for f in (hall_littlewood_R, hall_littlewood_P):
+            value = f(lam, z, t)
+            assert type(value) is Fraction and value == f(lam, as_fractions(z), Fraction(t))
+    assert hall_littlewood_R((1, 0), (2, 3), 0) == hall_littlewood_P((1, 0), (2, 3), 0) == 5
 
 
 def test_residual_exact_on_rational_p():
