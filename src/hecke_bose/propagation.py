@@ -16,23 +16,24 @@ def propagate(f, params):
     engine = QWordEngine(f, params)
 
     def G(x):
-        scale, values = propagate_many(engine, (x,))
+        scale, values, _ = propagate_many(engine, (x,))
         return Fraction(values[x], scale)
 
     return functools.cache(G)
 
 
 def propagate_many(engine, points):
-    """G(f) at many points as ints at one scale: T and {x: G(f)(x) * T}.
+    """G(f) at many points as ints at one scale: T, {x: G(f)(x) * T} and the
+    descents {x: weyl.shortest_element(x)} it read w_x and w_x x from.
     The points are grouped by their reduced word w_x, and the groups take
     one engine read."""
+    descents = {x: weyl.shortest_element(x, engine.params) for x in points}
     groups = {}  # w_x -> [(x, w_x x)]
-    for x in points:
-        (_, wx), word = weyl.shortest_element(x, engine.params)
+    for x, ((_, wx), word) in descents.items():
         groups.setdefault(word, []).append((x, wx))
     scale, columns = engine.ints((word, [wx for _, wx in pairs]) for word, pairs in groups.items())
     return scale, {x: v for pairs, column in zip(groups.values(), columns)
-                   for (x, _), v in zip(pairs, column)}
+                   for (x, _), v in zip(pairs, column)}, descents
 
 
 def plane_wave(p):

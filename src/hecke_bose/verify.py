@@ -147,16 +147,32 @@ def suite_hecke(params, window, seed):
 
 @_suite("duality")
 def suite_duality(params, window, seed):
-    """(Q_i f)(x) = (f, T^check_i e^x): the defining duality, cross-module."""
-    k = params.k
+    """(Q_i f)(x) = (f, T^check_i e^x): the defining duality, cross-module,
+    compared in ints.
+
+    One engine read gives every Q_i f on the window as ints q at one scale
+    T.  Laurent's expansion, run with the int weights D, D (1 - beta) and
+    D alpha (D the common denominator of alpha and 1 - beta), gives
+    D T^check_i e^x with int coefficients, and it is paired with the ints
+    f M, M the lcm of f's denominators over the pairings' support.  Then
+    (Q_i f)(x) = q / T and (f, T^check_i e^x) = P / (D M), so each check is
+    q D M == T P."""
+    k, alpha, beta = params.k, params.alpha, params.beta
     f = random_rational_function("duality-%s" % seed)
     points = list(window_points(k, window))
-    for i in range(1, k):
-        qf = hecke.QWordEngine(f, params).values((i,), points)
+    letters = range(1, k)
+    scale, columns = hecke.QWordEngine(f, params).ints(((i,), points) for i in letters)
+    unit = math.lcm(alpha.denominator, beta.denominator)  # D
+    weights = tuple(int(unit * w) for w in (1, 1 - beta, alpha))
+    tables = [[laurent.weighted_T_check(i, LaurentPolynomial.monomial(x), weights).terms
+               for x in points] for i in letters]
+    values = {y: f(y) for rows in tables for table in rows for y in table}
+    m = math.lcm(*{v.denominator for v in values.values()})  # M
+    fm = {y: v.numerator * (m // v.denominator) for y, v in values.items()}
+    for i, column, rows in zip(letters, columns, tables):
         detail = "duality fails for i = %d" % i
-        for x, qx in zip(points, qf):
-            t_x = laurent.apply_T_check(i, LaurentPolynomial.monomial(x), params)
-            yield x, qx == laurent.pairing(f, t_x), detail
+        for x, q, table in zip(points, column, rows):
+            yield x, q * unit * m == scale * sum(c * fm[y] for y, c in table.items()), detail
 
 
 @_suite("d-change")
@@ -216,22 +232,22 @@ def suite_lemma_main(params, window, seed):
 
     with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
     One Q-word engine for f serves both sides: ``propagate_many`` gives G(f)
-    on the window and its neighbours as ints at one scale T_G, and one read
-    gives each w_x at the points near w_x x as ints at one scale T_Q.  A
-    check multiplies the left-hand side by T_Q, the right-hand side by T_G
-    and both by the denominators of alpha and 1 - beta, so it compares
-    ints."""
+    on the window and its neighbours as ints at one scale T_G, with the
+    descents that give sigma, w_x and w_x x, and one read gives each w_x at
+    the points near w_x x as ints at one scale T_Q.  A check multiplies the
+    left-hand side by T_Q, the right-hand side by T_G and both by the
+    denominators of alpha and 1 - beta, so it compares ints."""
     k, alpha, beta = params.k, params.alpha, params.beta
     an, ad = alpha.numerator, alpha.denominator
     cn, cd = (1 - beta).numerator, (1 - beta).denominator
     f = random_rational_function("lemma-%s" % seed)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(f, params)
-    scale_g, G = propagation.propagate_many(engine, _neighbourhood(points))
+    scale_g, G, descents = propagation.propagate_many(engine, _neighbourhood(points))
     needed = {}  # w_x -> the points near w_x x that the right-hand sides read
     sides = []  # (x, i, d_i^+(x), w_x, the right-hand points, v_sigma(i) first), x-major
     for x in points:
-        (sigma, wx), word = weyl.shortest_element(x, params)
+        (sigma, wx), word = descents[x]
         for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
             terms = dp + 1 if beta != 1 else 1  # at beta = 1 only t_{v_sigma(i)} is left
             slots = [(sigma[i - 1] + j) % k for j in range(terms)]
@@ -255,7 +271,7 @@ def suite_theorem(params, window, seed):
     p = random_distinct_fractions(random.Random("theorem-%s" % seed), params.k)
     points = list(window_points(params.k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
-    _, G = propagation.propagate_many(engine, _neighbourhood(points))
+    _, G, _ = propagation.propagate_many(engine, _neighbourhood(points))
     lam = sum(p)
     detail = "eigenfunction identity fails, p = %s" % (p,)
     for x in points:

@@ -53,29 +53,36 @@ def is_dominant(x, params):
 def shortest_element(x, params):
     """The shortest w with w(x) dominant, as ((perm, w(x)), word).
 
-    Greedy descent: repeatedly apply the smallest-index simple reflection
-    whose root is negative at the current point, until the point is dominant;
-    that point is w(x).  The collected letters, reversed, form a reduced word
-    for w read left to right.  The descent moves the coordinates of x between
+    Greedy descent: repeatedly apply the largest-index simple reflection
+    among s_{k-1}, ..., s_1 whose root is negative at the current point, and
+    s_0 only when none of them is, until the point is dominant; that point
+    is w(x).  The collected letters, reversed, form a reduced word for w
+    read left to right.  The descent moves the coordinates of x between
     slots, so it tracks which coordinate sits in each slot: w's coordinate
     permutation, 0-based, sends slot i of x to slot perm[i] of w(x).
+
+    Every reduced word of w gives the same Q_w, but not the same work for
+    the Q-word engine, whose layers are keyed by word suffix.  This order
+    makes its layers enter fewer points and extend fewer line sums than
+    taking s_0 first and then the smallest index: a fifth fewer for
+    lemma-main at k = 4, L = 3, window 2, and 13 % fewer at the k = 3 far
+    point (8, 0, -8).
     """
     k, L = params.k, params.L
     y = list(x)
     src = list(range(k))  # src[s]: the coordinate of x now in slot s
     letters = []
     while True:
-        if y[-1] - y[0] + L < 0:  # a_0(y) < 0
+        for a in range(k - 2, -1, -1):
+            if y[a] < y[a + 1]:  # a_{a+1}(y) < 0
+                letter, b = a + 1, a + 1
+                y[a], y[b] = y[b], y[a]
+                break
+        else:
+            if y[-1] - y[0] + L >= 0:  # a_0(y) >= 0 as well: y is dominant
+                break
             letter, a, b = 0, 0, k - 1
             y[0], y[-1] = y[-1] + L, y[0] - L
-        else:
-            for a in range(k - 1):
-                if y[a] < y[a + 1]:  # a_{a+1}(y) < 0
-                    break
-            else:
-                break
-            letter, b = a + 1, a + 1
-            y[a], y[b] = y[b], y[a]
         src[a], src[b] = src[b], src[a]
         letters.append(letter)
     perm = [0] * k

@@ -1,6 +1,7 @@
 """Laurent polynomial ring (the oracle in conftest), divided-difference operators,
 and the pairing."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -123,6 +124,33 @@ def test_T_check_on_constants_and_monomials():
     for i in (0, 3):
         with pytest.raises(ValueError):
             apply_T_check(i, p, free)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_int_weights_give_D_times_T_check(k):
+    # the duality suite runs the one expansion with the int weights D, D (1 - beta)
+    # and D alpha, D the common denominator of alpha and 1 - beta: that is
+    # D T^check_i, with int coefficients on a monomial
+    rng = random.Random("int-weights-%d" % k)
+    couplings = [rand_params_pair(rng) for _ in range(4)]
+    couplings += [(Fraction(0), Fraction(3, 4)), (Fraction(-5, 6), Fraction(1)),
+                  (Fraction(0), Fraction(1)), (-2, 3), (3, 1)]
+    polys = [_random_poly(k, "int-%d-%d" % (k, n)) for n in range(3)]
+    monomials = [LaurentPolynomial.monomial(x) for x in window(k, 1)]
+    for alpha, beta in couplings:
+        params = Params(k, 2, alpha, beta)
+        unit = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
+        weights = [unit * w for w in (1, 1 - beta, alpha)]
+        assert all(Fraction(w).denominator == 1 for w in weights)
+        weights = tuple(map(int, weights))
+        for i in range(1, k):
+            for p in polys + monomials:
+                got = laurent.weighted_T_check(i, p, weights).terms
+                want = laurent.apply_T_check(i, p, params).terms
+                assert got == {e: unit * c for e, c in want.items()}
+            for p in monomials:
+                got = laurent.weighted_T_check(i, p, weights).terms
+                assert all(type(c) is int for c in got.values())
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -199,9 +199,10 @@ def test_grouped_propagation_matches_per_point(k, L):
     params = _params(k, L, "grouped-%d-%d" % (k, L))
     f = random_rational_function("grouped-%d-%d" % (k, L))
     points = list(window(k, 2))
-    scale, grouped = propagate_many(QWordEngine(f, params), points)
+    scale, grouped, descents = propagate_many(QWordEngine(f, params), points)
     G = propagate(f, params)
     assert grouped.keys() == set(points)
+    assert descents == {x: weyl.shortest_element(x, params) for x in points}
     for x, v in grouped.items():
         assert Fraction(v, scale) == G(x)
 
@@ -221,10 +222,12 @@ def _engine_work(k, L, x, p):
 
 def test_engine_work_at_far_points_is_pinned():
     # the engine reads f, and fills each layer, at exactly these many points;
-    # a change of how layers are planned or filled must not move them
+    # a change of how layers are planned or filled, or of the reduced words the
+    # descent picks, must not move them unnoticed
     base, layers = _engine_work(2, 1, (14, -14), (Fraction(2, 3), Fraction(-5, 4)))
     assert base == 435
-    # the words are 0, 10, 010, ... up to 28 letters; the layer of a word of
+    # at k = 2 every element has one reduced word, so no descent rule moves
+    # these: the words are 0, 10, 010, ... up to 28 letters; the layer of a word of
     # length 29 - n holds n(n+1)/2 points and n(n+1)/2 + 2n line sums
     expected = {}
     for n in range(1, 29):
@@ -232,24 +235,23 @@ def test_engine_work_at_far_points_is_pinned():
     assert layers == expected
 
     base, layers = _engine_work(3, 2, (8, 0, -8), (Fraction(2, 3), Fraction(-5, 4), Fraction(3)))
-    assert base == 1499
+    # the words descend by the largest-index letter first, s_0 last
+    assert base == 1494
     assert layers == {
-        (0,): (1182, 1580),
-        (1, 0): (1059, 1285),
-        (2, 1, 0): (812, 1117),
-        (0, 2, 1, 0): (703, 888),
-        (1, 0, 2, 1, 0): (499, 742),
-        (0, 1, 0, 2, 1, 0): (371, 538),
-        (2, 0, 1, 0, 2, 1, 0): (253, 393),
-        (0, 2, 0, 1, 0, 2, 1, 0): (199, 285),
-        (1, 0, 2, 0, 1, 0, 2, 1, 0): (117, 210),
-        (0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (72, 128),
-        (2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (37, 76),
-        (0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (29, 45),
-        (1, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (12, 32),
-        (0, 1, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (3, 11),
-        (1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (12, 32),
-        (0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (3, 11),
-        (2, 0, 1, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (1, 3),
-        (2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0): (1, 3),
+        (0,): (1148, 1571),
+        (2, 0): (901, 1225),
+        (1, 2, 0): (676, 955),
+        (2, 1, 2, 0): (601, 748),
+        (0, 2, 1, 2, 0): (420, 636),
+        (2, 0, 2, 1, 2, 0): (295, 455),
+        (1, 2, 0, 2, 1, 2, 0): (192, 315),
+        (2, 1, 2, 0, 2, 1, 2, 0): (161, 224),
+        (0, 2, 1, 2, 0, 2, 1, 2, 0): (92, 170),
+        (2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (48, 101),
+        (1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (20, 50),
+        (2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (14, 22),
+        (0, 2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (4, 13),
+        (1, 0, 2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (3, 3),
+        (2, 0, 2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (1, 3),
+        (2, 1, 0, 2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (1, 3),
     }

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import act, simple_reflection_element
-from hecke_bose import bethe, hamiltonian, hecke, verify
-from hecke_bose.weyl import Params
+from hecke_bose import bethe, hamiltonian, hecke, laurent, verify
+from hecke_bose.weyl import Params, shortest_element
 
 
 def test_suite_registry_order():
@@ -62,6 +62,55 @@ def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
     assert len(held) == 4 + 4 + 2  # quadratic relations, braids, commutations
     for own, layers in held:
         assert layers <= letters | own
+
+
+def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
+    # f off by one at one point y on the Laurent side only (the engine reads the
+    # clean f): the suite must fail at exactly the x whose T^check_i e^x has y
+    # in its support, for each such i
+    params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
+    clean = verify.run_suite("duality", params, 1, 0)
+    assert clean["failures"] == []
+    f = verify.random_rational_function("duality-0")
+    engine = hecke.QWordEngine
+    y = (0, 1, -1)
+    monkeypatch.setattr(hecke, "QWordEngine", lambda _, params: engine(f, params))
+    monkeypatch.setattr(verify, "random_rational_function", lambda _: lambda x: f(x) + (x == y))
+    report = verify.run_suite("duality", params, 1, 0)
+    assert report["checks_run"] == clean["checks_run"]
+    expected = [
+        {"x": list(x), "detail": "duality fails for i = %d" % i}
+        for i in (1, 2)
+        for x in verify.window_points(3, 1)
+        if y in laurent.apply_T_check(i, laurent.LaurentPolynomial.monomial(x), params).terms
+    ]
+    assert {entry["detail"] for entry in expected} == {"duality fails for i = 1",
+                                                        "duality fails for i = 2"}
+    assert report["failures"] == expected
+
+
+def test_window_suite_engine_work_is_pinned(monkeypatch):
+    # the one engine of lemma-main and of theorem on the k = 4 benchmark grid
+    # reads f, enters points into its layers and extends its line sums exactly
+    # this often; a descent rule or a plan that adds work fails here
+    params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+    engines = []
+    engine = hecke.QWordEngine
+
+    def recording(f, params):
+        engines.append(engine(f, params))
+        return engines[-1]
+
+    monkeypatch.setattr(hecke, "QWordEngine", recording)
+    for suite, work in [("lemma-main", (1125, 9268, 17781)), ("theorem", (1125, 8326, 16685))]:
+        engines.clear()
+        assert verify.run_suite(suite, params, 2, 0)["failures"] == []
+        (used,) = engines
+        layers = used._layers.values()
+        entered = sum(len(layer.memo) for layer in layers)
+        line_sums = sum(len(sums) for layer in layers for sides in layer.lines.values()
+                        for sums in sides)
+        assert (len(used._base), entered, line_sums) == work
 
 
 def test_d_change_suite_detects_injected_defect(monkeypatch):
@@ -143,16 +192,24 @@ def _corrupt_one_value(monkeypatch, target_word, target_point):
     monkeypatch.setattr(hecke.QWordEngine, "ints", corrupted_ints)
 
 
+def _word(x):
+    """The reduced word w_x the suites read G(f)(x) through, on the grid of
+    the cases below (the descent reads only k and L)."""
+    return shortest_element(x, Params(3, 2, Fraction(0), Fraction(1)))[1]
+
+
 @pytest.mark.parametrize(
     "suite,word,point,failure",
     [
         # Q_2 f read at one window point: the duality check there
         ("duality", (2,), (1, 0, -1), [{"x": [1, 0, -1], "detail": "duality fails for i = 2"}]),
-        # G(f) at the neighbour (-2, -1, 1) of x = (-1, -1, 1): the left-hand side for i = 1
-        ("lemma-main", (0, 1, 2, 1), (0, -1, -1),
+        # G(f) at the neighbour (-2, -1, 1) of x = (-1, -1, 1), which w_x sends to
+        # (0, -1, -1): the left-hand side for i = 1
+        ("lemma-main", _word((-2, -1, 1)), (0, -1, -1),
          [{"x": [-1, -1, 1], "detail": "lemma identity fails for i = 1"}]),
-        # Q_{w_x} f at w_x x - v_sigma(2) for x = (-1, 0, 1): the right-hand side for i = 2
-        ("lemma-main", (1, 2, 1), (1, -1, -1),
+        # Q_{w_x} f at w_x x - v_sigma(2) = (1, -1, -1) for x = (-1, 0, 1): the
+        # right-hand side for i = 2
+        ("lemma-main", _word((-1, 0, 1)), (1, -1, -1),
          [{"x": [-1, 0, 1], "detail": "lemma identity fails for i = 2"}]),
         # f itself at the dominant point (0, 0, -1), read by several checks: as G(f)
         # on left-hand sides and as Q_e f on right-hand sides (at x = (0, 0, 0) for
@@ -168,7 +225,7 @@ def _corrupt_one_value(monkeypatch, target_word, target_point):
         ("hecke", (1,), (1, 0, -1),
          [{"x": [1, 0, -1], "detail": "quadratic relation fails for Q_1"}]),
         # G(g_p) at the neighbour (-2, -1, 1) of x = (-1, -1, 1), read only by H there
-        ("theorem", (0, 1, 2, 1), (0, -1, -1), [{
+        ("theorem", _word((-2, -1, 1)), (0, -1, -1), [{
             "x": [-1, -1, 1],
             "detail": "eigenfunction identity fails, p = "
                       "(Fraction(4, 1), Fraction(1, 5), Fraction(-3, 2))",

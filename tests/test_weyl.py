@@ -216,6 +216,13 @@ def test_shortest_element_examples():
     params = Params(2, 2, Fraction(0), Fraction(1))
     assert shortest_element((0, 1), params) == (((1, 0), (1, 0)), (1,))
     assert shortest_element((3, 0), params) == (((1, 0), (2, 1)), (0,))
+    # k = 3: the descent takes the largest-index s_i (i >= 1) with a_i < 0 first,
+    # and s_0 only when there is none; the word's last letter is its first step
+    params = Params(3, 2, Fraction(0), Fraction(1))
+    # a_1 and a_2 negative: s_2 first, where the smallest index would take s_1
+    assert shortest_element((-1, 0, 1), params) == (((2, 1, 0), (1, 0, -1)), (2, 1, 2))
+    # a_0 and a_1 negative: s_1 first, where s_0 first would give (0, 1, 0)
+    assert shortest_element((3, 4, 0), params) == (((0, 2, 1), (3, 2, 2)), (1, 0, 1))
 
 
 def test_inversion_set_examples():
