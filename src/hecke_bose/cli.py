@@ -50,11 +50,10 @@ def _steps(text):
     return int(text)
 
 
-def _emit(payload, out, fmt="json"):
-    if fmt == "json":
+def _emit(payload, out):
+    text = payload  # a str is already rendered: the CSV table
+    if not isinstance(payload, str):
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = payload  # already rendered
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -168,7 +167,7 @@ def cmd_wavefunction(args):
         writer.writerow(header + (["re", "im"] if complex_mode else ["value"]))
         for x, value in rows:
             writer.writerow(x + (value if complex_mode else [value]))
-        _emit(buf.getvalue(), args.out, fmt="csv")
+        _emit(buf.getvalue(), args.out)
     else:
         _emit(
             {

@@ -133,17 +133,19 @@ class QWordEngine:
     plans the points each layer is missing from the top layer down, then
     fills them from the bottom up in plain loops.
 
-    All arithmetic is on Python ints.  f is read once per point, into a
-    table of the ints f(x) * S with S the least common multiple of the
-    denominators read so far; a layer of height h holds its values and line
-    sums as ints over S * D^h, with D the common denominator of alpha and
-    1 - beta.  When a read brings a new denominator, S grows by a factor m
-    and every stored int is multiplied by m.  So alpha, beta and the values
-    of f must be rationals (ints or Fractions).  S and D stay inside the
-    engine: ``ints`` hands out every word at one scale T, and ``values``
-    divides by it.  ``keep`` drops the layers that later reads will not
-    need, so one engine can serve many words without holding all their
-    layers.
+    All arithmetic is on Python ints.  D, the lcm of the denominators of
+    alpha and beta, is computed once, and ``couplings`` hands it out with
+    the couplings it clears, (D, D alpha, D (1 - beta)) as ints; the layers'
+    sums are built from them.  f is read once per point, into a table of
+    the ints f(x) * S with S the least common multiple of the denominators
+    read so far; a layer of height h holds its values and line sums as ints
+    over S * D^h.  When a read brings a new denominator, S grows by a
+    factor m and every stored int is multiplied by m.  So alpha, beta and
+    the values of f must be rationals (ints or Fractions).  S stays inside
+    the engine: ``ints`` groups its requests by word and hands out every
+    word at one scale T, and ``values`` divides by it.  ``keep`` drops the
+    layers that later reads will not need, so one engine can serve many
+    words without holding all their layers.
     """
 
     def __init__(self, f, params):
@@ -156,11 +158,9 @@ class QWordEngine:
                 )
         self.f = f
         self.params = params
-        a, b = params.alpha, params.beta
-        # alpha = n/d and 1 - beta = (d' - n')/d', both in lowest terms
-        terms = ((a.numerator, a.denominator, 1), (b.denominator - b.numerator, b.denominator, 0))
-        self._unit = math.lcm(a.denominator, b.denominator)  # D
-        self._terms = [(n * (self._unit // d), shift) for n, d, shift in terms if n]
+        unit = math.lcm(params.alpha.denominator, params.beta.denominator)  # D
+        self.couplings = unit, int(unit * params.alpha), int(unit * (1 - params.beta))
+        self._terms = [(c, shift) for c, shift in zip(self.couplings[1:], (1, 0)) if c]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
         self._layers = {}  # word -> the layer of Q_word[0] applied to that of word[1:]
@@ -174,19 +174,23 @@ class QWordEngine:
     def ints(self, requests):
         """The values of several words at their points, as ints at one scale.
 
-        ``requests`` is a sequence of (word, points).  Every word is
-        evaluated before any is read, so no rescale falls between two of
-        them.  Returns T and, per request, the list of the ints
-        (Q_word f)(x) * T at its points: T = S * D^H, with H the length of
-        the longest requested word, and ``ints([])`` returns (S, [])."""
+        ``requests`` is a sequence of (word, points), points a sequence.  Each
+        distinct word is evaluated once, over all the points its requests ask
+        for, and before any word is read, so no rescale falls between reads.
+        Returns T and, per request, the list of the ints (Q_word f)(x) * T at
+        its points: T = S * D^H, with H the length of the longest requested
+        word, and ``ints([])`` returns (S, [])."""
         requests = [(tuple(word), points) for word, points in requests]
-        tops = [self._evaluate(word, points) for word, points in requests]
-        height = max((len(word) for word, _ in requests), default=0)
+        union = {}  # word -> every point its requests ask for
+        for word, points in requests:
+            union.setdefault(word, set()).update(points)
+        tops = {word: self._evaluate(word, points) for word, points in union.items()}
+        unit, height = self.couplings[0], max(map(len, union), default=0)
         columns = []
-        for top, (word, points) in zip(tops, requests):
-            m = self._unit ** (height - len(word))  # a word of length h is stored at S * D^h
+        for word, points in requests:
+            top, m = tops[word], unit ** (height - len(word))  # word stored at S * D^len(word)
             columns.append([top[x] * m for x in points])
-        return self._scale * self._unit**height, columns
+        return self._scale * unit**height, columns
 
     def keep(self, words):
         """Drop every layer except those the given words read: their nonempty
@@ -197,12 +201,12 @@ class QWordEngine:
     def _evaluate(self, word, points):
         """Make sure (Q_word f) is stored at the given points; return the
         table of the word's top layer (f's own table for the empty word)."""
-        layers = []
+        layers, unit = [], self.couplings[0]
         for d, letter in enumerate(word):
             layer = self._layers.get(word[d:])
             if layer is None:
                 a, period = (letter - 1, None) if letter else (0, self.params.L)
-                layer = self._layers[word[d:]] = _Reflection(a, period, self._unit, self._terms)
+                layer = self._layers[word[d:]] = _Reflection(a, period, unit, self._terms)
             layers.append(layer)
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}

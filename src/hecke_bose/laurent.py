@@ -8,7 +8,7 @@ class LaurentPolynomial:
     """Sparse Laurent polynomial: exponent tuple in Z^k -> rational coefficient.
 
     Zero coefficients are never stored.  A term holder only: weighted_T_check
-    and pairing read and build the term table directly.
+    and pairing work on the term table directly.
     """
 
     __slots__ = ("terms",)
@@ -33,21 +33,23 @@ def apply_T_check(i, p, params):
     """
     if not 1 <= i < params.k:
         raise ValueError("T^check index must satisfy 1 <= i < k")
-    return weighted_T_check(i, p, (1, 1 - params.beta, params.alpha))
+    return LaurentPolynomial(weighted_T_check(i, p.terms, (1, 1 - params.beta, params.alpha)))
 
 
-def weighted_T_check(i, p, weights):
-    """The expansion of T^check_i p with the weights (u, b, a) of its three
+def weighted_T_check(i, terms, weights):
+    """The expansion of T^check_i p, p given and returned as its table
+    {exponent: coefficient}, with the weights (u, b, a) of its three
     kinds of terms, in one pass: c e^x adds c u at s_i x, and each step
     y = x + j (v_{i+1} - v_i) of the telescoped quotient (j in [0, a_i(x))
     with sign +, in [a_i(x), 0) with sign -) adds +-c b at y and +-c a at
     y + v_{i+1}.  With (1, 1 - beta, alpha) it is T^check_i p; with int
     weights D, D (1 - beta) and D alpha, D a common denominator of alpha and
     1 - beta, it is D T^check_i p, with int coefficients when p has them.
+    The table it returns may hold zero coefficients.
     """
     unit, one_minus_beta, alpha = weights
     out = {}
-    for exp, c in p.terms.items():
+    for exp, c in terms.items():
         head, a, b, tail = exp[: i - 1], exp[i - 1], exp[i], exp[i + 1 :]
         y = head + (b, a) + tail
         out[y] = out.get(y, 0) + c * unit
@@ -59,7 +61,7 @@ def weighted_T_check(i, p, weights):
             out[y] = out.get(y, 0) + c * one_minus_beta
             y = head + (a - j, b + j + 1) + tail
             out[y] = out.get(y, 0) + c * alpha
-    return LaurentPolynomial(out)
+    return out
 
 
 def pairing(f, p):

@@ -25,15 +25,11 @@ def propagate(f, params):
 def propagate_many(engine, points):
     """G(f) at many points as ints at one scale: T, {x: G(f)(x) * T} and the
     descents {x: weyl.shortest_element(x)} it read w_x and w_x x from.
-    The points are grouped by their reduced word w_x, and the groups take
-    one engine read."""
+    One engine read asks each w_x at its w_x x, and the engine evaluates
+    each distinct word once."""
     descents = {x: weyl.shortest_element(x, engine.params) for x in points}
-    groups = {}  # w_x -> [(x, w_x x)]
-    for x, ((_, wx), word) in descents.items():
-        groups.setdefault(word, []).append((x, wx))
-    scale, columns = engine.ints((word, [wx for _, wx in pairs]) for word, pairs in groups.items())
-    return scale, {x: v for pairs, column in zip(groups.values(), columns)
-                   for (x, _), v in zip(pairs, column)}, descents
+    scale, columns = engine.ints((word, (wx,)) for (_, wx), word in descents.values())
+    return scale, {x: v for x, (v,) in zip(descents, columns)}, descents
 
 
 def plane_wave(p):

@@ -18,7 +18,6 @@ import time
 from fractions import Fraction
 
 from . import bethe, hamiltonian, hecke, laurent, propagation, weyl
-from .laurent import LaurentPolynomial
 
 _CHECKS = {}  # suite name -> (check generator, pinned params), in registration order
 
@@ -117,17 +116,18 @@ def suite_hecke(params, window, seed):
 
     One engine for f serves every relation, each of which reads its words'
     ints over the whole window at one scale, so the checks are int
-    equalities.  With beta = b_n / b_d, the quadratic relation
-    Q_i^2 = (1 - beta) Q_i + beta reads h b_d = (b_d - b_n) g + b_n f for
-    h, g, f the ints of Q_i^2 f, Q_i f and f.  After each relation the
-    engine drops the layers no later relation reads, so it holds the single
-    letters and one relation's layers at a time."""
+    equalities.  With the engine's couplings D and C = D (1 - beta), the
+    quadratic relation Q_i^2 = (1 - beta) Q_i + beta reads
+    D h = C g + (D - C) f for h, g, f the ints of Q_i^2 f, Q_i f and f.
+    After each relation the engine drops the layers no later relation
+    reads, so it holds the single letters and one relation's layers at a
+    time."""
     k = params.k
     f = random_rational_function("hecke-%s" % seed)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(f, params)
-    bn, bd = params.beta.numerator, params.beta.denominator
-    quadratic = lambda h, g, fx: h * bd == (bd - bn) * g + bn * fx
+    unit, _, c = engine.couplings
+    quadratic = lambda h, g, fx: unit * h == c * g + (unit - c) * fx
     relations = [(((i, i), (i,), ()), quadratic, "quadratic relation fails for Q_%d" % i)
                  for i in range(k)]
     # braids of the letters adjacent on the affine Dynkin cycle (none for
@@ -151,21 +151,21 @@ def suite_duality(params, window, seed):
     compared in ints.
 
     One engine read gives every Q_i f on the window as ints q at one scale
-    T.  Laurent's expansion, run with the int weights D, D (1 - beta) and
-    D alpha (D the common denominator of alpha and 1 - beta), gives
+    T.  Laurent's expansion, run with the engine's int couplings
+    (D, C, A) = (D, D (1 - beta), D alpha) as weights, gives
     D T^check_i e^x with int coefficients, and it is paired with the ints
     f M, M the lcm of f's denominators over the pairings' support.  Then
     (Q_i f)(x) = q / T and (f, T^check_i e^x) = P / (D M), so each check is
     q D M == T P."""
-    k, alpha, beta = params.k, params.alpha, params.beta
+    k = params.k
     f = random_rational_function("duality-%s" % seed)
     points = list(window_points(k, window))
     letters = range(1, k)
-    scale, columns = hecke.QWordEngine(f, params).ints(((i,), points) for i in letters)
-    unit = math.lcm(alpha.denominator, beta.denominator)  # D
-    weights = tuple(int(unit * w) for w in (1, 1 - beta, alpha))
-    tables = [[laurent.weighted_T_check(i, LaurentPolynomial.monomial(x), weights).terms
-               for x in points] for i in letters]
+    engine = hecke.QWordEngine(f, params)
+    scale, columns = engine.ints(((i,), points) for i in letters)
+    unit, a, c = engine.couplings
+    tables = [[laurent.weighted_T_check(i, {x: 1}, (unit, c, a)) for x in points]
+              for i in letters]
     values = {y: f(y) for rows in tables for table in rows for y in table}
     m = math.lcm(*{v.denominator for v in values.values()})  # M
     fm = {y: v.numerator * (m // v.denominator) for y, v in values.items()}
@@ -233,35 +233,31 @@ def suite_lemma_main(params, window, seed):
     with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
     One Q-word engine for f serves both sides: ``propagate_many`` gives G(f)
     on the window and its neighbours as ints at one scale T_G, with the
-    descents that give sigma, w_x and w_x x, and one read gives each w_x at
-    the points near w_x x as ints at one scale T_Q.  A check multiplies the
-    left-hand side by T_Q, the right-hand side by T_G and both by the
-    denominators of alpha and 1 - beta, so it compares ints."""
-    k, alpha, beta = params.k, params.alpha, params.beta
-    an, ad = alpha.numerator, alpha.denominator
-    cn, cd = (1 - beta).numerator, (1 - beta).denominator
+    descents that give sigma, w_x and w_x x, and one read, with a request
+    per (x, i), gives w_x at the points near w_x x as ints at one scale T_Q.
+    With the engine's couplings (D, A, C) = (D, D alpha, D (1 - beta)), a
+    check is T_Q (D G(x - v_i) - A d_i^+ G(x)) == T_G (D q + C sum q), in
+    ints."""
+    k = params.k
     f = random_rational_function("lemma-%s" % seed)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(f, params)
+    unit, a, c = engine.couplings
     scale_g, G, descents = propagation.propagate_many(engine, _neighbourhood(points))
-    needed = {}  # w_x -> the points near w_x x that the right-hand sides read
-    sides = []  # (x, i, d_i^+(x), w_x, the right-hand points, v_sigma(i) first), x-major
+    sides = []  # (x, i, d_i^+(x)), x-major
+    requests = []  # per side: w_x and the right-hand points, v_sigma(i) first
     for x in points:
         (sigma, wx), word = descents[x]
         for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
-            terms = dp + 1 if beta != 1 else 1  # at beta = 1 only t_{v_sigma(i)} is left
+            terms = dp + 1 if c else 1  # at beta = 1 only t_{v_sigma(i)} is left
             slots = [(sigma[i - 1] + j) % k for j in range(terms)]
-            ys = [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]
-            sides.append((x, i, dp, word, ys))
-            needed.setdefault(word, set()).update(ys)
-    requests = [(word, list(ys)) for word, ys in needed.items()]
+            sides.append((x, i, dp))
+            requests.append((word, [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]))
     scale_q, columns = engine.ints(requests)
-    Q = {word: dict(zip(ys, column)) for (word, ys), column in zip(requests, columns)}
-    for x, i, dp, word, (y, *rest) in sides:
-        q, left = Q[word], G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
-        lhs = scale_q * cd * (ad * left - an * dp * G[x])
-        rhs = scale_g * ad * (cd * q[y] + cn * sum(q[z] for z in rest))
-        yield x, lhs == rhs, "lemma identity fails for i = %d" % i
+    for (x, i, dp), (q, *rest) in zip(sides, columns):
+        left = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
+        lhs = scale_q * (unit * left - a * dp * G[x])
+        yield x, lhs == scale_g * (unit * q + c * sum(rest)), "lemma identity fails for i = %d" % i
 
 
 @_suite("theorem")

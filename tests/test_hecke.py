@@ -380,6 +380,62 @@ def test_engine_hands_out_ints_of_several_words_at_one_scale():
     assert set(reads.values()) == {1}
 
 
+def test_engine_evaluates_each_distinct_word_once(monkeypatch):
+    # requests that repeat a word over overlapping points, one of them twice,
+    # and ask the empty word: the engine evaluates each distinct word once,
+    # over the union of its points, and still answers request by request
+    params = Params(3, 2, Fraction(-2, 3), Fraction(5, 4))
+    near = list(window(3, 1))
+    requests = [
+        ((1, 0), near[:15]),
+        ((), near[5:9]),
+        ((2,), [(3, -4, 1), (0, 0, 0)]),
+        ((1, 0), near[10:] + [(3, -4, 1)]),
+        ((), [(0, 0, 0), (0, 0, 0)]),
+        ((1, 0), [near[12], near[12]]),
+    ]
+    evaluated = Counter()
+    evaluate = QWordEngine._evaluate
+
+    def counting(self, word, points):
+        evaluated[word] += 1
+        return evaluate(self, word, points)
+
+    monkeypatch.setattr(QWordEngine, "_evaluate", counting)
+    f = _far_denominators("grouped")
+    scale, columns = QWordEngine(f, params).ints(requests)
+    assert evaluated == {(1, 0): 1, (): 1, (2,): 1}
+    assert len(columns) == len(requests)
+    for (word, points), column in zip(requests, columns):
+        assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, points)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,expected",
+    [
+        (Fraction(-2, 3), Fraction(5, 4), (12, -8, -3)),
+        (Fraction(1, 3), Fraction(2, 7), (21, 7, 15)),
+        (-2, 3, (1, -2, -2)),
+        (Fraction(0), Fraction(3, 4), (4, 0, 1)),
+        (Fraction(-5, 6), Fraction(1), (6, -5, 0)),
+        (0, 1, (1, 0, 0)),
+    ],
+)
+def test_engine_couplings_are_D_D_alpha_and_D_one_minus_beta(alpha, beta, expected):
+    # D is the lcm of the denominators of alpha and beta; a zero coupling
+    # adds no term to the sums the layers build
+    engine = QWordEngine(random_rational_function("couplings"), Params(3, 2, alpha, beta))
+    unit = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
+    assert engine.couplings == (unit, unit * alpha, unit * (1 - beta)) == expected
+    assert all(type(c) is int for c in engine.couplings)
+    _, a, c = engine.couplings
+    assert engine._terms == [(v, shift) for v, shift in [(a, 1), (c, 0)] if v]
+    # and the terms it keeps give Q_i as the n-term oracle does
+    oracle = _explicit_Q(1, engine.f, engine.params)
+    points = list(window(3, 2))
+    assert engine.values((1,), points) == [oracle(x) for x in points]
+
+
 @pytest.mark.parametrize(
     "alpha,beta,value",
     [
