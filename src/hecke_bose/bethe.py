@@ -353,13 +353,14 @@ def bethe_wave_function(p, params):
     """h_p: sum_sigma sgn(sigma) prod_{i<j} (beta p_{sigma(i)} - p_{sigma(j)} - alpha)
     prod_i p_{sigma(i)}^{-x_i} on the dominant chamber, Weyl-invariant, as a
     memoizing lattice function.  The k! coefficients are computed once, here, and
-    the k! sum once per W-orbit: an inner memo is keyed on the dominant point.
+    the k! sum once per W-orbit: an inner memo is keyed on weyl.orbit_key(x), and
+    only its misses find the orbit's dominant point y and sum at the exponents -y.
     At rational p and couplings (ints included) the sum runs in ints over one
     common denominator and each value is one exact Fraction (see _symmetrizer)."""
-    p = tuple(p)
+    p, L = tuple(p), params.L
     sym = _symmetrizer(_wave_pairs(p, params.alpha, params.beta), p)
-    on_dominant = functools.cache(lambda y: sym([-e for e in y]))
-    return functools.cache(lambda x: on_dominant(weyl.dominant_point(x, params)))
+    on_orbit = functools.cache(lambda key: sym([-e for e in weyl.dominant_point(key, params)]))
+    return functools.cache(lambda x: on_orbit(weyl.orbit_key(x, L)))
 
 
 def hall_littlewood_R(lam, z, t):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import sys
@@ -212,6 +213,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "hecke-bose: error: %s\n" % message)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state on it
 def build_parser():
     parser = _Parser(
         prog="hecke-bose",
@@ -266,7 +268,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, ArithmeticError) as err:
+    except (OSError, ValueError, ArithmeticError, MemoryError) as err:
         parser.exit(2, "hecke-bose: error: %s: %s\n" % (type(err).__name__, err))
 
 

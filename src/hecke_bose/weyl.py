@@ -91,13 +91,18 @@ def shortest_element(x, params):
     return (tuple(perm), tuple(y)), tuple(reversed(letters))
 
 
-def dominant_point(x, params):
-    """The dominant point w_x x of shortest_element(x), without the descent: the
-    orbit keeps the residues mod L and the sum of x, and with (q, e) = divmod((sum x
-    - sum of residues) / L, k) the e smallest residues rise by L(q + 1), the rest by Lq."""
-    L = params.L
-    r = sorted(v % L for v in x)
-    q, e = divmod((sum(x) - sum(r)) // L, params.k)
+def orbit_key(x, L):
+    """(sorted residues of x mod L, sum x): W keeps both, and they fix the W-orbit,
+    so two points share a key iff they share a dominant point."""
+    return tuple(sorted([v % L for v in x])), sum(x)
+
+
+def dominant_point(key, params):
+    """The dominant point w_x x of shortest_element(x) for any x with this
+    orbit_key, without the descent: with (q, e) = divmod((sum x - sum of residues)
+    / L, k) the e smallest residues rise by L(q + 1), the rest by Lq."""
+    (r, total), L = key, params.L
+    q, e = divmod((total - sum(r)) // L, params.k)
     return tuple(sorted((v + L * (q + (i < e)) for i, v in enumerate(r)), reverse=True))
 
 

@@ -122,21 +122,23 @@ def test_wave_weyl_invariance():
         assert bethe_wave(p, s0x, params) == bethe_wave(p, x, params)
 
 
-@pytest.mark.parametrize("k, L", [(3, 5), (4, 7)])
+@pytest.mark.parametrize(
+    "k, L", [(k, L) for k in range(2, 6) for L in range(1, 6)] + [(4, 7)]
+)
 def test_wave_sums_once_per_orbit(monkeypatch, k, L):
-    # h_p reads x only through its dominant point, so the k! signed sum runs
-    # once per W-orbit, at the exponents -y of the orbit's dominant point y,
-    # and every point of an orbit gets the very same value
+    # h_p reads x only through its W-orbit, so the k! signed sum runs once per
+    # orbit, at the exponents -y of the orbit's dominant point y, which is itself
+    # found once per orbit; every point of an orbit gets the very same value
     params = Params(k, L, Fraction(-1, 2), Fraction(3, 4))
     pi = pi_element(k, L)
     points = set()
-    for x in window(k, 2):
+    for x in window(k, 2 if k < 5 else 1):
         points.add(x)
         points.add(act(pi, x))
         points.update(tuple(v - (j == i) for j, v in enumerate(x)) for i in range(k))
-    dominant = {x: weyl.dominant_point(x, params) for x in points}
-    real = bethe._symmetrizer
-    calls = []
+    dominant = {x: weyl.dominant_point(weyl.orbit_key(x, L), params) for x in points}
+    real, real_dominant_point = bethe._symmetrizer, weyl.dominant_point
+    calls, found = [], []
 
     def counting(pair, z):
         sym = real(pair, z)
@@ -147,14 +149,21 @@ def test_wave_sums_once_per_orbit(monkeypatch, k, L):
 
         return value
 
+    def dominant_point(key, params):
+        found.append(key)
+        return real_dominant_point(key, params)
+
     monkeypatch.setattr(bethe, "_symmetrizer", counting)
+    monkeypatch.setattr(weyl, "dominant_point", dominant_point)
     rng = random.Random(k * 100 + L)
-    for p in (seed_roots_of_unity(range(k), L), rand_distinct_fractions(rng, k)):
+    for p in (seed_roots_of_unity(range(k), max(k, L)), rand_distinct_fractions(rng, k)):
         calls.clear()
+        found.clear()
         h = bethe_wave_function(p, params)
         for x in sorted(points):
             h(x)
         assert sorted(calls) == sorted(tuple(-e for e in y) for y in set(dominant.values()))
+        assert len(found) == len(set(found)) == len(calls)
         for x in points:
             assert h(x) == h(dominant[x])
             assert type(h(x)) is type(h(dominant[x]))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hecke_bose
-from hecke_bose import hamiltonian, verify
+from hecke_bose import bethe, cli, hamiltonian, verify
 from hecke_bose.bethe import bethe_wave
 from hecke_bose.cli import main
 from hecke_bose.weyl import Params
@@ -27,6 +28,17 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _call(argv):
+    """Exit code, stdout and stderr of one in-process ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_verify_success_exit_code_and_schema(capsys):
@@ -439,6 +451,56 @@ def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypat
     assert captured.err.startswith("hecke-bose: error: ")
 
 
+def test_memory_error_writes_one_stderr_line(monkeypatch):
+    # an accepted input whose computation runs out of memory ends like any
+    # rejected input: exit 2, one stderr line, no traceback
+    def exhausted(lam, z, t):
+        raise MemoryError("cannot allocate the table")
+
+    monkeypatch.setattr(bethe, "hall_littlewood_P", exhausted)
+    argv = ["hall-littlewood", "--lam", "2,1", "--z", "1/2,3,-1", "--t", "1/3"]
+    assert _call(argv) == (2, "", "hecke-bose: error: MemoryError: cannot allocate the table\n")
+
+
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch):
+    # main builds its parser once per process; whatever came before, a call gives
+    # what the same call gives on a freshly built parser, elapsed_ms aside
+    assert cli.build_parser() is cli.build_parser()
+    real = hamiltonian._d_counts
+
+    def corrupted(x, params):
+        plus, minus = real(x, params)
+        return ([d + 1 for d in plus] if x == (1, 1) else plus), minus
+
+    calls = [
+        (["wavefunction", "--k", "2", "--L", "2", "--p", "2,5", "--p-file", "roots.json"], 2),
+        (["verify", "no-such-suite", "--k", "2", "--L", "2"], 2),
+        (["verify", "theorem", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
+          "--window", "2"], 1),
+        (["bethe", "--k", "2", "--L", "2", "--alpha=-1", "--beta", "1", "--seeds", "0,1"], 0),
+        (["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
+          "--p", "2,5", "--window", "2"], 0),
+        (["hall-littlewood", "--lam", "2,1", "--z", "1/2,3,-1", "--t", "1/3"], 0),
+    ]
+    mask = lambda text: re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0', text)
+
+    def run_all(fresh):
+        outputs = []
+        for argv, code in calls:
+            with monkeypatch.context() as patch:
+                if fresh:
+                    patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+                if argv[:2] == ["verify", "theorem"]:
+                    patch.setattr(hamiltonian, "_d_counts", corrupted)
+                got, out, err = _call(argv)
+            assert got == code
+            outputs.append((got, mask(out), err))
+        return outputs
+
+    assert run_all(fresh=False) == run_all(fresh=True)
+    assert cli.build_parser.__wrapped__() is not cli.build_parser()
+
+
 def test_hall_littlewood_command(capsys):
     code, out = _run(
         capsys,
@@ -516,13 +578,7 @@ def test_cli_contract_on_any_input(argv):
     # The one exit 2 with a report is a vacuous verify run.  The examples are the
     # edges: t = -1 with a repeated part, a zero p_i, coincident p, a vacuous
     # verify run, and a coupling whose H weight beta^2 overflows a float.
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _call(argv)
     assert code in (0, 1, 2)
     if code == 2 and not out:
         assert len(err.splitlines()) == 1

@@ -318,4 +318,30 @@ def test_dominant_point_is_the_descent_endpoint(kL, coords):
     params = Params(k, L, Fraction(0), Fraction(1))
     x = tuple(coords[:k])
     (_, y), _ = shortest_element(x, params)
-    assert weyl.dominant_point(x, params) == y
+    assert weyl.dominant_point(weyl.orbit_key(x, L), params) == y
+
+
+@given(
+    st.sampled_from([(2, 1), (2, 4), (3, 2), (4, 3), (3, 5), (4, 7), (5, 2)]),
+    st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+    st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+    st.lists(st.integers(0, 4), max_size=12),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_orbit_key_fixes_the_dominant_point(kL, coords, other, word, same_orbit):
+    # bethe_wave_function memoizes h_p on the orbit key, so two points must
+    # share a key iff they share a dominant point; the second point is either
+    # drawn freely or moved from the first by a word in the simple reflections
+    k, L = kL
+    params = Params(k, L, Fraction(0), Fraction(1))
+    x = tuple(coords[:k])
+    y = tuple(other[:k])
+    if same_orbit:
+        y = x
+        for j in word:
+            y = weyl.simple_reflection(j % k, y, L)
+    key_x, key_y = weyl.orbit_key(x, L), weyl.orbit_key(y, L)
+    same_key = key_x == key_y
+    assert same_key == (weyl.dominant_point(key_x, params) == weyl.dominant_point(key_y, params))
+    assert same_key or not same_orbit
