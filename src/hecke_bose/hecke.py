@@ -124,6 +124,21 @@ class _Reflection:
                 sums[:] = [v * m for v in sums]
 
 
+def exact_couplings(params):
+    """(D, D alpha, D (1 - beta)) as ints, with D the lcm of the denominators
+    of alpha and beta.  Raises TypeError unless alpha and beta are rationals
+    (ints or Fractions): the exact paths compute in them."""
+    for name in ("alpha", "beta"):
+        value = getattr(params, name)
+        if not isinstance(value, Rational):
+            raise TypeError(
+                "the Q-word engine computes exactly and needs a rational %s, got %r"
+                % (name, value)
+            )
+    unit = math.lcm(params.alpha.denominator, params.beta.denominator)  # D
+    return unit, int(unit * params.alpha), int(unit * (1 - params.beta))
+
+
 class QWordEngine:
     """Evaluates Q_w f = Q_{w[0]} ... Q_{w[-1]} f for words w, without recursion.
 
@@ -149,17 +164,9 @@ class QWordEngine:
     """
 
     def __init__(self, f, params):
-        for name in ("alpha", "beta"):
-            value = getattr(params, name)
-            if not isinstance(value, Rational):
-                raise TypeError(
-                    "the Q-word engine computes exactly and needs a rational %s, got %r"
-                    % (name, value)
-                )
         self.f = f
         self.params = params
-        unit = math.lcm(params.alpha.denominator, params.beta.denominator)  # D
-        self.couplings = unit, int(unit * params.alpha), int(unit * (1 - params.beta))
+        self.couplings = exact_couplings(params)
         self._terms = [(c, shift) for c, shift in zip(self.couplings[1:], (1, 0)) if c]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S

@@ -3,21 +3,35 @@
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from numbers import Rational
 
-from .hecke import QWordEngine
+from .hecke import QWordEngine, exact_couplings
 from . import weyl
 
 
 def propagate(f, params):
     """G(f)(x) = (Q_{w_x} f)(w_x x), with w_x the shortest element moving x
-    into the dominant chamber.  On dominant points G(f) agrees with f."""
-    engine = QWordEngine(f, params)
+    into the dominant chamber, as an exact lattice function.  On dominant
+    points G(f) agrees with f.
 
-    def G(x):
-        scale, values, _ = propagate_many(engine, (x,))
-        return Fraction(values[x], scale)
+    A plane wave with pairwise distinct p_i is propagated in closed form:
+    each Q_i maps the span of the k! plane waves g_{sigma p} into itself, so
+    G reads (Q_{w_x} g_p)(w_x x) from a combination of at most k! of them,
+    at O(|w_x| k!) rational operations for each new word (see
+    ``_plane_wave_propagation``).  Every other f, a plane wave with a
+    repeated p_i included, is read through the Q-word engine, one point at a
+    time; ``propagate_many`` always reads through the engine.  Either way
+    alpha and beta must be rationals, or this call raises TypeError."""
+    if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):
+        G = _plane_wave_propagation(f.p, params)
+    else:
+        engine = QWordEngine(f, params)
+
+        def G(x):
+            scale, values, _ = propagate_many(engine, (x,))
+            return Fraction(values[x], scale)
 
     return functools.cache(G)
 
@@ -32,28 +46,97 @@ def propagate_many(engine, points):
     return scale, {x: v for x, (v,) in zip(descents, columns)}, descents
 
 
-def plane_wave(p):
+def _plane_wave_propagation(p, params):
+    """G(g_p) for pairwise distinct p_i, in closed form.
+
+    The n-term sum of Q_i is geometric on a plane wave
+    g_q(x) = prod_j q_j^{-x_j}: with a, b = q_i, q_{i+1} and
+    t = (alpha + (1 - beta) b) / (b - a),
+
+      Q_i g_q = t g_q + (1 - t) g_{s_i q}
+
+    for every sign of a_i(x).  Q_0 = pi^{-1} Q_1 pi reads a, b = q_k, q_1
+    and gives Q_0 g_q = t g_q + (1 - t) (a / b)^L g_{s q}, s swapping q_1
+    and q_k.  So Q_w g_p is a combination of the g_{sigma p}, kept as
+    {sigma: coefficient} with sigma the tuple of indices into p that the
+    slots hold, and each distinct word suffix is built once, from
+    the combination of the suffix one letter shorter, in a plain loop.  The
+    weights are Fractions, so the values are exact Fractions for int p too.
+    """
+    k, L = params.k, params.L
+    D, A, C = exact_couplings(params)  # D, D alpha and D (1 - beta) as ints
+    p = [Fraction(v) for v in p]
+    # (stay, move) per letter class and ordered pair (i, j) of indices into p
+    # read at the root's two slots: the weights of g_q and of its swap
+    plain, affine = {}, {}
+    for i, a in enumerate(p):
+        for j, b in enumerate(p):
+            if i != j:
+                t = (A + C * b) / (D * (b - a))
+                plain[i, j] = t, 1 - t
+                affine[i, j] = t, (1 - t) * (a / b) ** L
+    letters = [(k - 1, 0, affine)] + [(i - 1, i, plain) for i in range(1, k)]
+    combos = {(): {tuple(range(k)): Fraction(1)}}  # word suffix -> {sigma: coefficient}
+
+    def G(x):
+        (_, y), word = weyl.shortest_element(x, params)
+        d = 0
+        while word[d:] not in combos:
+            d += 1
+        waves = combos[word[d:]]
+        for d in range(d - 1, -1, -1):  # prepend the letters one at a time
+            a, b, weights = letters[word[d]]
+            out = {}
+            for sigma, c in waves.items():
+                stay, move = weights[sigma[a], sigma[b]]
+                swapped = list(sigma)
+                swapped[a], swapped[b] = sigma[b], sigma[a]
+                swapped = tuple(swapped)
+                out[sigma] = out.get(sigma, 0) + c * stay
+                out[swapped] = out.get(swapped, 0) + c * move
+            waves = combos[word[d:]] = out
+        powers = [[v**-yj for yj in y] for v in p]  # powers[i][j] = p_i^{-y_j}
+        return sum(c * math.prod(powers[i][j] for j, i in enumerate(sigma))
+                   for sigma, c in waves.items())
+
+    return G
+
+
+class PlaneWave:
     """The plane wave x -> prod_i p_i^{-x_i} as exact Fractions; eigenfunction
     of sum_i t_{v_i} with eigenvalue sum_i p_i.  The p_i must be nonzero
     rationals (ints or Fractions): plane waves feed the exact engine, and a
-    float p_i would not be the value it looks like."""
-    p = tuple(p)
-    if not all(isinstance(v, Rational) for v in p):
-        raise TypeError("plane wave requires rational p_i, got %r" % (p,))
-    if any(v == 0 for v in p):
-        raise ValueError("plane wave requires all p_i nonzero")
-    parts = [(v.numerator, v.denominator) for v in p]
-    tables = [{} for _ in p]  # per coordinate: x_i -> (numerator, denominator) of p_i^{-x_i}
+    float p_i would not be the value it looks like.
 
-    def ev(x):
+    The wave carries its p, so ``propagate`` can take it in closed form when
+    the p_i are pairwise distinct.  It keeps no memo of its values."""
+
+    __slots__ = ("p", "_tables")
+
+    def __init__(self, p):
+        p = tuple(p)
+        if not all(isinstance(v, Rational) for v in p):
+            raise TypeError("plane wave requires rational p_i, got %r" % (p,))
+        if any(v == 0 for v in p):
+            raise ValueError("plane wave requires all p_i nonzero")
+        self.p = p
+        # per coordinate: x_i -> (numerator, denominator) of p_i^{-x_i}
+        self._tables = [{} for _ in p]
+
+    def __call__(self, x):
         num = den = 1
-        for (n, d), table, xi in zip(parts, tables, x):
-            power = table.get(xi)
-            if power is None:
-                power = table[xi] = (n**-xi, d**-xi) if xi <= 0 else (d**xi, n**xi)
-            num *= power[0]
-            den *= power[1]
+        try:
+            for table, xi in zip(self._tables, x):
+                n, d = table[xi]
+                num *= n
+                den *= d
+        except KeyError:  # a new x_i: fill its tables, then read them
+            for v, table, xi in zip(self.p, self._tables, x):
+                if xi not in table:
+                    n, d = v.numerator, v.denominator
+                    table[xi] = (n**-xi, d**-xi) if xi <= 0 else (d**xi, n**xi)
+            return self(x)
         return Fraction(num, den)
 
-    return ev
 
+plane_wave = PlaneWave

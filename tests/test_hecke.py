@@ -13,7 +13,7 @@ from hecke_bose import weyl
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import QWordEngine, apply_Q, apply_Qw
 from hecke_bose.laurent import LaurentPolynomial, apply_T_check, pairing
-from hecke_bose.propagation import plane_wave, propagate
+from hecke_bose.propagation import plane_wave, propagate, propagate_many
 from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
 
@@ -275,19 +275,26 @@ def test_engine_matches_plane_wave_closed_form(k, L):
     [(2, 1, (40, -40)), (3, 2, (8, 0, -8)), (4, 3, (8, 2, -2, -8))],
 )
 def test_propagate_matches_plane_wave_oracle_far_out(k, L, x):
+    # propagate takes a plane wave with distinct p_i in closed form, so the
+    # oracle is also compared with the engine, which propagate does not run here
     params = Params(k, L, Fraction(1, 2), Fraction(2))
     p = rand_distinct_fractions(random.Random("far-waves-%d" % k), k)
-    assert propagate(plane_wave(p), params)(x) == _plane_wave_G(p, x, params)
+    oracle = _plane_wave_G(p, x, params)
+    assert propagate(plane_wave(p), params)(x) == oracle
+    scale, values, _ = propagate_many(QWordEngine(plane_wave(p), params), (x,))
+    assert Fraction(values[x], scale) == oracle
 
 
 def test_theorem_through_plane_wave_oracle_at_1000():
     # H G(g_p) = (sum p) G(g_p) exactly at a point whose reduced word has
-    # 1999 letters, out of the engine's reach in tier-1 time
+    # 1999 letters, out of the engine's reach in tier-1 time: propagate's
+    # closed form against the oracle there
     params = Params(2, 1, Fraction(1, 2), Fraction(2))
     p = rand_distinct_fractions(random.Random("far-theorem"), 2)
-    G = cache(lambda x: _plane_wave_G(p, x, params))
+    G = propagate(plane_wave(p), params)
     x = (1000, -1000)
     assert apply_H(G, x, params) == sum(p) * G(x)
+    assert G(x) == _plane_wave_G(p, x, params)
 
 
 def test_plane_wave_oracle_rejects_repeated_p():

@@ -7,9 +7,11 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_distinct_fractions, rand_params_pair, window
-from hecke_bose import verify, weyl
+from hecke_bose import propagation, verify, weyl
 from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.hecke import QWordEngine
 from hecke_bose.propagation import plane_wave, propagate, propagate_many
@@ -177,21 +179,25 @@ def _stack_depth():
 
 
 def test_far_point_evaluation_is_recursion_free():
-    # the reduced word for (30, -30) has 59 letters; evaluating G there must
-    # not take stack frames in proportion to them
+    # evaluating G must not take stack frames in proportion to the letters of
+    # the reduced word: on the engine, which propagate runs for a plane wave
+    # wrapped in a lattice function, at (30, -30) with 59 letters, and on
+    # propagate's closed form for the plane wave itself at (1000, -1000)
+    # with 1999 letters
     params = Params(2, 1, Fraction(1, 2), Fraction(2))
     p = (Fraction(2, 3), Fraction(-5, 4))
-    x = (30, -30)
-    assert len(weyl.shortest_element(x, params)[1]) == 59
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
-    try:
-        G = propagate(plane_wave(p), params)
-        lhs = apply_H(G, x, params)
-        rhs = sum(p) * G(x)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert lhs == rhs
+    cases = [(cache(plane_wave(p)), (30, -30), 59), (plane_wave(p), (1000, -1000), 1999)]
+    for f, x, letters in cases:
+        assert len(weyl.shortest_element(x, params)[1]) == letters
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            G = propagate(f, params)
+            lhs = apply_H(G, x, params)
+            rhs = sum(p) * G(x)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3)])
@@ -255,3 +261,88 @@ def test_engine_work_at_far_points_is_pinned():
         (2, 0, 2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (1, 3),
         (2, 1, 0, 2, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0): (1, 3),
     }
+
+
+_nonzero_rational = st.one_of(
+    st.integers(-5, 5), st.fractions(-4, 4, max_denominator=6)
+).filter(bool)
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """(params, p, far point): k = 2..4, L = 1..4, distinct int, negative
+    and Fraction p_i, and couplings among them alpha = 0 and beta = 1.  The
+    far point's coordinates reach 16 // k, where the engine takes about a
+    second at k = 4, L = 1."""
+    k, L = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    p = tuple(draw(st.lists(_nonzero_rational, min_size=k, max_size=k, unique=True)))
+    alpha = draw(st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=5)))
+    beta = draw(st.one_of(st.just(1), st.fractions(-3, 3, max_denominator=5).filter(bool)))
+    far = tuple(draw(st.lists(st.integers(-(16 // k), 16 // k), min_size=k, max_size=k)))
+    return Params(k, L, alpha, beta), p, far
+
+
+@given(_closed_form_cases())
+@example((Params(2, 1, 0, 1), (3, -2), (8, -8)))
+@example((Params(3, 2, Fraction(0), Fraction(1)), (Fraction(1, 2), -1, 4), (5, 0, -5)))
+@example(
+    (Params(4, 3, Fraction(-2, 3), 1), (2, Fraction(-3, 4), 5, Fraction(1, 3)), (4, 2, -2, -4))
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_closed_form_propagation_matches_engine(case):
+    # propagate's closed form for a plane wave with distinct p_i against the
+    # engine, on a window and on the neighbours of one far point
+    params, p, far = case
+    k = params.k
+    points = set(window(k, 2)) | {far} | {
+        far[:i] + (far[i] + s,) + far[i + 1 :] for i in range(k) for s in (-1, 1)
+    }
+    scale, values, _ = propagate_many(QWordEngine(plane_wave(p), params), points)
+    G = propagate(plane_wave(p), params)
+    for x in points:
+        value = G(x)
+        assert isinstance(value, Fraction)
+        assert value == Fraction(values[x], scale)
+
+
+def test_propagate_chooses_the_closed_form_for_distinct_plane_waves(monkeypatch):
+    # a plane wave with pairwise distinct p_i builds no engine; a plane wave
+    # wrapped in a lattice function, which gives the closed form's values, and
+    # a repeated p_i, where the k! waves do not span a closed module, build
+    # one engine each
+    built = []
+
+    class SpyEngine(QWordEngine):
+        def __init__(self, f, params):
+            built.append(f)
+            super().__init__(f, params)
+
+    monkeypatch.setattr(propagation, "QWordEngine", SpyEngine)
+    params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
+    points = list(window(3, 1)) + [(6, 0, -6), (5, 0, -6)]
+    distinct = plane_wave((Fraction(2, 3), -2, Fraction(7, 5)))
+    G = propagate(distinct, params)
+    closed = [G(x) for x in points]
+    assert built == []
+
+    wrapped = cache(distinct)
+    G = propagate(wrapped, params)
+    assert [G(x) for x in points] == closed
+    assert built == [wrapped]
+
+    repeated = plane_wave((Fraction(2, 3), -2, Fraction(2, 3)))
+    G = propagate(repeated, params)
+    assert all(isinstance(G(x), Fraction) for x in points)
+    assert built == [wrapped, repeated]
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.5, Fraction(2)), (Fraction(1, 2), 2.0), (Fraction(1, 2), complex(2, 1))]
+)
+def test_propagate_rejects_inexact_couplings_at_the_call(alpha, beta):
+    # on every path the engine's TypeError comes at the propagate call, not at
+    # the first read
+    params = Params(2, 2, alpha, beta)
+    for f in [plane_wave((2, Fraction(1, 3))), plane_wave((2, 2)), random_rational_function("c")]:
+        with pytest.raises(TypeError, match="needs a rational"):
+            propagate(f, params)
