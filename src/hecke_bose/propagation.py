@@ -60,7 +60,9 @@ def _plane_wave_propagation(p, params):
     and q_k.  So Q_w g_p is a combination of the g_{sigma p}, kept as
     {sigma: coefficient} with sigma the tuple of indices into p that the
     slots hold, and each distinct word suffix is built once, from
-    the combination of the suffix one letter shorter, in a plain loop.  The
+    the combination of the suffix one letter shorter, in a plain loop.
+    The combinations sit in a trie read from the last letter, one node per
+    suffix, so a word of n letters costs n nodes, not n^2/2 key slots.  The
     weights are Fractions, so the values are exact Fractions for int p too.
     """
     k, L = params.k, params.L
@@ -76,28 +78,32 @@ def _plane_wave_propagation(p, params):
                 plain[i, j] = t, 1 - t
                 affine[i, j] = t, (1 - t) * (a / b) ** L
     letters = [(k - 1, 0, affine)] + [(i - 1, i, plain) for i in range(1, k)]
-    combos = {(): {tuple(range(k)): Fraction(1)}}  # word suffix -> {sigma: coefficient}
+    # a trie of word suffixes read from the last letter, the empty word at the
+    # root: a node is ({sigma: coefficient}, {letter: the node one letter longer})
+    root = ({tuple(range(k)): Fraction(1)}, {})
 
     def G(x):
         (_, y), word = weyl.shortest_element(x, params)
-        d = 0
-        while word[d:] not in combos:
-            d += 1
-        waves = combos[word[d:]]
+        node, d = root, len(word)
+        while d:  # the longest suffix built so far
+            child = node[1].get(word[d - 1])
+            if child is None:
+                break
+            node, d = child, d - 1
         for d in range(d - 1, -1, -1):  # prepend the letters one at a time
             a, b, weights = letters[word[d]]
             out = {}
-            for sigma, c in waves.items():
+            for sigma, c in node[0].items():
                 stay, move = weights[sigma[a], sigma[b]]
                 swapped = list(sigma)
                 swapped[a], swapped[b] = sigma[b], sigma[a]
                 swapped = tuple(swapped)
                 out[sigma] = out.get(sigma, 0) + c * stay
                 out[swapped] = out.get(swapped, 0) + c * move
-            waves = combos[word[d:]] = out
+            node[1][word[d]] = node = (out, {})
         powers = [[v**-yj for yj in y] for v in p]  # powers[i][j] = p_i^{-y_j}
         return sum(c * math.prod(powers[i][j] for j, i in enumerate(sigma))
-                   for sigma, c in waves.items())
+                   for sigma, c in node[0].items())
 
     return G
 

@@ -15,6 +15,7 @@ import math
 import operator
 import random
 import time
+import zlib
 from fractions import Fraction
 
 from . import bethe, hamiltonian, hecke, laurent, propagation, weyl
@@ -32,15 +33,30 @@ def random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
+# a/b at index h % 114 = 19 (b - 1) + (a + 9), so a = h % 19 - 9 and b = h // 19 % 6 + 1
+_VALUES = [Fraction(a, b) for b in range(1, 7) for a in range(-9, 10)]
+
+
+def _value_at(state, x):
+    """The value at x of the function whose seed prefix has CRC-32 ``state``."""
+    return _VALUES[zlib.crc32(",".join(map(str, x)).encode(), state) % 114]
+
+
 def random_rational_function(seed):
     """A deterministic pseudo-random rational-valued lattice function, memoized.
 
-    The value at each point is derived from (seed, point) alone, so the
-    function is reproducible across runs and processes.
+    The value at x = (x_1, ..., x_k) is a/b with a = h % 19 - 9 and
+    b = h // 19 % 6 + 1, where h is the CRC-32 of the string
+    "seed|x_1,...,x_k"; the CRC of the seed prefix is taken once per
+    function.  So the value is derived from (seed, x) alone and is the same
+    in every process, on every platform and Python version, and each point
+    is evaluated once.  A ``random.Random`` seeded per point would cost a
+    SHA-512 and a Mersenne Twister initialisation each time, about ten
+    times the CRC; ``hashlib`` would load OpenSSL and add about 15 % to a
+    verify run's peak memory; ``hash()`` of a string changes with the
+    process's hash seed.
     """
-    return functools.cache(
-        lambda x: random_fraction(random.Random("%s|%s" % (seed, ",".join(map(str, x)))))
-    )
+    return functools.cache(functools.partial(_value_at, zlib.crc32(("%s|" % seed).encode())))
 
 
 def random_distinct_fractions(rng, k):
@@ -265,15 +281,32 @@ def suite_lemma_main(params, window, seed):
 @_suite("theorem")
 def suite_theorem(params, window, seed):
     """H G(g_p) = (sum p_i) G(g_p) for a random rational plane wave, exactly.
-    H is linear, so the suite applies it to G's ints at their one scale."""
-    p = random_distinct_fractions(random.Random("theorem-%s" % seed), params.k)
-    points = list(window_points(params.k, window))
+
+    H is linear, so the suite applies it to G's ints at their one scale and
+    compares ints.  With beta = b/c and sum p_i = l/m in lowest terms and the
+    engine's couplings D and A = D alpha, the identity times m D c^(k-1) reads
+
+      m sum_i b^(d_i^-) c^(k-1-d_i^-) (D G(x - v_i) - A d_i^+ G(x)) = l D c^(k-1) G(x),
+
+    since d_i^- <= k - 1; the weights b^d c^(k-1-d) come from a k-entry
+    table."""
+    k = params.k
+    p = random_distinct_fractions(random.Random("theorem-%s" % seed), k)
+    points = list(window_points(k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
+    unit, a, _ = engine.couplings
     _, G, _ = propagation.propagate_many(engine, _neighbourhood(points))
+    b, c = params.beta.numerator, params.beta.denominator
+    weights = [b**d * c ** (k - 1 - d) for d in range(k)]  # c^(k-1) beta^d
     lam = sum(p)
+    rhs = lam.numerator * unit * c ** (k - 1)
     detail = "eigenfunction identity fails, p = %s" % (p,)
     for x in points:
-        yield x, hamiltonian.apply_H(G.__getitem__, x, params) == lam * G[x], detail
+        gx = G[x]
+        lhs = 0
+        for i, (dp, dm) in enumerate(zip(*hamiltonian._d_counts(x, params))):
+            lhs += weights[dm] * (unit * G[x[:i] + (x[i] - 1,) + x[i + 1 :]] - a * dp * gx)
+        yield x, lam.denominator * lhs == rhs * gx, detail
 
 
 @_suite("hl-identity", alpha=Fraction(0))

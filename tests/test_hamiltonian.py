@@ -184,7 +184,7 @@ def test_memoized_and_unmemoized_agree(monkeypatch):
     def ev(x):
         return Fraction(sum(x), 3)
 
-    monkeypatch.setattr(verify, "random_fraction", counted("random", verify.random_fraction))
+    monkeypatch.setattr(verify, "_value_at", counted("random", verify._value_at))
     monkeypatch.setattr(
         propagation, "propagate_many", counted("propagate", propagation.propagate_many)
     )

@@ -305,6 +305,31 @@ def test_closed_form_propagation_matches_engine(case):
         assert value == Fraction(values[x], scale)
 
 
+def test_closed_form_holds_each_word_suffix_once():
+    # the closed form keeps its combinations in a trie of word suffixes: after
+    # reads at a window and at far points it holds one node per distinct suffix
+    # of the words read (the empty word included), and rereading adds none
+    params = Params(3, 2, Fraction(1, 2), Fraction(2))
+    G = propagate(plane_wave((2, Fraction(1, 3), -5)), params).__wrapped__
+    (root,) = [cell.cell_contents for cell in G.__closure__
+               if isinstance(cell.cell_contents, tuple)]
+
+    def nodes(node):
+        return 1 + sum(map(nodes, node[1].values()))
+
+    points = list(window(3, 2)) + [(8, 0, -8), (7, 0, -8), (-8, 0, 8)]
+    suffixes = set()
+    for x in points:
+        G(x)
+        word = weyl.shortest_element(x, params)[1]
+        suffixes.update(word[d:] for d in range(len(word) + 1))
+    assert max(map(len, suffixes)) > 15
+    assert nodes(root) == len(suffixes)
+    for x in points:
+        G(x)
+    assert nodes(root) == len(suffixes)
+
+
 def test_propagate_chooses_the_closed_form_for_distinct_plane_waves(monkeypatch):
     # a plane wave with pairwise distinct p_i builds no engine; a plane wave
     # wrapped in a lattice function, which gives the closed form's values, and

@@ -1,11 +1,15 @@
 """The suite runner: one registry, and the bookkeeping every verify suite shares."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import act, simple_reflection_element
-from hecke_bose import bethe, hamiltonian, hecke, laurent, verify
+import hecke_bose
+from hecke_bose import bethe, hamiltonian, hecke, laurent, propagation, verify
 from hecke_bose.weyl import Params, shortest_element
 
 
@@ -87,6 +91,87 @@ def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
     assert {entry["detail"] for entry in expected} == {"duality fails for i = 1",
                                                         "duality fails for i = 2"}
     assert report["failures"] == expected
+
+
+def test_theorem_suite_names_where_H_reads_a_corrupted_G(monkeypatch):
+    # G(g_p) off by one unit of its scale at one point y: H G = (sum p) G must
+    # fail at exactly the window points that read G at y, x = y or x - v_i = y
+    params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
+    clean = verify.run_suite("theorem", params, 1, 0)
+    assert clean["failures"] == []
+    y = (0, 0, 0)
+    real = propagation.propagate_many
+
+    def corrupted(engine, points):
+        scale, G, descents = real(engine, points)
+        G[y] += 1
+        return scale, G, descents
+
+    monkeypatch.setattr(propagation, "propagate_many", corrupted)
+    report = verify.run_suite("theorem", params, 1, 0)
+    assert report["checks_run"] == clean["checks_run"]
+    expected = [x for x in verify.window_points(3, 1)
+                if x == y or any(x[:i] + (x[i] - 1,) + x[i + 1 :] == y for i in range(3))]
+    assert expected == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert [tuple(entry["x"]) for entry in report["failures"]] == expected
+    assert {entry["detail"] for entry in report["failures"]} == {
+        "eigenfunction identity fails, p = (Fraction(4, 1), Fraction(1, 5), Fraction(-3, 2))"
+    }
+
+
+# (seed, x, value): a/b with h the CRC-32 of "seed|x_1,...,x_k", a = h % 19 - 9
+# and b = h // 19 % 6 + 1; "memo|-3" has h = 4022506198, h % 19 = 10 and
+# h // 19 % 6 = 0, so a/b = 1/1
+_PINNED_VALUES = [
+    ("hecke-1", (0, 0, 0), Fraction(4, 3)),
+    ("lemma-7", (2, -1, 0, 1), Fraction(8)),
+    ("memo", (-3,), Fraction(1)),
+    ("duality-0", (0, 1, -1), Fraction(2, 3)),
+]
+
+
+def test_random_rational_function_is_pinned_and_order_free():
+    for seed, x, value in _PINNED_VALUES:
+        assert verify.random_rational_function(seed)(x) == value
+    # two fresh functions read in opposite orders agree point by point
+    points = list(verify.window_points(3, 3))
+    f, g = verify.random_rational_function("order"), verify.random_rational_function("order")
+    forward = [f(x) for x in points]
+    assert [g(x) for x in reversed(points)][::-1] == forward
+    # every numerator -9..9 and denominator 1..6 of a/b occurs, and the seed matters
+    assert {v.numerator for v in forward} == set(range(-9, 10))
+    assert {v.denominator for v in forward} == set(range(1, 7))
+    assert list(map(verify.random_rational_function("other"), points)) != forward
+
+
+def _run_in_fresh_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hecke_bose.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_random_rational_function_is_the_same_in_another_process():
+    # string hashes change with PYTHONHASHSEED; the values must not
+    code = ("from hecke_bose.verify import random_rational_function as f\n"
+            "for seed, x in %r: print(repr(f(seed)(x)))" % [(s, x) for s, x, _ in _PINNED_VALUES])
+    for hash_seed in ("1", "12345"):
+        out = _run_in_fresh_python(code, PYTHONHASHSEED=hash_seed)
+        assert out.splitlines() == [repr(value) for _, _, value in _PINNED_VALUES]
+
+
+def test_verify_suites_leave_hashlib_out():
+    # importing hashlib loads OpenSSL's libcrypto: a test function hashed with
+    # hashlib.blake2b took the verify-exact benchmark's peak RSS from 24.2 to
+    # 27.9 MB (+15 %), so the suites' pseudo-randomness must not import it
+    code = ("import contextlib, io, sys\n"
+            "import hecke_bose.cli as cli\n"
+            "from hecke_bose.verify import SUITES\n"
+            "for suite in SUITES:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['verify', suite, '--k', '3', '--L', '3', '--window', '1'])\n"
+            "print(len(SUITES), 'hashlib' in sys.modules, '_hashlib' in sys.modules)")
+    assert _run_in_fresh_python(code) == "7 False False\n"
 
 
 def test_window_suite_engine_work_is_pinned(monkeypatch):
