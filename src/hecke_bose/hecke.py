@@ -186,7 +186,7 @@ class QWordEngine:
         for, and before any word is read, so no rescale falls between reads.
         Returns T and, per request, the list of the ints (Q_word f)(x) * T at
         its points: T = S * D^H, with H the length of the longest requested
-        word, and ``ints([])`` returns (S, [])."""
+        word.  The empty word reads f itself, and ``ints([])`` returns (S, [])."""
         requests = [(tuple(word), points) for word, points in requests]
         union = {}  # word -> every point its requests ask for
         for word, points in requests:

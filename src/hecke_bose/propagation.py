@@ -115,9 +115,11 @@ class PlaneWave:
     float p_i would not be the value it looks like.
 
     The wave carries its p, so ``propagate`` can take it in closed form when
-    the p_i are pairwise distinct.  It keeps no memo of its values."""
+    the p_i are pairwise distinct.  It keeps no memo and no table: each call
+    multiplies the int powers of the p_i's numerators and denominators and
+    reduces once."""
 
-    __slots__ = ("p", "_tables")
+    __slots__ = ("p",)
 
     def __init__(self, p):
         p = tuple(p)
@@ -126,22 +128,13 @@ class PlaneWave:
         if any(v == 0 for v in p):
             raise ValueError("plane wave requires all p_i nonzero")
         self.p = p
-        # per coordinate: x_i -> (numerator, denominator) of p_i^{-x_i}
-        self._tables = [{} for _ in p]
 
     def __call__(self, x):
         num = den = 1
-        try:
-            for table, xi in zip(self._tables, x):
-                n, d = table[xi]
-                num *= n
-                den *= d
-        except KeyError:  # a new x_i: fill its tables, then read them
-            for v, table, xi in zip(self.p, self._tables, x):
-                if xi not in table:
-                    n, d = v.numerator, v.denominator
-                    table[xi] = (n**-xi, d**-xi) if xi <= 0 else (d**xi, n**xi)
-            return self(x)
+        for v, xi in zip(self.p, x):
+            n, d = (v.numerator, v.denominator) if xi <= 0 else (v.denominator, v.numerator)
+            num *= n ** abs(xi)
+            den *= d ** abs(xi)
         return Fraction(num, den)
 
 

@@ -166,29 +166,27 @@ def suite_duality(params, window, seed):
     """(Q_i f)(x) = (f, T^check_i e^x): the defining duality, cross-module,
     compared in ints.
 
-    One engine read gives every Q_i f on the window as ints q at one scale
-    T.  Laurent's expansion, run with the engine's int couplings
+    Laurent's expansion, run with the engine's int couplings
     (D, C, A) = (D, D (1 - beta), D alpha) as weights, gives
-    D T^check_i e^x with int coefficients, and it is paired with the ints
-    f M, M the lcm of f's denominators over the pairings' support.  Then
-    (Q_i f)(x) = q / T and (f, T^check_i e^x) = P / (D M), so each check is
-    q D M == T P."""
+    D T^check_i e^x = sum_y c_y e^y with int c_y.  One engine read gives
+    every Q_i f on the window and f itself, the empty word, on the
+    expansions' support, as ints q and f_T at one scale T.  Then
+    (Q_i f)(x) = q / T and (f, T^check_i e^x) = sum_y c_y f_T(y) / (D T), so
+    each check is q D == sum_y c_y f_T(y)."""
     k = params.k
-    f = random_rational_function("duality-%s" % seed)
     points = list(window_points(k, window))
     letters = range(1, k)
-    engine = hecke.QWordEngine(f, params)
-    scale, columns = engine.ints(((i,), points) for i in letters)
+    engine = hecke.QWordEngine(random_rational_function("duality-%s" % seed), params)
     unit, a, c = engine.couplings
     tables = [[laurent.weighted_T_check(i, {x: 1}, (unit, c, a)) for x in points]
               for i in letters]
-    values = {y: f(y) for rows in tables for table in rows for y in table}
-    m = math.lcm(*{v.denominator for v in values.values()})  # M
-    fm = {y: v.numerator * (m // v.denominator) for y, v in values.items()}
+    support = list({y for rows in tables for table in rows for y in table})
+    _, (base, *columns) = engine.ints([((), support)] + [((i,), points) for i in letters])
+    f_t = dict(zip(support, base))
     for i, column, rows in zip(letters, columns, tables):
         detail = "duality fails for i = %d" % i
         for x, q, table in zip(points, column, rows):
-            yield x, q * unit * m == scale * sum(c * fm[y] for y, c in table.items()), detail
+            yield x, q * unit == sum(c * f_t[y] for y, c in table.items()), detail
 
 
 @_suite("d-change")
@@ -283,23 +281,23 @@ def suite_theorem(params, window, seed):
     """H G(g_p) = (sum p_i) G(g_p) for a random rational plane wave, exactly.
 
     H is linear, so the suite applies it to G's ints at their one scale and
-    compares ints.  With beta = b/c and sum p_i = l/m in lowest terms and the
-    engine's couplings D and A = D alpha, the identity times m D c^(k-1) reads
+    compares ints.  With the engine's couplings D, A = D alpha and
+    C = D (1 - beta), so that D - C = D beta, and sum p_i = l/m in lowest
+    terms, the identity times m D^k reads
 
-      m sum_i b^(d_i^-) c^(k-1-d_i^-) (D G(x - v_i) - A d_i^+ G(x)) = l D c^(k-1) G(x),
+      m sum_i (D - C)^(d_i^-) D^(k-1-d_i^-) (D G(x - v_i) - A d_i^+ G(x)) = l D^k G(x),
 
-    since d_i^- <= k - 1; the weights b^d c^(k-1-d) come from a k-entry
-    table."""
+    since d_i^- <= k - 1; the weights D^(k-1) beta^d = (D - C)^d D^(k-1-d)
+    come from a k-entry table."""
     k = params.k
     p = random_distinct_fractions(random.Random("theorem-%s" % seed), k)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
-    unit, a, _ = engine.couplings
+    unit, a, c = engine.couplings
     _, G, _ = propagation.propagate_many(engine, _neighbourhood(points))
-    b, c = params.beta.numerator, params.beta.denominator
-    weights = [b**d * c ** (k - 1 - d) for d in range(k)]  # c^(k-1) beta^d
+    weights = [(unit - c) ** d * unit ** (k - 1 - d) for d in range(k)]  # D^(k-1) beta^d
     lam = sum(p)
-    rhs = lam.numerator * unit * c ** (k - 1)
+    rhs = lam.numerator * unit**k
     detail = "eigenfunction identity fails, p = %s" % (p,)
     for x in points:
         gx = G[x]

@@ -481,6 +481,8 @@ def test_one_parser_serves_a_sequence_of_calls(monkeypatch):
         (["wavefunction", "--k", "2", "--L", "2", "--alpha=-1/3", "--beta", "2/5",
           "--p", "2,5", "--window", "2"], 0),
         (["hall-littlewood", "--lam", "2,1", "--z", "1/2,3,-1", "--t", "1/3"], 0),
+        # the options the theorem call set above, left out: their defaults apply
+        (["verify", "d-change", "--k", "2", "--L", "2"], 0),
     ]
     mask = lambda text: re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0', text)
 

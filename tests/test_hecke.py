@@ -341,7 +341,8 @@ def test_engine_rescales_when_new_denominators_arrive(word):
 
 def test_engine_rescales_every_layer_of_the_table():
     # (1, 0) and (0, 1) share no suffix, so their layers sit apart in the
-    # table; the far reads of a third word rescale them all
+    # table; the far reads of a third word rescale them all, and f's own
+    # table, which the empty word reads
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     reads = Counter()
     engine = QWordEngine(_far_denominators("table", reads), params)
@@ -355,7 +356,7 @@ def test_engine_rescales_every_layer_of_the_table():
     engine.values((1,), [(9, -8), (-7, 10)])
     assert any(scale % plain(x).denominator for x in reads if x not in first)
     fresh = QWordEngine(plain, params)
-    for word in words + [(0,), (1,)]:
+    for word in words + [(0,), (1,), ()]:
         assert engine.values(word, near) == fresh.values(word, near)
 
 

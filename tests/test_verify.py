@@ -69,17 +69,15 @@ def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
 
 
 def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
-    # f off by one at one point y on the Laurent side only (the engine reads the
-    # clean f): the suite must fail at exactly the x whose T^check_i e^x has y
-    # in its support, for each such i
+    # f off by one whole unit of the read's scale at one point y, in the empty
+    # word's column only (the Q_i f columns read the clean f): the pairing side
+    # must fail at exactly the x whose T^check_i e^x has y in its support, for
+    # each such i
     params = Params(3, 2, Fraction(-1, 3), Fraction(2, 5))
     clean = verify.run_suite("duality", params, 1, 0)
     assert clean["failures"] == []
-    f = verify.random_rational_function("duality-0")
-    engine = hecke.QWordEngine
     y = (0, 1, -1)
-    monkeypatch.setattr(hecke, "QWordEngine", lambda _, params: engine(f, params))
-    monkeypatch.setattr(verify, "random_rational_function", lambda _: lambda x: f(x) + (x == y))
+    _corrupt_one_value(monkeypatch, (), y)
     report = verify.run_suite("duality", params, 1, 0)
     assert report["checks_run"] == clean["checks_run"]
     expected = [
