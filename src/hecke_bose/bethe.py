@@ -24,9 +24,11 @@ POLE_TOL = 1e-12
 
 
 class BetheSolverError(RuntimeError):
-    """Continuation failure; carries the homotopy parameter where it occurred."""
+    """Continuation failure; carries the homotopy parameter s where it occurred,
+    None for a failure outside the continuation: a residual at a pole, or a
+    Newton run, which the continuation reports as a stall at its own s."""
 
-    def __init__(self, message, s=None):
+    def __init__(self, message, s):
         super().__init__(message)
         self.s = s
 
@@ -40,20 +42,33 @@ class SpectralPoint:
 
 
 def _kernel_source(k):
-    """Python source of ``residuals``, ``newton_step`` and ``solve`` for k
-    particles, unrolled into straight-line code.
+    """Python source of ``residuals``, ``newton``, ``separation`` and ``solve``
+    for k particles, unrolled into straight-line code.
 
     ``residuals(p, L, alpha, beta)`` gives r_i = p_i^L - prod_{j != i} S_ij,
     with S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha), and raises
-    at a vanishing denominator.  ``newton_step`` gives None when every
-    |r_i| < NEWTON_TOL, else p - J^{-1} r, where J = dr_i/dp_j takes the
-    partial products over l != i, j rather than dividing by S_ij, which may
-    vanish.  ``solve(jac, res)`` is the elimination alone: the x with
-    jac x = res, by Gaussian elimination with partial pivoting; a zero pivot
-    raises ZeroDivisionError.
+    at a vanishing denominator.  ``newton(p, L, alpha, beta)`` is the whole
+    Newton iteration, one loop around straight-line code.  Each iteration adds
+    its iterate to a set of seen iterates; it returns the iterate when every
+    |r_i| < NEWTON_TOL, and else steps to p - J^{-1} r, where J = dr_i/dp_j
+    takes the partial products over l != i, j rather than dividing by S_ij,
+    which may vanish.  It raises "Newton did not converge" at the first
+    iterate that repeats (an iteration is a pure function of p, so that is a
+    cycle of failed states) or after NEWTON_MAX_ITER iterations, and "Newton
+    step not finite" at a zero pivot, an overflow or a non-finite iterate:
+    Python complex raises where it can, and a product can still overflow to
+    inf without raising.  A vanishing denominator raises as in ``residuals``.
+    ``separation(p, s)`` raises the root-collision error, at homotopy
+    parameter s, for the first pair of roots closer than COLLISION_TOL.
+    ``solve(jac, res)`` is the elimination alone: the x with jac x = res, by
+    Gaussian elimination with partial pivoting; a zero pivot raises
+    ZeroDivisionError.
 
-    The code is plain arithmetic on the elements of p, so rational p stays
-    exact, and every operation keeps its operands and its order: the
+    ``residuals``, ``newton`` and ``solve`` are built from the same generated
+    lines.  They are plain arithmetic on the elements of p, so rational p
+    stays exact in ``residuals``; ``newton`` runs on complex p and couplings
+    only, so it tests a denominator d as abs(d) where ``residuals`` takes
+    abs(complex(d)).  Every operation keeps its operands and its order: the
     factors of row i are formed for j ascending, each denominator is checked
     as it is formed and r_i follows its row; a product starts from the int 1;
     the pivot is the first entry of maximal modulus, as ``max`` picks it; a
@@ -61,50 +76,56 @@ def _kernel_source(k):
     twice, beta p_i or a product over a prefix of a row, is computed once,
     where it is first needed.
     """
-    known = {}
 
-    def let(lines, name, expr):
-        # bind expr to name where it is first needed; later uses read the name
-        if expr not in known:
-            known[expr] = name
-            lines.append("%s = %s" % (name, expr))
-        return known[expr]
+    def system(modulus):
+        # the lines of r_i and of J, a denominator d tested as modulus % d
+        known = {}
 
-    def product(lines, i, ls):
-        # 1 * s_i,l1 * s_i,l2 * ..., each prefix named
-        if not ls:
-            return "1"
-        head = product(lines, i, ls[:-1])
-        name = "m%d_%s" % (i, "_".join(map(str, ls)))
-        return let(lines, name, "%s * s%d_%d" % (head, i, ls[-1]))
+        def let(lines, name, expr):
+            # bind expr to name where it is first needed; later uses read the name
+            if expr not in known:
+                known[expr] = name
+                lines.append("%s = %s" % (name, expr))
+            return known[expr]
 
-    rows = []
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        for n, j in enumerate(others):
-            num, den, ratio = "n%d_%d" % (i, j), "d%d_%d" % (i, j), "s%d_%d" % (i, j)
-            rows.append("%s = %s - p%d - alpha" % (num, let(rows, "bp%d" % i, "beta * p%d" % i), j))
-            rows.append("%s = p%d - %s + alpha" % (den, i, let(rows, "bp%d" % j, "beta * p%d" % j)))
-            rows.append("if abs(complex(%s)) < %r:" % (den, POLE_TOL))
-            rows.append("    raise BetheSolverError(%r)" % (
-                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)))
-            rows.append("%s = %s / %s" % (ratio, num, den))
-            product(rows, i, others[: n + 1])
-        rows.append("r%d = p%d ** L - %s" % (i, i, product(rows, i, others)))
+        def product(lines, i, ls):
+            # 1 * s_i,l1 * s_i,l2 * ..., each prefix named
+            if not ls:
+                return "1"
+            head = product(lines, i, ls[:-1])
+            name = "m%d_%s" % (i, "_".join(map(str, ls)))
+            return let(lines, name, "%s * s%d_%d" % (head, i, ls[-1]))
 
-    jacobian = []
-    for i in range(k):
-        jacobian.append("a%d_%d = L * p%d ** (L - 1)" % (i, i, i))
-        for j in range(k):
-            if j == i:
-                continue
-            partial = product(jacobian, i, [l for l in range(k) if l not in (i, j)])
-            num, den, den2 = "n%d_%d" % (i, j), "d%d_%d" % (i, j), "e%d_%d" % (i, j)
-            jacobian += [
-                "%s = %s ** 2" % (den2, den),
-                "a%d_%d -= %s * ((beta * %s - %s) / %s)" % (i, i, partial, den, num, den2),
-                "a%d_%d = -%s * ((-%s + beta * %s) / %s)" % (i, j, partial, den, num, den2),
-            ]
+        rows = []
+        for i in range(k):
+            others = [j for j in range(k) if j != i]
+            for n, j in enumerate(others):
+                num, den, ratio = "n%d_%d" % (i, j), "d%d_%d" % (i, j), "s%d_%d" % (i, j)
+                bp_i = let(rows, "bp%d" % i, "beta * p%d" % i)
+                rows.append("%s = %s - p%d - alpha" % (num, bp_i, j))
+                bp_j = let(rows, "bp%d" % j, "beta * p%d" % j)
+                rows.append("%s = p%d - %s + alpha" % (den, i, bp_j))
+                rows.append("if %s < %r:" % (modulus % den, POLE_TOL))
+                rows.append("    raise BetheSolverError(%r, s=None)" % (
+                    "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)))
+                rows.append("%s = %s / %s" % (ratio, num, den))
+                product(rows, i, others[: n + 1])
+            rows.append("r%d = p%d ** L - %s" % (i, i, product(rows, i, others)))
+
+        jacobian = []
+        for i in range(k):
+            jacobian.append("a%d_%d = L * p%d ** (L - 1)" % (i, i, i))
+            for j in range(k):
+                if j == i:
+                    continue
+                partial = product(jacobian, i, [l for l in range(k) if l not in (i, j)])
+                num, den, den2 = "n%d_%d" % (i, j), "d%d_%d" % (i, j), "e%d_%d" % (i, j)
+                jacobian += [
+                    "%s = %s ** 2" % (den2, den),
+                    "a%d_%d -= %s * ((beta * %s - %s) / %s)" % (i, i, partial, den, num, den2),
+                    "a%d_%d = -%s * ((-%s + beta * %s) / %s)" % (i, j, partial, den, num, den2),
+                ]
+        return rows, jacobian
 
     def cell(i, j):  # of the augmented matrix [J | r]
         return "r%d" % i if j == k else "a%d_%d" % (i, j)
@@ -130,34 +151,56 @@ def _kernel_source(k):
         total = "sum((%s))" % terms if terms else "0"
         elimination.append("x%d = (%s - %s) / %s" % (i, cell(i, k), total, cell(i, i)))
 
-    def function(signature, unpack, body, result):
-        lines = ["def %s:" % signature] + unpack + body + ["return %s" % result]
-        return "\n    ".join(lines) + "\n"
+    def function(signature, unpack, body):
+        return "\n    ".join(["def %s:" % signature] + unpack + body) + "\n"
+
+    def indent(lines):
+        return ["    " + line for line in lines]
 
     unpack_p = ["[%s] = p" % ", ".join("p%d" % i for i in range(k))]
+    iterate = "(%s)" % "".join("p%d, " % i for i in range(k))
     converged = " and ".join("abs(r%d) < %r" % (i, NEWTON_TOL) for i in range(k)) or "True"
+    finite = " and ".join("isfinite(p%d)" % i for i in range(k)) or "True"
+    rows, _ = system("abs(complex(%s))")
+    loop_rows, jacobian = system("abs(%s)")
+    step = (loop_rows + ["if %s:" % converged, "    return %s" % iterate] + jacobian
+            + elimination + ["p%d = p%d - x%d" % (i, i, i) for i in range(k)]
+            + ["finite = %s" % finite])
+    # seen grows by one at each iteration, so it falls behind n at the first
+    # iterate that repeats
+    loop = (["seen = set()", "for n in range(1, %d):" % (NEWTON_MAX_ITER + 1)]
+            + indent(["seen.add(%s)" % iterate, "if len(seen) < n:", "    break", "try:"]
+                     + indent(step)
+                     + ["except (OverflowError, ZeroDivisionError):", "    finite = False",
+                        "if not finite:",
+                        "    raise BetheSolverError(%r, s=None)" % "Newton step not finite"])
+            + ["raise BetheSolverError(%r, s=None)" % "Newton did not converge"])
+    separation = []
+    for i, j in combinations(range(k), 2):
+        separation += ["if abs(p%d - p%d) < %r:" % (i, j, COLLISION_TOL),
+                       "    raise BetheSolverError(%r %% s, s=s)"
+                       % ("root collision at s = %%.6g between p_%d and p_%d" % (i + 1, j + 1))]
     return "\n".join([
-        function("residuals(p, L, alpha, beta)", unpack_p, rows,
-                 "[%s]" % ", ".join("r%d" % i for i in range(k))),
-        function("newton_step(p, L, alpha, beta)", unpack_p,
-                 rows + ["if %s:" % converged, "    return None"] + jacobian + elimination,
-                 "(%s)" % "".join("p%d - x%d, " % (i, i) for i in range(k))),
+        function("residuals(p, L, alpha, beta)", unpack_p,
+                 rows + ["return [%s]" % ", ".join("r%d" % i for i in range(k))]),
+        function("newton(p, L, alpha, beta)", unpack_p, loop),
+        function("separation(p, s)", unpack_p, separation),
         function("solve(jac, res)",
                  ["[%s] = jac" % ", ".join(
                      "[%s]" % ", ".join(cell(i, j) for j in range(k)) for i in range(k)),
                   "[%s] = res" % ", ".join(cell(i, k) for i in range(k))],
-                 elimination, "[%s]" % ", ".join("x%d" % i for i in range(k))),
+                 elimination + ["return [%s]" % ", ".join("x%d" % i for i in range(k))]),
     ])
 
 
 @functools.cache
 def _kernel(k):
-    """The residuals, the Newton step and the elimination for k particles
-    (see _kernel_source), compiled on first use."""
-    namespace = {"BetheSolverError": BetheSolverError}
+    """The residuals, the Newton loop, the separation check and the elimination
+    for k particles (see _kernel_source), compiled on first use."""
+    namespace = {"BetheSolverError": BetheSolverError, "isfinite": cmath.isfinite}
     exec(compile(_kernel_source(k), "<bethe kernel k=%d>" % k, "exec"), namespace)
     return types.SimpleNamespace(
-        **{name: namespace[name] for name in ("residuals", "newton_step", "solve")}
+        **{name: namespace[name] for name in ("residuals", "newton", "separation", "solve")}
     )
 
 
@@ -170,27 +213,10 @@ def bethe_residual(p, params):
 
 
 def _newton(p, L, a, b):
-    """Newton refinement at couplings (a, b) on a tuple of Python complex.  A zero pivot,
-    an overflow or a non-finite iterate is a failed step: Python complex raises where
-    it can, and a product can still overflow to inf without raising.  An iteration is
-    a pure function of p, so a repeated iterate is a cycle of failed states: stop with
-    the error NEWTON_MAX_ITER would end in."""
-    p = tuple(p)
-    step = _kernel(len(p)).newton_step
-    seen = set()
-    while len(seen) < NEWTON_MAX_ITER and p not in seen:
-        seen.add(p)
-        try:
-            q = step(p, L, a, b)
-            if q is None:
-                return p
-            p = q
-            finite = all(map(cmath.isfinite, p))
-        except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
-            raise BetheSolverError("Newton step not finite")
-    raise BetheSolverError("Newton did not converge")
+    """Newton refinement at couplings (a, b) on a sequence of Python complex: the
+    compiled loop of _kernel(len(p)).newton, with its three errors (a vanishing
+    denominator, a step that is not finite, no convergence)."""
+    return _kernel(len(p)).newton(p, L, a, b)
 
 
 def seed_roots_of_unity(seed_selection, L):
@@ -256,12 +282,8 @@ def solve_bethe(params, seed_selection, homotopy_steps):
 
 def _check_separation(p, s):
     """Raise the root-collision diagnostic, at homotopy parameter s, for the
-    first pair of roots closer than COLLISION_TOL."""
-    for i, j in combinations(range(len(p)), 2):
-        if abs(p[i] - p[j]) < COLLISION_TOL:
-            raise BetheSolverError(
-                "root collision at s = %.6g between p_%d and p_%d" % (s, i + 1, j + 1), s=s
-            )
+    first pair of roots closer than COLLISION_TOL (see _kernel_source)."""
+    _kernel(len(p)).separation(p, s)
 
 
 def _max_or_nan(values):

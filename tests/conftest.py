@@ -326,7 +326,7 @@ def loop_scattering_row(p, i, alpha, beta):
         dens[j] = p[i] - beta * p[j] + alpha
         if abs(complex(dens[j])) < POLE_TOL:
             raise BetheSolverError(
-                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)
+                "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1), s=None
             )
         ratios[j] = nums[j] / dens[j]
         prod *= ratios[j]

@@ -29,6 +29,8 @@ THEOREM_CORRUPTED = V + "test_theorem_suite_names_where_H_reads_a_corrupted_G"
 LEMMA_CORRUPTED = V + "test_batched_suites_name_a_corrupted_value"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
 SOLVER_TABLE = "tests/test_bethe.py::test_solver_outcomes_pinned_per_instance"
+NEWTON_EXITS = "tests/test_bethe.py::test_compiled_newton_exits_match_the_loop_without_cycle_exit"
+NEWTON_CYCLE = "tests/test_bethe.py::test_newton_stops_at_a_cycle"
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -117,6 +119,20 @@ MUTANTS = [
     ("COLLISION_TOL 1e-30", "bethe.py", "COLLISION_TOL = 1e-8", "COLLISION_TOL = 1e-30",
      [SOLVER_TABLE]),
     ("continuation step divided by 3", "bethe.py", "ds /= 2", "ds /= 3", [SOLVER_TABLE]),
+    ("Newton loop without its cycle exit", "bethe.py", '"if len(seen) < n:"', '"if False:"',
+     [NEWTON_CYCLE, NEWTON_EXITS]),
+    ("Newton loop capped one iteration late", "bethe.py", "(NEWTON_MAX_ITER + 1)",
+     "(NEWTON_MAX_ITER + 2)", [NEWTON_EXITS]),
+    ("Newton loop capped one iteration early", "bethe.py", "(NEWTON_MAX_ITER + 1)",
+     "(NEWTON_MAX_ITER)", [NEWTON_EXITS]),
+    ("Newton loop without its finiteness check", "bethe.py", '["finite = %s" % finite]',
+     '["finite = True"]', [NEWTON_EXITS]),
+    ("Newton loop pole tolerance 1e-13", "bethe.py", 'system("abs(%s)")',
+     'system("10 * abs(%s)")', [NEWTON_EXITS]),
+    ("POLE_TOL 1e-11", "bethe.py", "POLE_TOL = 1e-12", "POLE_TOL = 1e-11", [NEWTON_EXITS]),
+    ("separation names the pair backwards", "bethe.py", "% (i + 1, j + 1))]",
+     "% (j + 1, i + 1))]",
+     ["tests/test_bethe.py::test_solver_checks_the_separation_of_the_roots_it_returns"]),
 ]
 
 

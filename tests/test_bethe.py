@@ -5,7 +5,6 @@ import functools
 import math
 import random
 import re
-import types
 from fractions import Fraction
 from itertools import count, permutations
 
@@ -38,7 +37,7 @@ from hecke_bose.bethe import (
     seed_roots_of_unity,
     solve_bethe,
 )
-from hecke_bose.bethe import NEWTON_TOL, POLE_TOL
+from hecke_bose.bethe import NEWTON_MAX_ITER, NEWTON_TOL, POLE_TOL
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.weyl import Params
 
@@ -329,7 +328,7 @@ def reference_residual_and_jacobian(p, L, a, b):
             nums[j] = b * p[i] - p[j] - a
             dens[j] = p[i] - b * p[j] + a
             if abs(dens[j]) < POLE_TOL:
-                raise BetheSolverError("denominator pole during continuation")
+                raise BetheSolverError("denominator pole during continuation", s=None)
             ratios[j] = nums[j] / dens[j]
         prod_all = math.prod(ratios)
         res[i] = p[i] ** L - prod_all
@@ -399,11 +398,69 @@ def _bits(values):
 
 
 def _loop_newton_step(p, L, a, b):
-    # the step the compiled newton_step unrolls: None at a converged p
+    # one step of the Newton loop on the loop kernels: None at a converged p
     res, jac = loop_bethe_system(p, L, a, b)
     if all(abs(r) < NEWTON_TOL for r in res):
         return None
     return tuple(v - d for v, d in zip(p, loop_solve(jac, res)))
+
+
+def _loop_newton(p, L, a, b):
+    """The Newton loop that bethe compiles, run on the loop kernels: the iterates
+    it adds to its set of seen iterates, in order and a repeated one included, as
+    _bits; its outcome, the root as _bits or the error message; and its exit."""
+    p, seen, iterates = tuple(p), set(), []
+    while len(seen) < NEWTON_MAX_ITER:
+        iterates.append(_bits(p))
+        if p in seen:
+            return iterates, "Newton did not converge", "repeated iterate"
+        seen.add(p)
+        try:
+            q = _loop_newton_step(p, L, a, b)
+        except (OverflowError, ZeroDivisionError):
+            return iterates, "Newton step not finite", "zero pivot or overflow"
+        except BetheSolverError as err:
+            return iterates, str(err), "vanishing denominator"
+        if q is None:
+            return iterates, _bits(p), "convergence"
+        p = q
+        if not all(map(cmath.isfinite, p)):
+            return iterates, "Newton step not finite", "non-finite iterate"
+    return iterates, "Newton did not converge", "cap"
+
+
+def _outcome(newton, p, L, a, b):
+    """The root that ``newton`` returns, as _bits, or its error message."""
+    try:
+        return _bits(newton(p, L, a, b))
+    except BetheSolverError as err:
+        return str(err)
+
+
+@functools.cache
+def _recording_newton(k):
+    """The compiled Newton loop for k particles, built from bethe._kernel_source(k)
+    in the kernel's own namespace but with a set that records, as _bits, every
+    iterate the loop adds to it: (newton, the list of recorded iterates)."""
+    iterates = []
+
+    class Recording(set):
+        def add(self, p):
+            iterates.append(_bits(p))
+            super().add(p)
+
+    namespace = dict(bethe._kernel(k).newton.__globals__, set=Recording)
+    exec(compile(bethe._kernel_source(k), "<recording kernel k=%d>" % k, "exec"), namespace)
+    return namespace["newton"], iterates
+
+
+def _compiled_newton(p, L, a, b):
+    """The iterates and the outcome of the compiled Newton loop from p, as
+    _loop_newton gives them."""
+    newton, iterates = _recording_newton(len(p))
+    iterates.clear()
+    outcome = _outcome(newton, p, L, a, b)
+    return list(iterates), outcome
 
 
 def test_bethe_system_matches_reference_exactly():
@@ -415,11 +472,13 @@ def test_bethe_system_matches_reference_exactly():
         assert jac == ref_jac
         kernel = bethe._kernel(params.k)
         assert _bits(kernel.residuals(p, L, a, b)) == _bits(res)
-        assert _bits(kernel.newton_step(p, L, a, b)) == _bits(_loop_newton_step(p, L, a, b))
-        # at the free couplings the seed roots are solutions: the step is None
+        # the compiled Newton loop goes through the loop kernels' iterates, bit for bit
+        assert _compiled_newton(p, L, a, b) == _loop_newton(p, L, a, b)[:2]
+        # at the free couplings the seed roots are solutions: the loop kernels take
+        # no step, and the compiled loop returns the seed as its first iterate
         seed = seed_roots_of_unity(range(params.k), L)
-        assert kernel.newton_step(seed, L, 0j, 1 + 0j) is None
         assert _loop_newton_step(seed, L, 0j, 1 + 0j) is None
+        assert _compiled_newton(seed, L, 0j, 1 + 0j) == ([_bits(seed)], _bits(seed))
         # rational p, through the public residual, stays exact, or meets the
         # same pole
         q = rand_distinct_fractions(random.Random(repr(params)), params.k)
@@ -605,10 +664,10 @@ def _newton_without_cycle_exit(p, L, a, b, max_iter=60):
             step = loop_solve(jac, res)
             p = tuple(v - d for v, d in zip(p, step))
         except (OverflowError, ZeroDivisionError) as err:
-            raise BetheSolverError("Newton step not finite") from err
+            raise BetheSolverError("Newton step not finite", s=None) from err
         if not all(map(cmath.isfinite, p)):
-            raise BetheSolverError("Newton step not finite")
-    raise BetheSolverError("Newton did not converge")
+            raise BetheSolverError("Newton step not finite", s=None)
+    raise BetheSolverError("Newton did not converge", s=None)
 
 
 # Newton calls per instance.  Some instances never end (the last one of the
@@ -694,31 +753,97 @@ def test_solver_failure_ceiling_on_corpus():
     assert unsolved <= UNSOLVED_CEILING
 
 
-def test_newton_stops_at_a_cycle(monkeypatch):
-    # recorded from a corpus run (k=2, L=2, alpha=2, beta=-3/2, s near 0.8):
-    # the iterates repeat bit for bit from the third on
-    p = [complex(float.fromhex(v), 0.0) for v in ("-0x1.0a3906f2bc6d3p+1", "0x1.ec56edfc49cecp-2")]
-    a = complex(float.fromhex("0x1.995c533333338p+0"), 0.0)
-    b = complex(float.fromhex("-0x1.ff66d0000000cp-1"), 0.0)
+# recorded from a corpus run (k=2, L=2, alpha=2, beta=-3/2, s near 0.8): the
+# iterates repeat bit for bit from the third on
+CORPUS_CYCLE = (
+    [complex(float.fromhex(v), 0.0) for v in ("-0x1.0a3906f2bc6d3p+1", "0x1.ec56edfc49cecp-2")],
+    2,
+    complex(float.fromhex("0x1.995c533333338p+0"), 0.0),
+    complex(float.fromhex("-0x1.ff66d0000000cp-1"), 0.0),
+)
+
+
+def test_newton_stops_at_a_cycle():
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
-        _newton_without_cycle_exit(p, 2, a, b)
-    # count the Newton steps that _newton runs, through the kernel it compiles
-    real = bethe._kernel
-    calls = []
-
-    def counting(k):
-        kernel = real(k)
-
-        def newton_step(*args):
-            calls.append(args)
-            return kernel.newton_step(*args)
-
-        return types.SimpleNamespace(residuals=kernel.residuals, newton_step=newton_step)
-
-    monkeypatch.setattr(bethe, "_kernel", counting)
+        _newton_without_cycle_exit(*CORPUS_CYCLE)
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
-        bethe._newton(p, 2, a, b)
-    assert 1 <= len(calls) < 60
+        bethe._newton(*CORPUS_CYCLE)
+    # count the iterations in the compiled loop: each adds its iterate to the set
+    # of seen iterates, and the loop ends at the first iterate that repeats
+    iterates, outcome = _compiled_newton(*CORPUS_CYCLE)
+    assert outcome == "Newton did not converge"
+    assert 1 <= len(iterates) < 60
+    assert (iterates, outcome) == _loop_newton(*CORPUS_CYCLE)[:2]
+
+
+NEWTON_EXITS = {"convergence", "repeated iterate", "cap", "zero pivot or overflow",
+                "non-finite iterate", "vanishing denominator"}
+
+
+def _newton_exit_cases():
+    """(p, L, alpha, beta, exit, iterates) at k = 2, 3 and 4: hand-picked inputs
+    for each exit of the Newton loop, with the number of iterates it adds to its
+    set of seen iterates before it leaves."""
+    free = 0j, 1 + 0j
+    # Newton cycles: the corpus run above, and two seeded draws
+    cycles = {
+        2: (*CORPUS_CYCLE, 4),
+        3: ((1.3698982477138095+0.1800274532547954j, -1.2763519873983378+1.0765254296680324j,
+             0.8749468123481954+1.5214358541315711j), 5, -1 + 0j, -4 + 0j, 25),
+        4: ((-0.16573785245937733+1.9194907501403078j, 0.648357443727754-0.5183268287411242j,
+             1.9909875420842922+0.46328992676930447j, -0.410370939710174-1.4820329483547612j),
+            6, 0j, 4 + 0j, 24),
+    }
+    # at the free couplings the equations p_i^{2k} = 1 decouple, and from p_1 = R
+    # Newton shrinks p_1 by about (2k - 1)/(2k) per step: R fixes the iterate at
+    # which the loop converges, the 60th or the 61st, one past the cap
+    slow = {2: (6e6, 8e6), 3: (2e4, 2.4e4), 4: (1400.0, 1600.0)}
+    for k in (2, 3, 4):
+        rest = tuple(complex(v) for v in range(2, k + 1))
+        roots = seed_roots_of_unity(range(1, k), 2 * k)
+        at_60, at_61 = slow[k]
+        yield (0j,) + rest, 2, *free, "zero pivot or overflow", 1  # J = diag(2 p_i)
+        yield (1e200 + 0j,) + rest, 3, *free, "zero pivot or overflow", 1  # p_1^3 overflows
+        # at the least subnormal p_1 the step -1 / (2 p_1) is inf, and nothing raises
+        yield (5e-324 + 0j,) + rest, 2, *free, "non-finite iterate", 1
+        # |p_1 - p_2| = 5e-13 is below POLE_TOL; 2e-12 is not, until the next iterate
+        yield (1 + 0j, 1 + 5e-13 + 0j) + rest[1:], 2, *free, "vanishing denominator", 1
+        yield (1 + 0j, 1 + 2e-12 + 0j) + rest[1:], 2, *free, "vanishing denominator", 2
+        yield (at_60 + 0j,) + roots, 2 * k, *free, "convergence", 60
+        yield (at_61 + 0j,) + roots, 2 * k, *free, "cap", 60
+        yield (*cycles[k][:-1], "repeated iterate", cycles[k][-1])
+
+
+def _seeded_newton_cases():
+    """(p, L, alpha, beta) at k = 2, 3 and 4: corpus couplings, p in a box."""
+    rng = random.Random("bethe-newton-exits")
+    for k in (2, 3, 4):
+        for _ in range(100):
+            L = rng.randint(k, k + 2)
+            a, b = complex(_corpus_coupling(rng)), complex(_corpus_coupling(rng, nonzero=True))
+            p = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(k))
+            yield p, L, a, b
+
+
+def test_compiled_newton_exits_match_the_loop_without_cycle_exit():
+    # the compiled loop, bethe._newton and the loop without a cycle exit end the
+    # same, bit for bit, and the compiled loop goes through the loop kernels'
+    # iterates; every exit is taken at each k
+    taken = {2: set(), 3: set(), 4: set()}
+
+    def run(p, L, a, b):
+        iterates, outcome, how = _loop_newton(p, L, a, b)
+        assert _compiled_newton(p, L, a, b) == (iterates, outcome)
+        assert _outcome(bethe._newton, p, L, a, b) == outcome
+        assert _outcome(_newton_without_cycle_exit, p, L, a, b) == outcome
+        taken[len(p)].add(how)
+        return how, len(iterates)
+
+    for *args, how, count in _newton_exit_cases():
+        assert run(*args) == (how, count)
+    for args in _seeded_newton_cases():
+        run(*args)
+    assert taken == {2: NEWTON_EXITS, 3: NEWTON_EXITS, 4: NEWTON_EXITS}
 
 
 def test_solver_checks_the_separation_of_the_roots_it_returns(monkeypatch):
