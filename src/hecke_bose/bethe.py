@@ -41,9 +41,43 @@ class SpectralPoint:
     residual: float
 
 
+def _elimination(k):
+    """The lines of Gaussian elimination with partial pivoting for k unknowns,
+    straight-line: they solve J x = r for x0, ..., x{k-1}, with the augmented
+    matrix [J | r] held in the names a{i}_{j} and r{i}, which they overwrite.
+    The pivot is the first entry of maximal modulus, as ``max`` picks it, and
+    a back-substitution sum goes through ``sum()``.  The arithmetic is plain,
+    so a zero pivot raises ZeroDivisionError and rational entries give the
+    exact x."""
+
+    def cell(i, j):  # of the augmented matrix [J | r]
+        return "r%d" % i if j == k else "a%d_%d" % (i, j)
+
+    lines = []
+    for c in range(k):
+        lines.append("top = abs(%s)" % cell(c, c))
+        if c + 1 < k:
+            lines.append("piv = %d" % c)
+        for r in range(c + 1, k):
+            lines += ["v = abs(%s)" % cell(r, c), "if v > top:", "    top = v", "    piv = %d" % r]
+        for r in range(c + 1, k):
+            mine = [cell(c, j) for j in range(c, k + 1)]
+            theirs = [cell(r, j) for j in range(c, k + 1)]
+            lines += ["%s piv == %d:" % ("if" if r == c + 1 else "elif", r),
+                      "    %s = %s" % (", ".join(mine + theirs), ", ".join(theirs + mine))]
+        for r in range(c + 1, k):
+            lines.append("f = %s / %s" % (cell(r, c), cell(c, c)))
+            lines += ["%s -= f * %s" % (cell(r, j), cell(c, j)) for j in range(c + 1, k + 1)]
+    for i in reversed(range(k)):
+        terms = "".join("%s * x%d, " % (cell(i, j), j) for j in range(i + 1, k))
+        total = "sum((%s))" % terms if terms else "0"
+        lines.append("x%d = (%s - %s) / %s" % (i, cell(i, k), total, cell(i, i)))
+    return lines
+
+
 def _kernel_source(k):
-    """Python source of ``residuals``, ``newton``, ``separation`` and ``solve``
-    for k particles, unrolled into straight-line code.
+    """Python source of ``residuals``, ``newton`` and ``separation`` for k
+    particles, unrolled into straight-line code.
 
     ``residuals(p, L, alpha, beta)`` gives r_i = p_i^L - prod_{j != i} S_ij,
     with S_ij = (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha), and raises
@@ -60,21 +94,17 @@ def _kernel_source(k):
     inf without raising.  A vanishing denominator raises as in ``residuals``.
     ``separation(p, s)`` raises the root-collision error, at homotopy
     parameter s, for the first pair of roots closer than COLLISION_TOL.
-    ``solve(jac, res)`` is the elimination alone: the x with jac x = res, by
-    Gaussian elimination with partial pivoting; a zero pivot raises
-    ZeroDivisionError.
+    The step's elimination is the lines of ``_elimination(k)``.
 
-    ``residuals``, ``newton`` and ``solve`` are built from the same generated
-    lines.  They are plain arithmetic on the elements of p, so rational p
-    stays exact in ``residuals``; ``newton`` runs on complex p and couplings
-    only, so it tests a denominator d as abs(d) where ``residuals`` takes
+    ``residuals`` and ``newton`` are built from the same generated lines.
+    They are plain arithmetic on the elements of p, so rational p stays
+    exact in ``residuals``; ``newton`` runs on complex p and couplings only,
+    so it tests a denominator d as abs(d) where ``residuals`` takes
     abs(complex(d)).  Every operation keeps its operands and its order: the
     factors of row i are formed for j ascending, each denominator is checked
-    as it is formed and r_i follows its row; a product starts from the int 1;
-    the pivot is the first entry of maximal modulus, as ``max`` picks it; a
-    back-substitution sum goes through ``sum()``.  A value that is needed
-    twice, beta p_i or a product over a prefix of a row, is computed once,
-    where it is first needed.
+    as it is formed and r_i follows its row; a product starts from the int 1.
+    A value that is needed twice, beta p_i or a product over a prefix of a
+    row, is computed once, where it is first needed.
     """
 
     def system(modulus):
@@ -127,30 +157,6 @@ def _kernel_source(k):
                 ]
         return rows, jacobian
 
-    def cell(i, j):  # of the augmented matrix [J | r]
-        return "r%d" % i if j == k else "a%d_%d" % (i, j)
-
-    elimination = []
-    for c in range(k):
-        elimination.append("top = abs(%s)" % cell(c, c))
-        if c + 1 < k:
-            elimination.append("piv = %d" % c)
-        for r in range(c + 1, k):
-            elimination += ["v = abs(%s)" % cell(r, c), "if v > top:",
-                            "    top = v", "    piv = %d" % r]
-        for r in range(c + 1, k):
-            mine = [cell(c, j) for j in range(c, k + 1)]
-            theirs = [cell(r, j) for j in range(c, k + 1)]
-            elimination += ["%s piv == %d:" % ("if" if r == c + 1 else "elif", r),
-                            "    %s = %s" % (", ".join(mine + theirs), ", ".join(theirs + mine))]
-        for r in range(c + 1, k):
-            elimination.append("f = %s / %s" % (cell(r, c), cell(c, c)))
-            elimination += ["%s -= f * %s" % (cell(r, j), cell(c, j)) for j in range(c + 1, k + 1)]
-    for i in reversed(range(k)):
-        terms = "".join("%s * x%d, " % (cell(i, j), j) for j in range(i + 1, k))
-        total = "sum((%s))" % terms if terms else "0"
-        elimination.append("x%d = (%s - %s) / %s" % (i, cell(i, k), total, cell(i, i)))
-
     def function(signature, unpack, body):
         return "\n    ".join(["def %s:" % signature] + unpack + body) + "\n"
 
@@ -164,7 +170,7 @@ def _kernel_source(k):
     rows, _ = system("abs(complex(%s))")
     loop_rows, jacobian = system("abs(%s)")
     step = (loop_rows + ["if %s:" % converged, "    return %s" % iterate] + jacobian
-            + elimination + ["p%d = p%d - x%d" % (i, i, i) for i in range(k)]
+            + _elimination(k) + ["p%d = p%d - x%d" % (i, i, i) for i in range(k)]
             + ["finite = %s" % finite])
     # seen grows by one at each iteration, so it falls behind n at the first
     # iterate that repeats
@@ -185,22 +191,17 @@ def _kernel_source(k):
                  rows + ["return [%s]" % ", ".join("r%d" % i for i in range(k))]),
         function("newton(p, L, alpha, beta)", unpack_p, loop),
         function("separation(p, s)", unpack_p, separation),
-        function("solve(jac, res)",
-                 ["[%s] = jac" % ", ".join(
-                     "[%s]" % ", ".join(cell(i, j) for j in range(k)) for i in range(k)),
-                  "[%s] = res" % ", ".join(cell(i, k) for i in range(k))],
-                 elimination + ["return [%s]" % ", ".join("x%d" % i for i in range(k))]),
     ])
 
 
 @functools.cache
 def _kernel(k):
-    """The residuals, the Newton loop, the separation check and the elimination
-    for k particles (see _kernel_source), compiled on first use."""
+    """The residuals, the Newton loop and the separation check for k particles
+    (see _kernel_source), compiled on first use."""
     namespace = {"BetheSolverError": BetheSolverError, "isfinite": cmath.isfinite}
     exec(compile(_kernel_source(k), "<bethe kernel k=%d>" % k, "exec"), namespace)
     return types.SimpleNamespace(
-        **{name: namespace[name] for name in ("residuals", "newton", "separation", "solve")}
+        **{name: namespace[name] for name in ("residuals", "newton", "separation")}
     )
 
 

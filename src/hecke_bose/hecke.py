@@ -157,10 +157,12 @@ class QWordEngine:
     over S * D^h.  When a read brings a new denominator, S grows by a
     factor m and every stored int is multiplied by m.  So alpha, beta and
     the values of f must be rationals (ints or Fractions).  S stays inside
-    the engine: ``ints`` groups its requests by word and hands out every
-    word at one scale T, and ``values`` divides by it.  ``keep`` drops the
-    layers that later reads will not need, so one engine can serve many
-    words without holding all their layers.
+    the engine: ``ints`` and ``walk`` group their requests by word and hand
+    out every word at one scale T, and ``values`` divides by it.  ``ints``
+    keeps every layer it builds, so later reads of words that share a
+    suffix reuse its points; ``walk`` reads its words in suffix-trie order
+    and drops each layer after the last of them that reads it, so the
+    engine holds one chain of suffixes at a time.
     """
 
     def __init__(self, f, params):
@@ -199,11 +201,42 @@ class QWordEngine:
             columns.append([top[x] * m for x in points])
         return self._scale * unit**height, columns
 
-    def keep(self, words):
-        """Drop every layer except those the given words read: their nonempty
-        suffixes.  f's table stays."""
-        wanted = {word[d:] for word in map(tuple, words) for d in range(len(word))}
-        self._layers = {word: layer for word, layer in self._layers.items() if word in wanted}
+    def walk(self, requests):
+        """What ``ints`` returns for the same requests, read one distinct word
+        at a time, dropping each layer after the last word that reads it.
+
+        The words are read sorted by their reversal, depth-first in the trie
+        of suffixes, so the readers of a layer, the words that end in its
+        suffix, come one after another: after each word, the layers of the
+        suffixes it does not share with the next word are dropped, and the
+        engine holds one chain of suffixes at a time.  Each word's ints are
+        kept at the scale S of its read and multiplied up to the final
+        T = S * D^H at the end."""
+        requests = [(tuple(word), points) for word, points in requests]
+        asked = {}  # word -> the indices of the requests that ask it
+        for n, (word, _) in enumerate(requests):
+            asked.setdefault(word, []).append(n)
+        order = sorted(asked, key=lambda word: word[::-1])
+        columns, scales = [None] * len(requests), []
+        for word, after in zip(order, order[1:] + [()]):
+            top = self._evaluate(word, set().union(*(requests[n][1] for n in asked[word])))
+            for n in asked[word]:
+                columns[n] = [top[x] for x in requests[n][1]]
+            scales.append(self._scale)
+            shared = 0  # the length of the longest suffix word and after share
+            for a, b in zip(reversed(word), reversed(after)):
+                if a != b:
+                    break
+                shared += 1
+            for d in range(len(word) - shared):
+                del self._layers[word[d:]]
+        unit, height = self.couplings[0], max(map(len, asked), default=0)
+        for word, scale in zip(order, scales):
+            m = self._scale // scale * unit ** (height - len(word))
+            if m != 1:
+                for n in asked[word]:
+                    columns[n] = [v * m for v in columns[n]]
+        return self._scale * unit**height, columns
 
     def _evaluate(self, word, points):
         """Make sure (Q_word f) is stored at the given points; return the

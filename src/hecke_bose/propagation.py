@@ -22,28 +22,30 @@ def propagate(f, params):
     at O(|w_x| k!) rational operations for each new word (see
     ``_plane_wave_propagation``).  Every other f, a plane wave with a
     repeated p_i included, is read through the Q-word engine, one point at a
-    time; ``propagate_many`` always reads through the engine.  Either way
-    alpha and beta must be rationals, or this call raises TypeError."""
+    time, by ``values``, which keeps the engine's layers for later calls: H
+    reads G at x and its k neighbours, whose words share suffixes.
+    ``propagate_many`` always reads through the engine.  Either way alpha
+    and beta must be rationals, or this call raises TypeError."""
     if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):
         G = _plane_wave_propagation(f.p, params)
     else:
         engine = QWordEngine(f, params)
 
         def G(x):
-            scale, values, _ = propagate_many(engine, (x,))
-            return Fraction(values[x], scale)
+            (_, wx), word = weyl.shortest_element(x, params)
+            return engine.values(word, (wx,))[0]
 
     return functools.cache(G)
 
 
-def propagate_many(engine, points):
-    """G(f) at many points as ints at one scale: T, {x: G(f)(x) * T} and the
-    descents {x: weyl.shortest_element(x)} it read w_x and w_x x from.
-    One engine read asks each w_x at its w_x x, and the engine evaluates
-    each distinct word once."""
-    descents = {x: weyl.shortest_element(x, engine.params) for x in points}
-    scale, columns = engine.ints((word, (wx,)) for (_, wx), word in descents.values())
-    return scale, {x: v for x, (v,) in zip(descents, columns)}, descents
+def propagate_many(engine, descents, requests=()):
+    """G(f) at the points of ``descents``, {x: weyl.shortest_element(x)},
+    and the (word, points) ``requests`` in one ``walk`` of the engine, which
+    asks each w_x at its w_x x.  Returns T, {x: G(f)(x) * T} and, per
+    request, the list of the ints (Q_word f)(y) * T at its points."""
+    reads = [(word, (wx,)) for (_, wx), word in descents.values()]
+    scale, columns = engine.walk(reads + list(requests))
+    return scale, {x: v for x, (v,) in zip(descents, columns)}, columns[len(reads) :]
 
 
 def _plane_wave_propagation(p, params):

@@ -69,11 +69,13 @@ def random_distinct_fractions(rng, k):
     return tuple(vals)
 
 
-def _neighbourhood(points):
-    """The points with their neighbours x - v_i: where H and the lemma read G."""
-    return set(points).union(
+def _descents(points, params):
+    """{x: weyl.shortest_element(x)} over the points and their neighbours
+    x - v_i: where H and the lemma read G."""
+    near = set(points).union(
         x[:i] + (x[i] - 1,) + x[i + 1 :] for x in points for i in range(len(x))
     )
+    return {x: weyl.shortest_element(x, params) for x in near}
 
 
 def params_dict(params):
@@ -130,13 +132,12 @@ def _suite(name, **pinned):
 def suite_hecke(params, window, seed):
     """Quadratic relations for all Q_i and braid/commutation relations.
 
-    One engine for f serves every relation, each of which reads its words'
-    ints over the whole window at one scale, so the checks are int
-    equalities.  With the engine's couplings D and C = D (1 - beta), the
-    quadratic relation Q_i^2 = (1 - beta) Q_i + beta reads
-    D h = C g + (D - C) f for h, g, f the ints of Q_i^2 f, Q_i f and f.
-    After each relation the engine drops the layers no later relation
-    reads, so it holds the single letters and one relation's layers at a
+    One walk of an engine for f reads every relation's words over the whole
+    window as ints at one scale, so the checks are int equalities.  With the
+    engine's couplings D and C = D (1 - beta), the quadratic relation
+    Q_i^2 = (1 - beta) Q_i + beta reads D h = C g + (D - C) f for h, g, f
+    the ints of Q_i^2 f, Q_i f and f.  The walk drops each layer after the
+    last word that reads it, so the engine holds one word's layers at a
     time."""
     k = params.k
     f = random_rational_function("hecke-%s" % seed)
@@ -154,10 +155,10 @@ def suite_hecke(params, window, seed):
                    "braid relation fails for (Q_%d, Q_%d)" % (i, j)) for i, j in adjacent]
     relations += [(((i, j), (j, i)), operator.eq, "commutation fails for (Q_%d, Q_%d)" % (i, j))
                   for i, j in distant]
-    for n, (words, holds, detail) in enumerate(relations):
-        _, columns = engine.ints([(word, points) for word in words])
-        engine.keep(word for later, _, _ in relations[n + 1 :] for word in later)
-        for x, *ints in zip(points, *columns):
+    _, columns = engine.walk([(word, points) for words, _, _ in relations for word in words])
+    columns = iter(columns)
+    for words, holds, detail in relations:
+        for x, *ints in zip(points, *itertools.islice(columns, len(words))):
             yield x, holds(*ints), detail
 
 
@@ -247,19 +248,19 @@ def suite_lemma_main(params, window, seed):
       = ((t_{v_sigma(i)} + (1-beta) sum_{j=1}^{d_i^+(x)} t_{v_{sigma(i)+j}}) Q_{w_x} f)(w_x x)
 
     with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
-    One Q-word engine for f serves both sides: ``propagate_many`` gives G(f)
-    on the window and its neighbours as ints at one scale T_G, with the
-    descents that give sigma, w_x and w_x x, and one read, with a request
-    per (x, i), gives w_x at the points near w_x x as ints at one scale T_Q.
-    With the engine's couplings (D, A, C) = (D, D alpha, D (1 - beta)), a
-    check is T_Q (D G(x - v_i) - A d_i^+ G(x)) == T_G (D q + C sum q), in
-    ints."""
+    One walk of a Q-word engine for f reads both sides: ``propagate_many``
+    gives G(f) on the window and its neighbours and, with a request per
+    (x, i), w_x at the points near w_x x, all as ints at one scale; the
+    descents give sigma, w_x and w_x x.  A layer a word of G and a request
+    share is alive for both.  With the engine's couplings
+    (D, A, C) = (D, D alpha, D (1 - beta)), a check is
+    D G(x - v_i) - A d_i^+ G(x) == D q + C sum q, in ints."""
     k = params.k
     f = random_rational_function("lemma-%s" % seed)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(f, params)
     unit, a, c = engine.couplings
-    scale_g, G, descents = propagation.propagate_many(engine, _neighbourhood(points))
+    descents = _descents(points, params)
     sides = []  # (x, i, d_i^+(x)), x-major
     requests = []  # per side: w_x and the right-hand points, v_sigma(i) first
     for x in points:
@@ -269,11 +270,11 @@ def suite_lemma_main(params, window, seed):
             slots = [(sigma[i - 1] + j) % k for j in range(terms)]
             sides.append((x, i, dp))
             requests.append((word, [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]))
-    scale_q, columns = engine.ints(requests)
+    _, G, columns = propagation.propagate_many(engine, descents, requests)
     for (x, i, dp), (q, *rest) in zip(sides, columns):
         left = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
-        lhs = scale_q * (unit * left - a * dp * G[x])
-        yield x, lhs == scale_g * (unit * q + c * sum(rest)), "lemma identity fails for i = %d" % i
+        lhs = unit * left - a * dp * G[x]
+        yield x, lhs == unit * q + c * sum(rest), "lemma identity fails for i = %d" % i
 
 
 @_suite("theorem")
@@ -294,7 +295,7 @@ def suite_theorem(params, window, seed):
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(propagation.plane_wave(p), params)
     unit, a, c = engine.couplings
-    _, G, _ = propagation.propagate_many(engine, _neighbourhood(points))
+    _, G, _ = propagation.propagate_many(engine, _descents(points, params))
     weights = [(unit - c) ** d * unit ** (k - 1 - d) for d in range(k)]  # D^(k-1) beta^d
     lam = sum(p)
     rhs = lam.numerator * unit**k

@@ -3,7 +3,8 @@ them the affine roots, the affine Weyl group as elements with their product,
 inverse and action on points and functions, the element of a word, the Laurent
 polynomial ring with the affine Weyl action on exponents, the undeformed
 Hamiltonian, d_i^-, the Bethe residual/Jacobian/elimination as loops, and
-the symmetrized sums of h_p and R_lambda term by term)."""
+the symmetrized sums of h_p and R_lambda term by term, and a Q-word engine
+layer table that records the layers it drops)."""
 
 import itertools
 import math
@@ -11,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from hecke_bose import hamiltonian, laurent
+from hecke_bose import hamiltonian, laurent, weyl
 from hecke_bose.bethe import POLE_TOL, BetheSolverError
 from hecke_bose.verify import random_distinct_fractions as rand_distinct_fractions
 from hecke_bose.verify import random_fraction as rand_fraction
@@ -427,3 +428,32 @@ def hl_pairs(z, t):
 
 def seeded(name):
     return random.Random(name)
+
+
+def descents(points, params):
+    """{x: weyl.shortest_element(x)}: what ``propagate_many`` reads G at."""
+    return {x: weyl.shortest_element(x, params) for x in points}
+
+
+def layer_sizes(layer):
+    """A Q-word engine layer's memo size and the summed length of its line sums."""
+    return len(layer.memo), sum(len(sums) for sides in layer.lines.values() for sums in sides)
+
+
+class LayerTable(dict):
+    """A Q-word engine's table of layers that records each layer it drops:
+    set as ``engine._layers``, it keeps the work of the layers a walk has
+    dropped."""
+
+    def __init__(self):
+        super().__init__()
+        self.dropped = []  # (word, memo size, line-sum length) per drop
+
+    def __delitem__(self, word):
+        self.dropped.append((word, *layer_sizes(self[word])))
+        super().__delitem__(word)
+
+    def work(self):
+        """(word, memo size, line-sum length) per layer dropped so far and
+        per layer still held."""
+        return self.dropped + [(word, *layer_sizes(layer)) for word, layer in self.items()]

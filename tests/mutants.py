@@ -9,17 +9,25 @@ pass, and it is stale when its old text does not occur exactly once in its
 file.  Either makes the run exit 1, so the catalogue follows refactors
 instead of rotting.
 
+The runner imports pytest and hypothesis once and forks one child per run,
+one child at a time; the child imports the package and the tests from the
+copy, runs ``pytest.main`` there and exits with its code.  The runner
+itself never imports ``hecke_bose``, so each child reads the mutated file.
+
 pytest does not collect this file: its name does not match test_*.py.
 """
 
+import importlib
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 
 V = "tests/test_verify.py::"
 P = "tests/test_propagation.py::"
@@ -27,6 +35,10 @@ HECKE_CORRUPTED = V + "test_hecke_suite_names_a_corrupted_relation"
 DUALITY_CORRUPTED = V + "test_duality_suite_names_where_the_pairing_reads_a_corrupted_f"
 THEOREM_CORRUPTED = V + "test_theorem_suite_names_where_H_reads_a_corrupted_G"
 LEMMA_CORRUPTED = V + "test_batched_suites_name_a_corrupted_value"
+HECKE_HELD = V + "test_hecke_suite_holds_at_most_one_relation_beyond_the_letters"
+WINDOW_WORK = V + "test_window_suite_engine_work_is_pinned"
+WINDOW_PEAK = V + "test_window_suites_hold_one_chain_of_layers_at_a_time"
+WALK = "tests/test_hecke.py::test_walk_hands_out_what_ints_does_and_drops_every_layer"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
 SOLVER_TABLE = "tests/test_bethe.py::test_solver_outcomes_pinned_per_instance"
 NEWTON_EXITS = "tests/test_bethe.py::test_compiled_newton_exits_match_the_loop_without_cycle_exit"
@@ -48,11 +60,9 @@ MUTANTS = [
      "c * g + unit * fx", [HECKE_CORRUPTED]),
     ("hecke suite yields True", "verify.py", "yield x, holds(*ints), detail",
      "yield x, True, detail", [HECKE_CORRUPTED]),
-    ("lemma-main yields True", "verify.py", "yield x, lhs == scale_g * (unit * q + c * sum(rest))",
+    ("lemma-main yields True", "verify.py", "yield x, lhs == unit * q + c * sum(rest)",
      "yield x, True", [LEMMA_CORRUPTED]),
-    ("lemma-main A read as D", "verify.py", "- a * dp * G[x])", "- unit * dp * G[x])",
-     [LEMMA_CORRUPTED]),
-    ("lemma-main T_G on both sides", "verify.py", "lhs = scale_q *", "lhs = scale_g *",
+    ("lemma-main A read as D", "verify.py", "- a * dp * G[x]\n", "- unit * dp * G[x]\n",
      [LEMMA_CORRUPTED]),
     ("lemma-main reads a neighbour's descent", "verify.py", "= descents[x]\n",
      "= descents[x[:-1] + (x[-1] - 1,)]\n", [LEMMA_CORRUPTED]),
@@ -62,13 +72,25 @@ MUTANTS = [
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
     ("ints does not scale shorter words", "hecke.py",
      "top, m = tops[word], unit ** (height - len(word))", "top, m = tops[word], 1",
-     [HECKE_CORRUPTED]),
+     ["tests/test_hecke.py::test_engine_hands_out_ints_of_several_words_at_one_scale"]),
     ("ints reads each word before evaluating the next", "hecke.py",
      "{word: self._evaluate(word, points)", "{word: dict(self._evaluate(word, points))",
      ["tests/test_hecke.py::test_engine_hands_out_ints_of_several_words_at_one_scale"]),
-    ("keep is a no-op", "hecke.py",
-     "self._layers = {word: layer for word, layer in self._layers.items() if word in wanted}",
-     "pass", [V + "test_hecke_suite_holds_at_most_one_relation_beyond_the_letters"]),
+    ("walk never drops a layer", "hecke.py", "del self._layers[word[d:]]", "pass",
+     [HECKE_HELD, WINDOW_PEAK]),
+    ("walk drops a layer one reader early", "hecke.py", "range(len(word) - shared)",
+     "range(len(word) - shared + 1)",
+     [WINDOW_WORK, P + "test_engine_work_at_far_points_is_pinned"]),
+    ("walk leaves a read's ints at the scale S of its read", "hecke.py",
+     "m = self._scale // scale * unit", "m = unit", [WALK, LEMMA_CORRUPTED]),
+    ("walk does not scale shorter words", "hecke.py",
+     "m = self._scale // scale * unit ** (height - len(word))", "m = self._scale // scale",
+     [WALK, LEMMA_CORRUPTED]),
+    ("propagate drops its layers between one-point reads", "propagation.py",
+     "            return engine.values(word, (wx,))[0]\n",
+     "            scale, ((v,),) = engine.walk([(word, (wx,))])\n"
+     "            return Fraction(v, scale)\n",
+     [P + "test_propagate_keeps_its_layers_across_one_point_reads"]),
     ("_rescale skips f's table", "hecke.py",
      "        for x, v in base.items():\n            base[x] = v * m\n", "",
      ["tests/test_hecke.py::test_engine_rescales_every_layer_of_the_table"]),
@@ -136,14 +158,29 @@ MUTANTS = [
 ]
 
 
-def _pytest(tmp, tests):
-    """Run ``tests`` with pytest -x in the copy at ``tmp``; the return code."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode
+def _pytest(tmp, tests, bytecode=False):
+    """Run ``tests`` with pytest -x in the copy at ``tmp``, in a forked child
+    whose output goes to /dev/null; the child's exit code.  The child writes
+    bytecode only when ``bytecode`` is true, and reads what is there."""
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 3  # pytest's "internal error", should pytest itself raise
+        try:
+            os.chdir(tmp)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            sys.path[:] = [os.path.join(tmp, "src")] + [p for p in sys.path if p != HERE]
+            sys.dont_write_bytecode = not bytecode
+            code = pytest.main(["-x", "-q", "-p", "no:cacheprovider", *tests])
+        finally:
+            os._exit(int(code))
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def main():
+    importlib.import_module("hypothesis")  # once, here, not in every child
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
@@ -151,9 +188,12 @@ def main():
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part), ignore=ignore)
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
         selection = sorted({test for *_, tests in MUTANTS for test in tests})
-        if _pytest(tmp, selection) != 0:
+        # the unmutated run leaves the tests' rewritten bytecode for the
+        # children to read; the package's goes, since its files will change
+        if _pytest(tmp, selection, bytecode=True) != 0:
             print("the unmutated tests fail: %s" % " ".join(selection))
             return 1
+        shutil.rmtree(os.path.join(tmp, "src", "hecke_bose", "__pycache__"))
         for name, file, old, new, tests in MUTANTS:
             path = os.path.join(tmp, "src", "hecke_bose", file)
             with open(path) as fh:

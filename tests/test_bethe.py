@@ -869,6 +869,21 @@ def test_singular_jacobian_is_a_newton_failure():
         bethe._newton((0j, 2 + 0j), 2, 0j, 1 + 0j)
 
 
+@functools.cache
+def _compiled_solve(k):
+    """solve(jac, res): the elimination lines that the compiled Newton loop
+    runs, bethe._elimination(k), compiled as a function of its own that
+    unpacks [jac | res] into their cells and returns x."""
+    cells = [["a%d_%d" % (i, j) for j in range(k)] + ["r%d" % i] for i in range(k)]
+    lines = ["[%s] = jac" % ", ".join("[%s]" % ", ".join(row[:k]) for row in cells),
+             "[%s] = res" % ", ".join(row[k] for row in cells)]
+    lines += bethe._elimination(k) + ["return [%s]" % ", ".join("x%d" % i for i in range(k))]
+    namespace = {}
+    exec(compile("def solve(jac, res):\n    " + "\n    ".join(lines), "<solve>", "exec"),
+         namespace)
+    return namespace["solve"]
+
+
 def test_solve_is_exact_on_rationals():
     # plain arithmetic: Fraction entries give the exact solution, and a zero
     # pivot, which every singular matrix reaches, raises ZeroDivisionError
@@ -887,14 +902,14 @@ def test_solve_is_exact_on_rationals():
                 for s in permutations(range(k))
             )
             if det:
-                assert bethe._kernel(k).solve(jac, res) == x
+                assert _compiled_solve(k)(jac, res) == x
             else:
                 singular += 1
                 with pytest.raises(ZeroDivisionError):
-                    bethe._kernel(k).solve(jac, res)
+                    _compiled_solve(k)(jac, res)
     assert singular > 0
     jac = [[0, Fraction(2)], [Fraction(3), 0]]  # the first pivot is in the second row
-    assert bethe._kernel(2).solve(jac, [1, 1]) == [Fraction(1, 3), Fraction(1, 2)]
+    assert _compiled_solve(2)(jac, [1, 1]) == [Fraction(1, 3), Fraction(1, 2)]
 
 
 def _random_systems():
@@ -923,9 +938,9 @@ def test_compiled_solve_matches_the_loop_exactly():
         except (ZeroDivisionError, OverflowError) as err:
             raised.add(type(err))
             with pytest.raises(type(err)):
-                bethe._kernel(len(res)).solve(jac, res)
+                _compiled_solve(len(res))(jac, res)
         else:
-            assert _bits(bethe._kernel(len(res)).solve(jac, res)) == expected
+            assert _bits(_compiled_solve(len(res))(jac, res)) == expected
     # singular systems reach a zero pivot, and an entry of modulus above the
     # float range overflows in abs, in both
     assert raised == {ZeroDivisionError, OverflowError}

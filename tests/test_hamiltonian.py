@@ -20,7 +20,7 @@ from conftest import (
     simple_root,
     window,
 )
-from hecke_bose import LatticeFunction, hamiltonian, propagation, verify, weyl
+from hecke_bose import LatticeFunction, hamiltonian, hecke, propagation, verify, weyl
 from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
@@ -171,7 +171,8 @@ def test_w_invariance_on_regular_points(k, L):
 
 def test_memoized_and_unmemoized_agree(monkeypatch):
     # a lattice function agrees with its evaluator and calls it once per distinct
-    # point: through the LatticeFunction export, random_rational_function and propagate
+    # point: through the LatticeFunction export, random_rational_function and
+    # propagate, whose engine is read once per point
     calls = dict.fromkeys(("export", "random", "propagate"), 0)
 
     def counted(name, ev):
@@ -185,9 +186,7 @@ def test_memoized_and_unmemoized_agree(monkeypatch):
         return Fraction(sum(x), 3)
 
     monkeypatch.setattr(verify, "_value_at", counted("random", verify._value_at))
-    monkeypatch.setattr(
-        propagation, "propagate_many", counted("propagate", propagation.propagate_many)
-    )
+    monkeypatch.setattr(hecke.QWordEngine, "ints", counted("propagate", hecke.QWordEngine.ints))
     memo = LatticeFunction(counted("export", ev))
     f = random_rational_function("memo")
     points = list(window(2, 3))

@@ -8,7 +8,7 @@ from functools import cache
 
 import pytest
 
-from conftest import rand_distinct_fractions, rand_params_pair, window
+from conftest import descents, rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import QWordEngine, apply_Q, apply_Qw
@@ -281,7 +281,7 @@ def test_propagate_matches_plane_wave_oracle_far_out(k, L, x):
     p = rand_distinct_fractions(random.Random("far-waves-%d" % k), k)
     oracle = _plane_wave_G(p, x, params)
     assert propagate(plane_wave(p), params)(x) == oracle
-    scale, values, _ = propagate_many(QWordEngine(plane_wave(p), params), (x,))
+    scale, values, _ = propagate_many(QWordEngine(plane_wave(p), params), descents((x,), params))
     assert Fraction(values[x], scale) == oracle
 
 
@@ -386,6 +386,27 @@ def test_engine_hands_out_ints_of_several_words_at_one_scale():
         assert column == [oracle(x) * scale for x in points]
     assert engine.ints([]) == (S, [])
     assert set(reads.values()) == {1}
+
+
+def test_walk_hands_out_what_ints_does_and_drops_every_layer():
+    # the walk reads (), (1,), (0, 1) and (1, 0, 1) in that order, suffix-trie
+    # order, and the far reads of (0, 1) bring denominators after () and (1,)
+    # were read: their ints still come out at the one final scale
+    # T = S * D^3 with those of the longer words, as ints hands them out, and
+    # no layer the walk built outlives it
+    params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
+    D = 12  # the lcm of the denominators of alpha = -2/3 and 1 - beta = -1/4
+    near = list(window(2, 1))
+    far = [(9, -8), (-7, 10), (12, 3)]
+    requests = [((0, 1), far), ((), near), ((1,), near), ((1, 0, 1), near), ((0, 1), near[:4])]
+    f = _far_denominators("walk")
+    engine = QWordEngine(f, params)
+    scale, columns = engine.walk(requests)
+    assert (scale, columns) == QWordEngine(f, params).ints(requests)
+    assert engine._layers == {}
+    first = QWordEngine(f, params).ints([((), near), ((1,), near)])[0]  # S * D
+    assert scale != first * D**2  # S grew after () and (1,) were read
+    assert engine.walk([]) == engine.ints([])
 
 
 def test_engine_evaluates_each_distinct_word_once(monkeypatch):

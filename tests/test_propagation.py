@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_distinct_fractions, rand_params_pair, window
-from hecke_bose import propagation, verify, weyl
+from conftest import LayerTable, descents, rand_distinct_fractions, rand_params_pair, window
+from hecke_bose import hecke, propagation, verify, weyl
 from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.hecke import QWordEngine
 from hecke_bose.propagation import plane_wave, propagate, propagate_many
@@ -202,27 +202,66 @@ def test_far_point_evaluation_is_recursion_free():
 
 @pytest.mark.parametrize("k,L", [(2, 1), (3, 2), (4, 3)])
 def test_grouped_propagation_matches_per_point(k, L):
+    # G on a window, and requests that read some of its words, and a word of
+    # none, at other points, all from one walk at one scale
     params = _params(k, L, "grouped-%d-%d" % (k, L))
     f = random_rational_function("grouped-%d-%d" % (k, L))
     points = list(window(k, 2))
-    scale, grouped, descents = propagate_many(QWordEngine(f, params), points)
+    read = descents(points, params)
+    words = sorted({word for _, word in read.values()}, key=len)[-3:] + [(1, 1)]
+    requests = [(word, points[::7]) for word in words] + [((), points[:3])]
+    engine = QWordEngine(f, params)
+    scale, grouped, columns = propagate_many(engine, read, requests)
+    assert engine._layers == {}
     G = propagate(f, params)
     assert grouped.keys() == set(points)
-    assert descents == {x: weyl.shortest_element(x, params) for x in points}
     for x, v in grouped.items():
         assert Fraction(v, scale) == G(x)
+    assert len(columns) == len(requests)
+    for (word, at), column in zip(requests, columns):
+        assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, at)
+
+
+def test_propagate_keeps_its_layers_across_one_point_reads(monkeypatch):
+    # H reads G at x and at its k neighbours, whose words share suffixes, one
+    # point at a time: propagate's engine keeps its layers across those reads,
+    # so each layer enters each of its points once
+    engines = []
+
+    class Spy(QWordEngine):
+        def __init__(self, f, params):
+            super().__init__(f, params)
+            engines.append(self)
+
+    entered = []
+    fill = hecke._Reflection.fill
+
+    def counting(self, points, extensions, reads, below):
+        entered.extend(x for x, *_ in points)
+        fill(self, points, extensions, reads, below)
+
+    monkeypatch.setattr(propagation, "QWordEngine", Spy)
+    monkeypatch.setattr(hecke._Reflection, "fill", counting)
+    params = Params(3, 2, Fraction(-2, 3), Fraction(5, 4))
+    G = propagate(random_rational_function("one-point"), params)
+    for x in list(window(3, 1)) + [(5, 0, -5), (-4, 1, 3)]:
+        apply_H(G, x, params)
+    (engine,) = engines
+    assert len(engine._layers) > 20
+    assert len(entered) == sum(len(layer.memo) for layer in engine._layers.values())
 
 
 def _engine_work(k, L, x, p):
     """An engine after G of a plane wave at x and its neighbours: the points
-    read from f, and per layer its memo size and the summed line-sum lengths."""
+    read from f, and per layer its memo size and the summed line-sum
+    lengths, read as the walk drops it; no layer is built twice."""
     params = Params(k, L, Fraction(1, 2), Fraction(2))
     engine = QWordEngine(plane_wave(p), params)
-    propagate_many(engine, {x} | {x[:i] + (x[i] - 1,) + x[i + 1 :] for i in range(k)})
-    layers = {
-        word: (len(layer.memo), sum(len(sums) for sides in layer.lines.values() for sums in sides))
-        for word, layer in engine._layers.items()
-    }
+    engine._layers = table = LayerTable()
+    points = {x} | {x[:i] + (x[i] - 1,) + x[i + 1 :] for i in range(k)}
+    propagate_many(engine, descents(points, params))
+    layers = {word: (memo, sums) for word, memo, sums in table.work()}
+    assert len(layers) == len(table.work())
     return len(engine._base), layers
 
 
@@ -297,7 +336,7 @@ def test_closed_form_propagation_matches_engine(case):
     points = set(window(k, 2)) | {far} | {
         far[:i] + (far[i] + s,) + far[i + 1 :] for i in range(k) for s in (-1, 1)
     }
-    scale, values, _ = propagate_many(QWordEngine(plane_wave(p), params), points)
+    scale, values, _ = propagate_many(QWordEngine(plane_wave(p), params), descents(points, params))
     G = propagate(plane_wave(p), params)
     for x in points:
         value = G(x)

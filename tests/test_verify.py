@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import act, simple_reflection_element
+from conftest import LayerTable, act, layer_sizes, simple_reflection_element
 import hecke_bose
 from hecke_bose import bethe, hamiltonian, hecke, laurent, propagation, verify
 from hecke_bose.weyl import Params, shortest_element
@@ -45,27 +45,28 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
 
 
 def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
-    # the shared engine drops, after each relation, the layers no later
-    # relation reads: it never holds more than the single letters and the
-    # layers of the relation it is reading
+    # the suite's walk reads one word at a time and drops, after each, the
+    # layers no later word reads: after a read the engine never holds more
+    # than the single letters and the layers of the word it has read
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
     letters = {(a,) for a in range(4)}
-    ints = hecke.QWordEngine.ints
-    held = []  # per read: (the layers of its own words, the layers held after it)
+    evaluate = hecke.QWordEngine._evaluate
+    reads = []  # per read: its engine and word, and the layers held when it starts
 
-    def recording(self, requests):
-        requests = [(tuple(word), list(points)) for word, points in requests]
-        out = ints(self, requests)
-        held.append(({word[d:] for word, _ in requests for d in range(len(word))},
-                     set(self._layers)))
-        return out
+    def recording(self, word, points):
+        reads.append((self, word, set(self._layers)))
+        return evaluate(self, word, points)
 
-    monkeypatch.setattr(hecke.QWordEngine, "ints", recording)
+    monkeypatch.setattr(hecke.QWordEngine, "_evaluate", recording)
     report = verify.run_suite("hecke", params, 1, 0)
     assert report["failures"] == []
-    assert len(held) == 4 + 4 + 2  # quadratic relations, braids, commutations
-    for own, layers in held:
-        assert layers <= letters | own
+    # the distinct words of the quadratic relations (Q_i^2, Q_i and the empty
+    # word), the braids and the commutations
+    assert len(reads) == 4 + 4 + 1 + 8 + 4
+    (engine,) = {id(engine): engine for engine, _, _ in reads}.values()
+    held = [layers for _, _, layers in reads[1:]] + [set(engine._layers)]
+    for (_, word, _), layers in zip(reads, held):
+        assert layers <= letters | {word[d:] for d in range(len(word))}
 
 
 def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
@@ -100,10 +101,10 @@ def test_theorem_suite_names_where_H_reads_a_corrupted_G(monkeypatch):
     y = (0, 0, 0)
     real = propagation.propagate_many
 
-    def corrupted(engine, points):
-        scale, G, descents = real(engine, points)
+    def corrupted(engine, descents, *requests):
+        scale, G, columns = real(engine, descents, *requests)
         G[y] += 1
-        return scale, G, descents
+        return scale, G, columns
 
     monkeypatch.setattr(propagation, "propagate_many", corrupted)
     report = verify.run_suite("theorem", params, 1, 0)
@@ -172,28 +173,78 @@ def test_verify_suites_leave_hashlib_out():
     assert _run_in_fresh_python(code) == "7 False False\n"
 
 
-def test_window_suite_engine_work_is_pinned(monkeypatch):
-    # the one engine of lemma-main and of theorem on the k = 4 benchmark grid
-    # reads f, enters points into its layers and extends its line sums exactly
-    # this often; a descent rule or a plan that adds work fails here
-    params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+def _recording_engines(monkeypatch):
+    """The engines the suites build from here on, each with a ``LayerTable``
+    that records the layers it drops."""
     engines = []
     engine = hecke.QWordEngine
 
     def recording(f, params):
         engines.append(engine(f, params))
+        engines[-1]._layers = LayerTable()
         return engines[-1]
 
     monkeypatch.setattr(hecke, "QWordEngine", recording)
+    return engines
+
+
+def test_window_suite_engine_work_is_pinned(monkeypatch):
+    # the one engine of lemma-main and of theorem on the k = 4 benchmark grid
+    # reads f, enters points into its layers and extends its line sums exactly
+    # this often, summed over the layers its walk drops and those it still
+    # holds; a descent rule or a plan that adds work, or a walk that drops a
+    # layer before its last reader and builds it again, fails here
+    params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+    engines = _recording_engines(monkeypatch)
     for suite, work in [("lemma-main", (1125, 9268, 17781)), ("theorem", (1125, 8326, 16685))]:
         engines.clear()
         assert verify.run_suite(suite, params, 2, 0)["failures"] == []
         (used,) = engines
-        layers = used._layers.values()
-        entered = sum(len(layer.memo) for layer in layers)
-        line_sums = sum(len(sums) for layer in layers for sides in layer.lines.values()
-                        for sums in sides)
+        layers = used._layers.work()
+        entered = sum(memo for _, memo, _ in layers)
+        line_sums = sum(sums for _, _, sums in layers)
         assert (len(used._base), entered, line_sums) == work
+
+
+def test_window_suites_hold_one_chain_of_layers_at_a_time(monkeypatch):
+    # the walk drops each layer after its last reader, so on the k = 4
+    # benchmark grid the engine of lemma-main and of theorem never holds more
+    # than these many memo values and line sums at once, against the 27 049
+    # and 25 011 that a table keeping every layer ends with; the entries held
+    # are counted as the layers' plans and fills add them and their drops take
+    # them away
+    params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+    engines = _recording_engines(monkeypatch)
+    plan, fill, drop = hecke._Reflection.plan, hecke._Reflection.fill, LayerTable.__delitem__
+    live = [0, 0]  # the entries held now, and the most held at once
+
+    def planning(self, points, below):
+        lines = len(self.lines)
+        out = plan(self, points, below)
+        live[0] += 2 * (len(self.lines) - lines)  # a new line holds up = down = [0]
+        return out
+
+    def filling(self, entered, extensions, reads, below):
+        fill(self, entered, extensions, reads, below)
+        live[0] += len(entered) + sum(n for _, n in extensions)
+        live[1] = max(live)
+
+    def dropping(self, word):
+        live[0] -= sum(layer_sizes(self[word]))
+        drop(self, word)
+
+    monkeypatch.setattr(hecke._Reflection, "plan", planning)
+    monkeypatch.setattr(hecke._Reflection, "fill", filling)
+    monkeypatch.setattr(LayerTable, "__delitem__", dropping)
+    for suite, peak in [("lemma-main", 6105), ("theorem", 6083)]:
+        engines.clear()
+        live[:] = [0, 0]
+        assert verify.run_suite(suite, params, 2, 0)["failures"] == []
+        (used,) = engines
+        # every layer is dropped, and the drops took away all that was added
+        assert used._layers == {}
+        assert live[0] == 0
+        assert live[1] == peak
 
 
 def test_d_change_suite_detects_injected_defect(monkeypatch):
@@ -261,18 +312,20 @@ def test_w_invariance_suite_detects_injected_defect(monkeypatch):
 
 def _corrupt_one_value(monkeypatch, target_word, target_point):
     """Make every engine hand out (Q_word f)(point) off by one at one word and
-    point: its int from ``ints`` one whole unit of the read's scale T off, so
-    the Fractions of ``values`` are off by one as well."""
-    ints = hecke.QWordEngine.ints
+    point: its int from ``ints`` and from ``walk`` one whole unit of the
+    read's scale T off, so the Fractions of ``values`` are off by one as
+    well."""
+    for name in ("ints", "walk"):
+        read = getattr(hecke.QWordEngine, name)
 
-    def corrupted_ints(self, requests):
-        requests = [(word, list(points)) for word, points in requests]
-        scale, columns = ints(self, requests)
-        return scale, [[v + scale if tuple(word) == target_word and x == target_point else v
-                        for x, v in zip(points, column)]
-                       for (word, points), column in zip(requests, columns)]
+        def corrupted(self, requests, read=read):
+            requests = [(word, list(points)) for word, points in requests]
+            scale, columns = read(self, requests)
+            return scale, [[v + scale if tuple(word) == target_word and x == target_point else v
+                            for x, v in zip(points, column)]
+                           for (word, points), column in zip(requests, columns)]
 
-    monkeypatch.setattr(hecke.QWordEngine, "ints", corrupted_ints)
+        monkeypatch.setattr(hecke.QWordEngine, name, corrupted)
 
 
 def _word(x):
