@@ -157,12 +157,12 @@ class QWordEngine:
     over S * D^h.  When a read brings a new denominator, S grows by a
     factor m and every stored int is multiplied by m.  So alpha, beta and
     the values of f must be rationals (ints or Fractions).  S stays inside
-    the engine: ``ints`` and ``walk`` group their requests by word and hand
-    out every word at one scale T, and ``values`` divides by it.  ``ints``
-    keeps every layer it builds, so later reads of words that share a
-    suffix reuse its points; ``walk`` reads its words in suffix-trie order
-    and drops each layer after the last of them that reads it, so the
-    engine holds one chain of suffixes at a time.
+    the engine.  ``walk`` is its one batched read: it groups its requests by
+    word, hands out every word at one scale T, and drops each layer after
+    the last of its words that reads it, so the engine holds one chain of
+    suffixes at a time.  ``values`` reads one word and divides by its
+    scale; it keeps the layers it builds, so later calls with words that
+    share a suffix reuse their points.
     """
 
     def __init__(self, f, params):
@@ -176,34 +176,21 @@ class QWordEngine:
 
     def values(self, word, points):
         """The values (Q_word f)(x) at the given points (integer tuples), as
-        Fractions."""
-        scale, (column,) = self.ints([(word, points)])
-        return [Fraction(v, scale) for v in column]
+        Fractions.  The layers the read builds stay in the engine."""
+        word = tuple(word)
+        top = self._evaluate(word, points)
+        scale = self._scale * self.couplings[0] ** len(word)  # word stored at S * D^len(word)
+        return [Fraction(top[x], scale) for x in points]
 
-    def ints(self, requests):
+    def walk(self, requests):
         """The values of several words at their points, as ints at one scale.
 
         ``requests`` is a sequence of (word, points), points a sequence.  Each
         distinct word is evaluated once, over all the points its requests ask
-        for, and before any word is read, so no rescale falls between reads.
-        Returns T and, per request, the list of the ints (Q_word f)(x) * T at
-        its points: T = S * D^H, with H the length of the longest requested
-        word.  The empty word reads f itself, and ``ints([])`` returns (S, [])."""
-        requests = [(tuple(word), points) for word, points in requests]
-        union = {}  # word -> every point its requests ask for
-        for word, points in requests:
-            union.setdefault(word, set()).update(points)
-        tops = {word: self._evaluate(word, points) for word, points in union.items()}
-        unit, height = self.couplings[0], max(map(len, union), default=0)
-        columns = []
-        for word, points in requests:
-            top, m = tops[word], unit ** (height - len(word))  # word stored at S * D^len(word)
-            columns.append([top[x] * m for x in points])
-        return self._scale * unit**height, columns
-
-    def walk(self, requests):
-        """What ``ints`` returns for the same requests, read one distinct word
-        at a time, dropping each layer after the last word that reads it.
+        for.  Returns T and, per request, the list of the ints
+        (Q_word f)(x) * T at its points: T = S * D^H, with H the length of
+        the longest requested word.  The empty word reads f itself, and
+        ``walk([])`` returns (S, []).
 
         The words are read sorted by their reversal, depth-first in the trie
         of suffixes, so the readers of a layer, the words that end in its

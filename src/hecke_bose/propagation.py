@@ -21,9 +21,9 @@ def propagate(f, params):
     G reads (Q_{w_x} g_p)(w_x x) from a combination of at most k! of them,
     at O(|w_x| k!) rational operations for each new word (see
     ``_plane_wave_propagation``).  Every other f, a plane wave with a
-    repeated p_i included, is read through the Q-word engine, one point at a
-    time, by ``values``, which keeps the engine's layers for later calls: H
-    reads G at x and its k neighbours, whose words share suffixes.
+    repeated p_i included, is read through the Q-word engine's one-point
+    reads, ``values``, which keep its layers for later calls: H reads G at
+    x and its k neighbours, whose words share suffixes.
     ``propagate_many`` always reads through the engine.  Either way alpha
     and beta must be rationals, or this call raises TypeError."""
     if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):

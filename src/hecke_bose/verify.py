@@ -169,11 +169,12 @@ def suite_duality(params, window, seed):
 
     Laurent's expansion, run with the engine's int couplings
     (D, C, A) = (D, D (1 - beta), D alpha) as weights, gives
-    D T^check_i e^x = sum_y c_y e^y with int c_y.  One engine read gives
-    every Q_i f on the window and f itself, the empty word, on the
+    D T^check_i e^x = sum_y c_y e^y with int c_y.  One walk of the engine
+    gives every Q_i f on the window and f itself, the empty word, on the
     expansions' support, as ints q and f_T at one scale T.  Then
     (Q_i f)(x) = q / T and (f, T^check_i e^x) = sum_y c_y f_T(y) / (D T), so
-    each check is q D == sum_y c_y f_T(y)."""
+    each check is q D == sum_y c_y f_T(y).  The walk drops each letter's
+    layer after its read."""
     k = params.k
     points = list(window_points(k, window))
     letters = range(1, k)
@@ -182,7 +183,7 @@ def suite_duality(params, window, seed):
     tables = [[laurent.weighted_T_check(i, {x: 1}, (unit, c, a)) for x in points]
               for i in letters]
     support = list({y for rows in tables for table in rows for y in table})
-    _, (base, *columns) = engine.ints([((), support)] + [((i,), points) for i in letters])
+    _, (base, *columns) = engine.walk([((), support)] + [((i,), points) for i in letters])
     f_t = dict(zip(support, base))
     for i, column, rows in zip(letters, columns, tables):
         detail = "duality fails for i = %d" % i

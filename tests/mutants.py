@@ -36,9 +36,10 @@ DUALITY_CORRUPTED = V + "test_duality_suite_names_where_the_pairing_reads_a_corr
 THEOREM_CORRUPTED = V + "test_theorem_suite_names_where_H_reads_a_corrupted_G"
 LEMMA_CORRUPTED = V + "test_batched_suites_name_a_corrupted_value"
 HECKE_HELD = V + "test_hecke_suite_holds_at_most_one_relation_beyond_the_letters"
+DUALITY_HELD = V + "test_duality_suite_holds_no_layer_between_its_reads"
 WINDOW_WORK = V + "test_window_suite_engine_work_is_pinned"
 WINDOW_PEAK = V + "test_window_suites_hold_one_chain_of_layers_at_a_time"
-WALK = "tests/test_hecke.py::test_walk_hands_out_what_ints_does_and_drops_every_layer"
+WALK = "tests/test_hecke.py::test_walk_hands_out_the_oracle_at_one_scale_and_drops_every_layer"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
 SOLVER_TABLE = "tests/test_bethe.py::test_solver_outcomes_pinned_per_instance"
 NEWTON_EXITS = "tests/test_bethe.py::test_compiled_newton_exits_match_the_loop_without_cycle_exit"
@@ -70,14 +71,11 @@ MUTANTS = [
      "functools.cache(functools.partial(_value_at, zlib.crc32((\"%s|\" % seed).encode())))",
      "functools.partial(_value_at, zlib.crc32((\"%s|\" % seed).encode()))",
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
-    ("ints does not scale shorter words", "hecke.py",
-     "top, m = tops[word], unit ** (height - len(word))", "top, m = tops[word], 1",
-     ["tests/test_hecke.py::test_engine_hands_out_ints_of_several_words_at_one_scale"]),
-    ("ints reads each word before evaluating the next", "hecke.py",
-     "{word: self._evaluate(word, points)", "{word: dict(self._evaluate(word, points))",
-     ["tests/test_hecke.py::test_engine_hands_out_ints_of_several_words_at_one_scale"]),
+    ("values divides by S only", "hecke.py",
+     "scale = self._scale * self.couplings[0] ** len(word)", "scale = self._scale",
+     ["tests/test_hecke.py::test_engine_rescales_when_new_denominators_arrive"]),
     ("walk never drops a layer", "hecke.py", "del self._layers[word[d:]]", "pass",
-     [HECKE_HELD, WINDOW_PEAK]),
+     [HECKE_HELD, DUALITY_HELD, WINDOW_PEAK]),
     ("walk drops a layer one reader early", "hecke.py", "range(len(word) - shared)",
      "range(len(word) - shared + 1)",
      [WINDOW_WORK, P + "test_engine_work_at_far_points_is_pinned"]),

@@ -186,7 +186,7 @@ def test_memoized_and_unmemoized_agree(monkeypatch):
         return Fraction(sum(x), 3)
 
     monkeypatch.setattr(verify, "_value_at", counted("random", verify._value_at))
-    monkeypatch.setattr(hecke.QWordEngine, "ints", counted("propagate", hecke.QWordEngine.ints))
+    monkeypatch.setattr(hecke.QWordEngine, "values", counted("propagate", hecke.QWordEngine.values))
     memo = LatticeFunction(counted("export", ev))
     f = random_rational_function("memo")
     points = list(window(2, 3))

@@ -362,9 +362,9 @@ def test_engine_rescales_every_layer_of_the_table():
 
 def test_engine_hands_out_ints_of_several_words_at_one_scale():
     # one request mixes words of lengths 0, 1 and 2, and the far reads of the
-    # longest bring denominators the others' reads did not: every word is
-    # evaluated before any is read, and all come out at one T = S * D^2, with
-    # S the lcm of the denominators read
+    # longest bring denominators the others' reads did not: the shorter words
+    # are read before S grows, and still all come out at one T = S * D^2,
+    # with S the lcm of the denominators read
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     D = 12  # the lcm of the denominators of alpha = -2/3 and 1 - beta = -1/4
     plain = cache(_far_denominators("ints"))
@@ -372,41 +372,46 @@ def test_engine_hands_out_ints_of_several_words_at_one_scale():
     far = [(9, -8), (-7, 10), (12, 3)]
     requests = [((), near), ((1,), near), ((0, 1), far)]
     alone = Counter()
-    QWordEngine(_far_denominators("ints", alone), params).ints(requests[:2])
+    QWordEngine(_far_denominators("ints", alone), params).walk(requests[:2])
     first_scale = math.lcm(*(plain(x).denominator for x in alone))
 
     reads = Counter()
     engine = QWordEngine(_far_denominators("ints", reads), params)
-    scale, columns = engine.ints(requests)
+    scale, columns = engine.walk(requests)
     S = math.lcm(*(plain(x).denominator for x in reads))
     assert S != first_scale
     assert scale == S * D**2
     for (word, points), column in zip(requests, columns):
         oracle = _explicit_word(word, plain, params)
         assert column == [oracle(x) * scale for x in points]
-    assert engine.ints([]) == (S, [])
+    assert engine.walk([]) == (S, [])
     assert set(reads.values()) == {1}
 
 
-def test_walk_hands_out_what_ints_does_and_drops_every_layer():
+def test_walk_hands_out_the_oracle_at_one_scale_and_drops_every_layer():
     # the walk reads (), (1,), (0, 1) and (1, 0, 1) in that order, suffix-trie
     # order, and the far reads of (0, 1) bring denominators after () and (1,)
     # were read: their ints still come out at the one final scale
-    # T = S * D^3 with those of the longer words, as ints hands them out, and
-    # no layer the walk built outlives it
+    # T = S * D^3 with those of the longer words, each the n-term oracle
+    # times T and what ``values`` reads on a fresh engine, and no layer the
+    # walk built outlives it
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     D = 12  # the lcm of the denominators of alpha = -2/3 and 1 - beta = -1/4
     near = list(window(2, 1))
     far = [(9, -8), (-7, 10), (12, 3)]
     requests = [((0, 1), far), ((), near), ((1,), near), ((1, 0, 1), near), ((0, 1), near[:4])]
     f = _far_denominators("walk")
+    plain = cache(f)
     engine = QWordEngine(f, params)
     scale, columns = engine.walk(requests)
-    assert (scale, columns) == QWordEngine(f, params).ints(requests)
+    for (word, points), column in zip(requests, columns):
+        oracle = _explicit_word(word, plain, params)
+        assert column == [oracle(x) * scale for x in points]
+        assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, points)
     assert engine._layers == {}
-    first = QWordEngine(f, params).ints([((), near), ((1,), near)])[0]  # S * D
+    first = QWordEngine(f, params).walk([((), near), ((1,), near)])[0]  # S * D
     assert scale != first * D**2  # S grew after () and (1,) were read
-    assert engine.walk([]) == engine.ints([])
+    assert engine.walk([]) == (scale // D**3, [])
 
 
 def test_engine_evaluates_each_distinct_word_once(monkeypatch):
@@ -432,7 +437,7 @@ def test_engine_evaluates_each_distinct_word_once(monkeypatch):
 
     monkeypatch.setattr(QWordEngine, "_evaluate", counting)
     f = _far_denominators("grouped")
-    scale, columns = QWordEngine(f, params).ints(requests)
+    scale, columns = QWordEngine(f, params).walk(requests)
     assert evaluated == {(1, 0): 1, (): 1, (2,): 1}
     assert len(columns) == len(requests)
     for (word, points), column in zip(requests, columns):

@@ -69,6 +69,27 @@ def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
         assert layers <= letters | {word[d:] for d in range(len(word))}
 
 
+def test_duality_suite_holds_no_layer_between_its_reads(monkeypatch):
+    # the suite's walk reads f, the empty word, then one letter at a time, and
+    # drops each letter's layer after its read: the engine holds no layer
+    # when a read starts, and none after the last
+    params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+    evaluate = hecke.QWordEngine._evaluate
+    reads = []  # per read: its engine and word, and the layers held when it starts
+
+    def recording(self, word, points):
+        reads.append((self, word, set(self._layers)))
+        return evaluate(self, word, points)
+
+    monkeypatch.setattr(hecke.QWordEngine, "_evaluate", recording)
+    report = verify.run_suite("duality", params, 2, 0)
+    assert report["failures"] == []
+    assert [word for _, word, _ in reads] == [(), (1,), (2,), (3,)]
+    (engine,) = {id(engine): engine for engine, _, _ in reads}.values()
+    assert [layers for _, _, layers in reads] == [set()] * 4
+    assert engine._layers == {}
+
+
 def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
     # f off by one whole unit of the read's scale at one point y, in the empty
     # word's column only (the Q_i f columns read the clean f): the pairing side
@@ -311,21 +332,18 @@ def test_w_invariance_suite_detects_injected_defect(monkeypatch):
 
 
 def _corrupt_one_value(monkeypatch, target_word, target_point):
-    """Make every engine hand out (Q_word f)(point) off by one at one word and
-    point: its int from ``ints`` and from ``walk`` one whole unit of the
-    read's scale T off, so the Fractions of ``values`` are off by one as
-    well."""
-    for name in ("ints", "walk"):
-        read = getattr(hecke.QWordEngine, name)
+    """Make every engine's ``walk`` hand out (Q_word f)(point) off by one at
+    one word and point: its int one whole unit of the read's scale T off."""
+    walk = hecke.QWordEngine.walk
 
-        def corrupted(self, requests, read=read):
-            requests = [(word, list(points)) for word, points in requests]
-            scale, columns = read(self, requests)
-            return scale, [[v + scale if tuple(word) == target_word and x == target_point else v
-                            for x, v in zip(points, column)]
-                           for (word, points), column in zip(requests, columns)]
+    def corrupted(self, requests):
+        requests = [(word, list(points)) for word, points in requests]
+        scale, columns = walk(self, requests)
+        return scale, [[v + scale if tuple(word) == target_word and x == target_point else v
+                        for x, v in zip(points, column)]
+                       for (word, points), column in zip(requests, columns)]
 
-        monkeypatch.setattr(hecke.QWordEngine, name, corrupted)
+    monkeypatch.setattr(hecke.QWordEngine, "walk", corrupted)
 
 
 def _word(x):
