@@ -250,32 +250,31 @@ def suite_lemma_main(params, window, seed):
 
     with sigma the coordinate permutation of w_x, for i = 1, ..., k, x-major.
     One walk of a Q-word engine for f reads both sides: ``propagate_many``
-    gives G(f) on the window and its neighbours and, with a request per
-    (x, i), w_x at the points near w_x x, all as ints at one scale; the
-    descents give sigma, w_x and w_x x.  A layer a word of G and a request
-    share is alive for both.  With the engine's couplings
-    (D, A, C) = (D, D alpha, D (1 - beta)), a check is
-    D G(x - v_i) - A d_i^+ G(x) == D q + C sum q, in ints."""
+    gives G(f) on the window and its neighbours and, with one request per
+    window point x, w_x at the k points w_x x - v_s in slot order, all as
+    ints q[s] at one scale; the descents give sigma, w_x and w_x x.  A layer
+    a word of G and a request share is alive for both.  With the engine's
+    couplings (D, A, C) = (D, D alpha, D (1 - beta)) and s = sigma(i), a check
+    is D G(x - v_i) - A d_i^+ G(x) == D q[s] + C sum_{j=1}^{d_i^+} q[s + j mod k],
+    in ints."""
     k = params.k
     f = random_rational_function("lemma-%s" % seed)
     points = list(window_points(k, window))
     engine = hecke.QWordEngine(f, params)
     unit, a, c = engine.couplings
     descents = _descents(points, params)
-    sides = []  # (x, i, d_i^+(x)), x-major
-    requests = []  # per side: w_x and the right-hand points, v_sigma(i) first
+    requests = []  # per x: w_x at w_x x - v_s, s = 0, ..., k - 1
     for x in points:
-        (sigma, wx), word = descents[x]
-        for i, dp in enumerate(hamiltonian._d_counts(x, params)[0], 1):
-            terms = dp + 1 if c else 1  # at beta = 1 only t_{v_sigma(i)} is left
-            slots = [(sigma[i - 1] + j) % k for j in range(terms)]
-            sides.append((x, i, dp))
-            requests.append((word, [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in slots]))
+        (_, wx), word = descents[x]
+        requests.append((word, [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in range(k)]))
     _, G, columns = propagation.propagate_many(engine, descents, requests)
-    for (x, i, dp), (q, *rest) in zip(sides, columns):
-        left = G[x[: i - 1] + (x[i - 1] - 1,) + x[i:]]  # G(x - v_i)
-        lhs = unit * left - a * dp * G[x]
-        yield x, lhs == unit * q + c * sum(rest), "lemma identity fails for i = %d" % i
+    for x, q in zip(points, columns):
+        sigma = descents[x][0][0]
+        for i, dp in enumerate(hamiltonian._d_counts(x, params)[0]):
+            s = sigma[i]
+            lhs = unit * G[x[:i] + (x[i] - 1,) + x[i + 1 :]] - a * dp * G[x]  # G(x - v_i)
+            rhs = unit * q[s] + c * sum(q[(s + j) % k] for j in range(1, dp + 1))
+            yield x, lhs == rhs, "lemma identity fails for i = %d" % (i + 1)
 
 
 @_suite("theorem")

@@ -61,10 +61,14 @@ MUTANTS = [
      "c * g + unit * fx", [HECKE_CORRUPTED]),
     ("hecke suite yields True", "verify.py", "yield x, holds(*ints), detail",
      "yield x, True, detail", [HECKE_CORRUPTED]),
-    ("lemma-main yields True", "verify.py", "yield x, lhs == unit * q + c * sum(rest)",
-     "yield x, True", [LEMMA_CORRUPTED]),
-    ("lemma-main A read as D", "verify.py", "- a * dp * G[x]\n", "- unit * dp * G[x]\n",
+    ("lemma-main yields True", "verify.py", "yield x, lhs == rhs,", "yield x, True,",
      [LEMMA_CORRUPTED]),
+    ("lemma-main A read as D", "verify.py", "- a * dp * G[x]", "- unit * dp * G[x]",
+     [LEMMA_CORRUPTED]),
+    ("lemma-main reads v_i for v_sigma(i)", "verify.py", "s = sigma[i]\n", "s = i\n",
+     [LEMMA_CORRUPTED]),
+    ("lemma-main's (1 - beta) sum one term short", "verify.py", "for j in range(1, dp + 1))",
+     "for j in range(dp))", [LEMMA_CORRUPTED]),
     ("lemma-main reads a neighbour's descent", "verify.py", "= descents[x]\n",
      "= descents[x[:-1] + (x[-1] - 1,)]\n", [LEMMA_CORRUPTED]),
     ("random_rational_function unmemoized", "verify.py",

@@ -268,6 +268,34 @@ def test_window_suites_hold_one_chain_of_layers_at_a_time(monkeypatch):
         assert live[1] == peak
 
 
+def test_lemma_main_asks_one_right_hand_request_per_window_point(monkeypatch):
+    # the right-hand side of the check at (x, i) reads w_x only at the k
+    # neighbours w_x x - v_s of w_x x, so the suite's one walk asks G at the
+    # 1125 points of the window and its neighbours, then w_x at those k points
+    # once per window point, in slot order, whatever beta is: 1125 + 625
+    # requests and 1125 + 4 * 625 points, against one request per check (x, i)
+    walk = hecke.QWordEngine.walk
+    calls = []
+
+    def recording(self, requests):
+        calls.append([(tuple(word), list(points)) for word, points in requests])
+        return walk(self, requests)
+
+    monkeypatch.setattr(hecke.QWordEngine, "walk", recording)
+    window = list(verify.window_points(4, 2))
+    for beta in (Fraction(5, 4), Fraction(1)):
+        params = Params(4, 3, Fraction(-2, 3), beta)
+        calls.clear()
+        report = verify.run_suite("lemma-main", params, 2, 0)
+        assert report["failures"] == [] and report["checks_run"] == 2500
+        (requests,) = calls
+        assert len(requests) == 1750
+        assert sum(len(points) for _, points in requests) == 3625
+        for x, request in zip(window, requests[1125:], strict=True):
+            (_, wx), word = shortest_element(x, params)
+            assert request == (word, [wx[:s] + (wx[s] - 1,) + wx[s + 1 :] for s in range(4)])
+
+
 def test_d_change_suite_detects_injected_defect(monkeypatch):
     # d_i^+ off by one at one point y: the suite must fail there, or where a
     # simple reflection lands on y, and nowhere else
