@@ -96,19 +96,19 @@ def _kernel_source(k):
     parameter s, for the first pair of roots closer than COLLISION_TOL.
     The step's elimination is the lines of ``_elimination(k)``.
 
-    ``residuals`` and ``newton`` are built from the same generated lines.
-    They are plain arithmetic on the elements of p, so rational p stays
-    exact in ``residuals``; ``newton`` runs on complex p and couplings only,
-    so it tests a denominator d as abs(d) where ``residuals`` takes
-    abs(complex(d)).  Every operation keeps its operands and its order: the
-    factors of row i are formed for j ascending, each denominator is checked
-    as it is formed and r_i follows its row; a product starts from the int 1.
-    A value that is needed twice, beta p_i or a product over a prefix of a
-    row, is computed once, where it is first needed.
+    ``residuals`` and ``newton`` run the same generated lines, written out
+    once, with one pole test, abs(d) < POLE_TOL.  They are plain arithmetic
+    on the elements of p, so rational p stays exact in ``residuals``, and a
+    Fraction denominator is compared exactly.  Every operation keeps its
+    operands and its order: the factors of row i are formed for j ascending,
+    each denominator is checked as it is formed and r_i follows its row; a
+    product starts from the int 1.  A value that is needed twice, beta p_i or
+    a product over a prefix of a row, is computed once, where it is first
+    needed.
     """
 
-    def system(modulus):
-        # the lines of r_i and of J, a denominator d tested as modulus % d
+    def system():
+        # the lines of r_i and of J
         known = {}
 
         def let(lines, name, expr):
@@ -135,7 +135,7 @@ def _kernel_source(k):
                 rows.append("%s = %s - p%d - alpha" % (num, bp_i, j))
                 bp_j = let(rows, "bp%d" % j, "beta * p%d" % j)
                 rows.append("%s = p%d - %s + alpha" % (den, i, bp_j))
-                rows.append("if %s < %r:" % (modulus % den, POLE_TOL))
+                rows.append("if abs(%s) < %r:" % (den, POLE_TOL))
                 rows.append("    raise BetheSolverError(%r, s=None)" % (
                     "Bethe equation denominator vanishes at (i, j) = (%d, %d)" % (i + 1, j + 1)))
                 rows.append("%s = %s / %s" % (ratio, num, den))
@@ -167,9 +167,8 @@ def _kernel_source(k):
     iterate = "(%s)" % "".join("p%d, " % i for i in range(k))
     converged = " and ".join("abs(r%d) < %r" % (i, NEWTON_TOL) for i in range(k)) or "True"
     finite = " and ".join("isfinite(p%d)" % i for i in range(k)) or "True"
-    rows, _ = system("abs(complex(%s))")
-    loop_rows, jacobian = system("abs(%s)")
-    step = (loop_rows + ["if %s:" % converged, "    return %s" % iterate] + jacobian
+    rows, jacobian = system()
+    step = (rows + ["if %s:" % converged, "    return %s" % iterate] + jacobian
             + _elimination(k) + ["p%d = p%d - x%d" % (i, i, i) for i in range(k)]
             + ["finite = %s" % finite])
     # seen grows by one at each iteration, so it falls behind n at the first
@@ -206,10 +205,12 @@ def _kernel(k):
 
 
 def bethe_residual(p, params):
-    """Defect vector of the Bethe equations:
+    """Defect vector of the Bethe equations, exact Fractions at rational input:
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
     # p may also be a SpectralPoint, as perfbench/probes.py passes it
     p = tuple(getattr(p, "p", p))
+    if all(isinstance(v, Rational) for v in (*p, params.alpha, params.beta)):
+        p = tuple(map(Fraction, p))  # an int quotient would be a float
     return _kernel(len(p)).residuals(p, params.L, params.alpha, params.beta)
 
 

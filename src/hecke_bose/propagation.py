@@ -24,8 +24,11 @@ def propagate(f, params):
     repeated p_i included, is read through the Q-word engine's one-point
     reads, ``values``, which keep its layers for later calls: H reads G at
     x and its k neighbours, whose words share suffixes.
-    ``propagate_many`` always reads through the engine.  Either way alpha
-    and beta must be rationals, or this call raises TypeError."""
+    ``propagate_many`` always reads through the engine.  Either way this call
+    raises TypeError at a non-rational alpha or beta, and ValueError at a
+    plane wave whose length is not k."""
+    if isinstance(f, PlaneWave) and len(f.p) != params.k:
+        raise ValueError("plane wave length %d is not k = %d" % (len(f.p), params.k))
     if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):
         G = _plane_wave_propagation(f.p, params)
     else:

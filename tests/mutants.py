@@ -110,6 +110,9 @@ MUTANTS = [
     ("propagate always runs the engine", "propagation.py",
      "if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):", "if False:",
      [P + "test_propagate_chooses_the_closed_form_for_distinct_plane_waves"]),
+    ("propagate takes a wave of the wrong length", "propagation.py",
+     "if isinstance(f, PlaneWave) and len(f.p) != params.k:", "if False:",
+     [P + "test_propagate_rejects_a_plane_wave_of_the_wrong_length"]),
     ("propagate unmemoized", "propagation.py", "return functools.cache(G)", "return G",
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
     ("LatticeFunction export memoizes nothing", "__init__.py",
@@ -151,8 +154,13 @@ MUTANTS = [
      "(NEWTON_MAX_ITER)", [NEWTON_EXITS]),
     ("Newton loop without its finiteness check", "bethe.py", '["finite = %s" % finite]',
      '["finite = True"]', [NEWTON_EXITS]),
-    ("Newton loop pole tolerance 1e-13", "bethe.py", 'system("abs(%s)")',
-     'system("10 * abs(%s)")', [NEWTON_EXITS]),
+    ("Newton loop pole tolerance 1e-13", "bethe.py", '"if abs(%s) < %r:" % (den, POLE_TOL)',
+     '"if 10 * abs(%s) < %r:" % (den, POLE_TOL)', [NEWTON_EXITS]),
+    ("residuals rounds a denominator through complex", "bethe.py",
+     '"if abs(%s) < %r:" % (den, POLE_TOL)', '"if abs(complex(%s)) < %r:" % (den, POLE_TOL)',
+     ["tests/test_bethe.py::test_residual_exact_beyond_float_range"]),
+    ("bethe_residual keeps int p", "bethe.py", "p = tuple(map(Fraction, p))", "pass",
+     ["tests/test_bethe.py::test_residual_exact_on_int_p"]),
     ("POLE_TOL 1e-11", "bethe.py", "POLE_TOL = 1e-12", "POLE_TOL = 1e-11", [NEWTON_EXITS]),
     ("separation names the pair backwards", "bethe.py", "% (i + 1, j + 1))]",
      "% (j + 1, i + 1))]",

@@ -630,6 +630,41 @@ def test_residual_exact_on_rational_p():
         assert res[i] == p[i] ** 4 - prod
 
 
+def test_residual_exact_beyond_float_range():
+    # a denominator is compared exactly, not through a float
+    params = Params(2, 2, Fraction(1, 2), Fraction(3))
+    p = (Fraction(10**400), Fraction(1, 3))
+    a, b = params.alpha, params.beta
+    expected = [p[0] ** 2 - (b * p[0] - p[1] - a) / (p[0] - b * p[1] + a),
+                p[1] ** 2 - (b * p[1] - p[0] - a) / (p[1] - b * p[0] + a)]
+    res = bethe_residual(p, params)
+    assert all(type(r) is Fraction for r in res)
+    assert res == expected
+
+
+def test_residual_exact_on_int_p():
+    # ints are rational: int p at int couplings gives Fractions, not the
+    # floats of an int quotient
+    res = bethe_residual((2, 3), Params(2, 2, 0, 1))
+    assert [type(r) for r in res] == [Fraction, Fraction]
+    assert res == [Fraction(3), Fraction(8)]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_residuals_and_newton_run_the_same_residual_lines(k):
+    # the residual lines are generated once: residuals' body, between the
+    # unpacking of p and the return, is the head of the Newton loop's try,
+    # and each of its k(k-1) denominators has the one pole test
+    residuals, newton, _ = bethe._kernel_source(k).split("\ndef ")
+    rows = residuals.split("\n")[2:-2]
+    loop = newton.split("\n")
+    start = loop.index("        try:") + 1
+    assert loop[start : start + len(rows)] == ["        " + line for line in rows]
+    tests = [line for line in rows if line.lstrip().startswith("if ")]
+    assert tests == ["    if abs(d%d_%d) < %r:" % (i, j, POLE_TOL)
+                     for i in range(k) for j in range(k) if j != i]
+
+
 @pytest.mark.parametrize(
     "slot,value", [(0, complex("nan")), (-1, complex("nan")), (0, complex("inf"))]
 )

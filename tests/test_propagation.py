@@ -410,3 +410,12 @@ def test_propagate_rejects_inexact_couplings_at_the_call(alpha, beta):
     for f in [plane_wave((2, Fraction(1, 3))), plane_wave((2, 2)), random_rational_function("c")]:
         with pytest.raises(TypeError, match="needs a rational"):
             propagate(f, params)
+
+
+def test_propagate_rejects_a_plane_wave_of_the_wrong_length():
+    # before either path runs: the closed form would read a 3-entry wave as a
+    # 2-particle one, and a 1-entry wave has no second slot to swap
+    params = Params(2, 2, Fraction(1, 2), Fraction(3))
+    for p in [(2, 3, 5), (2,), (2, 2, 3)]:
+        with pytest.raises(ValueError, match="^plane wave length %d is not k = 2$" % len(p)):
+            propagate(plane_wave(p), params)

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import repeat
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -101,16 +103,47 @@ def test_act_examples():
     assert act(translation_element((2, -2)), (1, 1)) == (3, -1)
 
 
+class _Column(tuple):
+    """One coordinate of many points: act only adds an int to each coordinate,
+    and int + column adds it to every entry, so one act call maps them all."""
+
+    def __radd__(self, c):
+        return _Column(map(c.__add__, self)) if c else self
+
+
+def _images(w, columns):
+    """[act(w, x) for the points x whose coordinates are the columns]."""
+    return list(zip(*act(w, columns)))
+
+
+def test_act_on_columns_is_act_on_each_point():
+    points = list(window(4, 2))
+    columns = tuple(map(_Column, zip(*points)))
+    for L in (1, 3):
+        for w in [simple_reflection_element(j, 4, L) for j in range(4)] + [pi_element(4, L)]:
+            assert _images(w, columns) == [act(w, x) for x in points]
+
+
 def test_point_maps_match_the_group_elements():
-    # weyl's maps on points are the action of the oracle's group elements
+    # weyl's maps on points are the action of the oracle's group elements, at
+    # every (k, L, j, x).  act maps the whole window in one call, on its
+    # columns; s_1, ..., s_{k-1} are the same element at every L, so their
+    # images are taken once per k, and s_0's and pi's once per (k, L).  weyl's
+    # images are compared as they come: a list of them kept alive would put
+    # millions of tuples in front of the garbage collector
     for k in range(2, 7):
+        points = list(window(k, 3))
+        n, columns = len(points), tuple(map(_Column, zip(*points)))
+        inner = [simple_reflection_element(j, k, 1) for j in range(1, k)]
+        images = [None] + [_images(sj, columns) for sj in inner]
         for L in range(1, 6):
-            reflections = [simple_reflection_element(j, k, L) for j in range(k)]
-            pi = pi_element(k, L)
-            for x in window(k, 3):
-                for j, sj in enumerate(reflections):
-                    assert weyl.simple_reflection(j, x, L) == act(sj, x)
-                assert weyl.rotate(x, L) == act(pi, x)
+            assert [simple_reflection_element(j, k, L) for j in range(1, k)] == inner
+            images[0] = _images(simple_reflection_element(0, k, L), columns)
+            for j in range(k):
+                mapped = map(weyl.simple_reflection, repeat(j, n), points, repeat(L, n))
+                assert all(map(eq, mapped, images[j]))
+            rotated = map(weyl.rotate, points, repeat(L, n))
+            assert all(map(eq, rotated, _images(pi_element(k, L), columns)))
 
 
 def test_act_is_group_action():
