@@ -6,9 +6,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, cycle
 from numbers import Rational
-from operator import mul
+from operator import itemgetter, mul
 
 
 class _Reflection:
@@ -29,15 +29,17 @@ class _Reflection:
     None for the other letters, which enter x as it is: z = x.
     """
 
-    __slots__ = ("a", "period", "unit", "terms", "memo", "lines")
+    __slots__ = ("a", "period", "swap", "unit", "terms", "memo", "lines")
 
-    def __init__(self, a, period, unit, terms):
+    def __init__(self, a, k, period, unit, terms):
         self.a = a  # 0-based coordinate slots (a, a + 1) of the root
         self.period = period
+        # z -> s_a z for the letters other than 0: exchanges slots a and a + 1
+        self.swap = itemgetter(*range(a), a + 1, a, *range(a + 2, k)) if period is None else None
         self.unit = unit  # D, the common denominator of alpha and 1 - beta
         self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
         self.memo = {}
-        self.lines = {}  # (s, other coordinates) -> (up, down)
+        self.lines = {}  # (s, coordinates before slot a, those after slot a + 1) -> (up, down)
 
     def plan(self, points, below):
         """Enter ``points`` and build, once, every source point that
@@ -47,47 +49,63 @@ class _Reflection:
         index into up, index into down, z_a > z_b); the line extensions, as
         (sums, how many t they grow by); and the points the terms of h read at
         each of those t, one extension after the other."""
-        a, L, lines = self.a, self.period, self.lines
+        a, b, L, swap, lines = self.a, self.a + 2, self.period, self.swap, self.lines
         shifts = [shift for _, shift in self.terms]
         entered = []
-        want = {}  # line -> [its sums, how far up and down they must reach]
+        want = {}  # line whose sums must grow -> [its sums, how far up and down they must reach]
         needed = set()
         for x in points:
             if L is None:
-                za, zb, head, tail = x[a], x[a + 1], x[:a], x[a + 2 :]
-                y = head + (zb, za) + tail
+                za, zb = x[a], x[a + 1]
+                y = swap(x)
+                s = za + zb
+                key = (s, x[:a], x[b:])
             else:
-                za, zb, head, tail = x[-1] + L, x[0], (), x[1:-1]
-                y = (x[-1] + L,) + x[1:-1] + (x[0] - L,)
+                za, zb = x[-1] + L, x[0]
+                y = (za, *x[1:-1], zb - L)
+                s = za + zb
+                key = (s, (), x[1:-1])
             needed.add(y)
             if za == zb or not shifts:  # no sum, or h = 0 (alpha = 0, beta = 1)
                 entered.append((x, y, None, 0, 0, False))
                 continue
-            s = za + zb
             m = s // 2  # min(z_a, z_b) <= m < max(z_a, z_b)
-            i, j = (za - m, m - zb) if za > zb else (zb - m, m - za)
-            key = (s,) + head + tail
-            w = want.get(key)
-            if w is None:
-                w = want[key] = [lines.setdefault(key, ([0], [0])), 0, 0]
-            if i > w[1]:
-                w[1] = i
-            if j > w[2]:
-                w[2] = j
-            entered.append((x, y, w[0], i, j, za > zb))
+            if za > zb:
+                i, j = za - m, m - zb
+            else:
+                i, j = zb - m, m - za
+            sides = lines.get(key)
+            if sides is None:
+                sides = lines[key] = ([0], [0])
+                want[key] = [sides, i, j]
+            elif i >= len(sides[0]) or j >= len(sides[1]):  # the sums must grow
+                w = want.get(key)
+                if w is None:
+                    want[key] = [sides, i, j]
+                else:
+                    if i > w[1]:
+                        w[1] = i
+                    if j > w[2]:
+                        w[2] = j
+            entered.append((x, y, sides, i, j, za > zb))
         extensions, reads = [], []
-        for key, ((up, down), i, j) in want.items():
-            s, head, tail = key[0], key[1 : a + 1], key[a + 1 :]
+        for (s, head, tail), ((up, down), i, j) in want.items():
             m = s // 2
-            sides = (up, range(m + len(up), m + i + 1)), (down, range(m - len(down) + 1, m - j, -1))
-            for sums, ts in sides:
-                if not ts:
-                    continue
-                extensions.append((sums, len(ts)))
-                if L is None:
-                    reads += [head + (t, s - t + shift) + tail for t in ts for shift in shifts]
-                else:  # x_1 = z_b = s - t + shift, x_k = z_a - L = t - L
-                    reads += [(s - t + shift,) + tail + (t - L,) for t in ts for shift in shifts]
+            ts = []  # the t the line's sums grow by, up and then down
+            if i >= len(up):  # up reaches t = m + len(up) - 1
+                extensions.append((up, i + 1 - len(up)))
+                ts += range(m + len(up), m + i + 1)
+            if j >= len(down):  # down reaches t = m - len(down) + 2
+                extensions.append((down, j + 1 - len(down)))
+                ts += range(m - len(down) + 1, m - j, -1)
+            if L is None:
+                for t in ts:
+                    for shift in shifts:
+                        reads.append((*head, t, s - t + shift, *tail))
+            else:  # x_1 = z_b = s - t + shift, x_k = z_a - L = t - L
+                for t in ts:
+                    for shift in shifts:
+                        reads.append((s - t + shift, *tail, t - L))
         needed.update(reads)
         return (entered, extensions, reads), needed.difference(below)
 
@@ -102,9 +120,14 @@ class _Reflection:
         S * D, because the terms carry their coefficients times D.
         """
         weighted = map(mul, cycle([c for c, _ in self.terms]), map(below.__getitem__, reads))
-        steps = map(sum, zip(*[weighted] * len(self.terms)))  # D h(t), t after t
+        steps = list(map(sum, zip(*[weighted] * len(self.terms))))  # D h(t), t after t
+        n0 = 0  # where the steps of the next extension start
         for sums, n in extensions:
-            sums[-1:] = accumulate(islice(steps, n), initial=sums[-1])  # go on from the last sum
+            if n == 1:
+                sums.append(sums[-1] + steps[n0])
+            else:  # go on from the last sum
+                sums[-1:] = accumulate(steps[n0 : n0 + n], initial=sums[-1])
+            n0 += n
         unit, memo = self.unit, self.memo
         for x, y, sides, i, j, positive in entered:
             v = unit * below[y]
@@ -233,7 +256,8 @@ class QWordEngine:
             layer = self._layers.get(word[d:])
             if layer is None:
                 a, period = (letter - 1, None) if letter else (0, self.params.L)
-                layer = self._layers[word[d:]] = _Reflection(a, period, unit, self._terms)
+                layer = _Reflection(a, self.params.k, period, unit, self._terms)
+                self._layers[word[d:]] = layer
             layers.append(layer)
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}

@@ -40,6 +40,8 @@ DUALITY_HELD = V + "test_duality_suite_holds_no_layer_between_its_reads"
 WINDOW_WORK = V + "test_window_suite_engine_work_is_pinned"
 WINDOW_PEAK = V + "test_window_suites_hold_one_chain_of_layers_at_a_time"
 WALK = "tests/test_hecke.py::test_walk_hands_out_the_oracle_at_one_scale_and_drops_every_layer"
+WORDS_ORACLE = "tests/test_hecke.py::test_engine_words_match_n_term_oracle"
+LINE_SUMS = "tests/test_hecke.py::test_Q_line_sums_match_n_term_sum"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
 SOLVER_TABLE = "tests/test_bethe.py::test_solver_outcomes_pinned_per_instance"
 NEWTON_EXITS = "tests/test_bethe.py::test_compiled_newton_exits_match_the_loop_without_cycle_exit"
@@ -96,6 +98,13 @@ MUTANTS = [
     ("_rescale skips f's table", "hecke.py",
      "        for x, v in base.items():\n            base[x] = v * m\n", "",
      ["tests/test_hecke.py::test_engine_rescales_every_layer_of_the_table"]),
+    ("one-step extension adds the step before its own", "hecke.py",
+     "sums.append(sums[-1] + steps[n0])", "sums.append(sums[-1] + steps[n0 - 1])",
+     [LINE_SUMS, WORDS_ORACLE]),
+    ("swap map reverses the slots after the root", "hecke.py",
+     "a + 1, a, *range(a + 2, k))", "a + 1, a, *reversed(range(a + 2, k)))", [WORDS_ORACLE]),
+    ("h = 0 (alpha = 0, beta = 1) still builds line sums", "hecke.py",
+     "if za == zb or not shifts:", "if za == zb:", [LINE_SUMS, WORDS_ORACLE]),
     ("engine term shifts swapped", "hecke.py", "zip(self.couplings[1:], (1, 0))",
      "zip(self.couplings[1:], (0, 1))", [HECKE_CORRUPTED]),
     ("closed form t -> 1 - t", "propagation.py", "t = (A + C * b) / (D * (b - a))",

@@ -178,7 +178,7 @@ def _explicit_word(word, f, params):
     return f
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize(
     "alpha,beta",
     [
@@ -189,11 +189,14 @@ def _explicit_word(word, f, params):
     ],
 )
 def test_engine_words_match_n_term_oracle(k, alpha, beta):
-    # every letter, Q_0 included, alone and in two-letter words, through one engine
+    # every letter, Q_0 included, alone and in two-letter words, through one
+    # engine; k = 4, on window 1 to stay small, is the first k with a letter
+    # (2) that has coordinates on both sides of its root, where a layer's
+    # swap or line key would go wrong first
     params = Params(k, 2, alpha, beta)
     f = random_rational_function("words-%d-%s-%s" % (k, alpha, beta))
     engine = QWordEngine(f, params)
-    points = list(window(k, 2))
+    points = list(window(k, 2 if k < 4 else 1))
     words = [(i,) for i in range(k)] + [(i, j) for i in range(k) for j in range(k)]
     for word in words:
         oracle = _explicit_word(word, f, params)

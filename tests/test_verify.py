@@ -210,14 +210,15 @@ def _recording_engines(monkeypatch):
 
 
 def test_window_suite_engine_work_is_pinned(monkeypatch):
-    # the one engine of lemma-main and of theorem on the k = 4 benchmark grid
-    # reads f, enters points into its layers and extends its line sums exactly
-    # this often, summed over the layers its walk drops and those it still
-    # holds; a descent rule or a plan that adds work, or a walk that drops a
-    # layer before its last reader and builds it again, fails here
+    # the one engine of hecke, duality, lemma-main and theorem on the k = 4
+    # benchmark grid reads f, enters points into its layers and extends its
+    # line sums exactly this often, summed over the layers its walk drops and
+    # those it still holds; a descent rule or a plan that adds work, or a walk
+    # that drops a layer before its last reader and builds it again, fails here
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
     engines = _recording_engines(monkeypatch)
-    for suite, work in [("lemma-main", (1125, 9268, 17781)), ("theorem", (1125, 8326, 16685))]:
+    for suite, work in [("hecke", (2820, 23425, 35740)), ("duality", (625, 1875, 2250)),
+                        ("lemma-main", (1125, 9268, 17781)), ("theorem", (1125, 8326, 16685))]:
         engines.clear()
         assert verify.run_suite(suite, params, 2, 0)["failures"] == []
         (used,) = engines
