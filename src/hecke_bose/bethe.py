@@ -209,6 +209,8 @@ def bethe_residual(p, params):
     p_i^L - prod_{j != i} (beta p_i - p_j - alpha)/(p_i - beta p_j + alpha)."""
     # p may also be a SpectralPoint, as perfbench/probes.py passes it
     p = tuple(getattr(p, "p", p))
+    if len(p) != params.k:
+        raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
     if all(isinstance(v, Rational) for v in (*p, params.alpha, params.beta)):
         p = tuple(map(Fraction, p))  # an int quotient would be a float
     return _kernel(len(p)).residuals(p, params.L, params.alpha, params.beta)
@@ -380,8 +382,16 @@ def bethe_wave_function(p, params):
     the k! sum once per W-orbit: an inner memo is keyed on weyl.orbit_key(x), and
     only its misses find the orbit's dominant point y and sum at the exponents -y.
     At rational p and couplings (ints included) the sum runs in ints over one
-    common denominator and each value is one exact Fraction (see _symmetrizer)."""
+    common denominator and each value is one exact Fraction (see _symmetrizer).
+    A p of the wrong length, with a zero or with a repeat raises ValueError."""
     p, L = tuple(p), params.L
+    if len(p) != params.k:
+        raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
+    if 0 in p:
+        raise ValueError("p_%d = 0, but h_p takes the powers p_i^(-x_i)" % (p.index(0) + 1))
+    for j, v in enumerate(p):
+        if v in p[:j]:
+            raise ValueError("p_%d = p_%d, so h_p vanishes identically" % (p.index(v) + 1, j + 1))
     sym = _symmetrizer(_wave_pairs(p, params.alpha, params.beta), p)
     on_orbit = functools.cache(lambda key: sym([-e for e in weyl.dominant_point(key, params)]))
     return functools.cache(lambda x: on_orbit(weyl.orbit_key(x, L)))

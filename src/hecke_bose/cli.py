@@ -79,9 +79,11 @@ def cmd_verify(args):
 
 def cmd_bethe(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
-    # the pipeline runs at complex couplings; one whose largest H weight, alpha (k - 1)
-    # or beta ** (k - 1), does not convert is rejected here, before the solve
+    # the pipeline runs at complex couplings; one whose largest H weight, alpha (k - 1) or
+    # beta ** (k - 1), does not convert, or a beta that converts to 0, is rejected here
     complex(params.alpha * (params.k - 1)), complex(params.beta ** (params.k - 1))
+    if complex(params.beta) == 0:
+        raise ValueError("beta is nonzero but underflows to 0 as a complex number")
     floats = Params(params.k, params.L, complex(params.alpha), complex(params.beta))
     t0 = time.perf_counter()
     try:
@@ -144,15 +146,7 @@ def _read_roots(path):
 def cmd_wavefunction(args):
     params = Params(args.k, args.L, args.alpha, args.beta)
     p = args.p if args.p_file is None else _read_roots(args.p_file)
-    if len(p) != params.k:
-        raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
-    if 0 in p:
-        raise ValueError("p_%d = 0, but h_p takes the powers p_i^(-x_i)" % (p.index(0) + 1))
-    for j, v in enumerate(p):
-        if v in p[:j]:
-            raise ValueError("p_%d = p_%d, so h_p vanishes identically" % (p.index(v) + 1, j + 1))
-
-    h = bethe_wave_function(p, params)
+    h = bethe_wave_function(p, params)  # rejects a p of the wrong length, a zero or a repeat
     rows = []
     for x in verify.window_points(params.k, args.window):
         value = h(x)

@@ -165,11 +165,13 @@ def exact_couplings(params):
 class QWordEngine:
     """Evaluates Q_w f = Q_{w[0]} ... Q_{w[-1]} f for words w, without recursion.
 
-    The engine keeps one table of layers keyed by word suffix: the layer of a
-    word applies its first letter to the layer of the rest, so words that
-    share a suffix share its evaluated points and line sums.  An evaluation
-    plans the points each layer is missing from the top layer down, then
-    fills them from the bottom up in plain loops.
+    The layer of a word applies its first letter to the layer of the rest.
+    The engine holds f's table and the chain of layers of the word it last
+    read: each read cuts the chain back to the suffix its word shares with
+    that word and builds the rest on it, so after any read the engine holds
+    exactly the layers of its last word.  An evaluation plans the points
+    each layer is missing from the top layer down, then fills them from the
+    bottom up in plain loops.
 
     All arithmetic is on Python ints.  D, the lcm of the denominators of
     alpha and beta, is computed once, and ``couplings`` hands it out with
@@ -181,11 +183,8 @@ class QWordEngine:
     factor m and every stored int is multiplied by m.  So alpha, beta and
     the values of f must be rationals (ints or Fractions).  S stays inside
     the engine.  ``walk`` is its one batched read: it groups its requests by
-    word, hands out every word at one scale T, and drops each layer after
-    the last of its words that reads it, so the engine holds one chain of
-    suffixes at a time.  ``values`` reads one word and divides by its
-    scale; it keeps the layers it builds, so later calls with words that
-    share a suffix reuse their points.
+    word, reads them in suffix-trie order and hands out every word at one
+    scale T; ``values`` reads one word and divides by its scale.
     """
 
     def __init__(self, f, params):
@@ -195,11 +194,11 @@ class QWordEngine:
         self._terms = [(c, shift) for c, shift in zip(self.couplings[1:], (1, 0)) if c]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
-        self._layers = {}  # word -> the layer of Q_word[0] applied to that of word[1:]
+        self._word = ()  # the word last read
+        self._chain = []  # its layers, innermost first: Q_word[-1], then Q_word[-2] on it, ...
 
     def values(self, word, points):
-        """The values (Q_word f)(x) at the given points (integer tuples), as
-        Fractions.  The layers the read builds stay in the engine."""
+        """The values (Q_word f)(x) at the given points (integer tuples), as Fractions."""
         word = tuple(word)
         top = self._evaluate(word, points)
         scale = self._scale * self.couplings[0] ** len(word)  # word stored at S * D^len(word)
@@ -216,30 +215,20 @@ class QWordEngine:
         ``walk([])`` returns (S, []).
 
         The words are read sorted by their reversal, depth-first in the trie
-        of suffixes, so the readers of a layer, the words that end in its
-        suffix, come one after another: after each word, the layers of the
-        suffixes it does not share with the next word are dropped, and the
-        engine holds one chain of suffixes at a time.  Each word's ints are
-        kept at the scale S of its read and multiplied up to the final
-        T = S * D^H at the end."""
+        of suffixes, so the readers of a layer come one after another and no
+        layer is built twice.  Each word's ints are kept at the scale S of
+        its read and multiplied up to T = S * D^H at the end."""
         requests = [(tuple(word), points) for word, points in requests]
         asked = {}  # word -> the indices of the requests that ask it
         for n, (word, _) in enumerate(requests):
             asked.setdefault(word, []).append(n)
         order = sorted(asked, key=lambda word: word[::-1])
         columns, scales = [None] * len(requests), []
-        for word, after in zip(order, order[1:] + [()]):
+        for word in order:
             top = self._evaluate(word, set().union(*(requests[n][1] for n in asked[word])))
             for n in asked[word]:
                 columns[n] = [top[x] for x in requests[n][1]]
             scales.append(self._scale)
-            shared = 0  # the length of the longest suffix word and after share
-            for a, b in zip(reversed(word), reversed(after)):
-                if a != b:
-                    break
-                shared += 1
-            for d in range(len(word) - shared):
-                del self._layers[word[d:]]
         unit, height = self.couplings[0], max(map(len, asked), default=0)
         for word, scale in zip(order, scales):
             m = self._scale // scale * unit ** (height - len(word))
@@ -249,16 +238,19 @@ class QWordEngine:
         return self._scale * unit**height, columns
 
     def _evaluate(self, word, points):
-        """Make sure (Q_word f) is stored at the given points; return the
-        table of the word's top layer (f's own table for the empty word)."""
-        layers, unit = [], self.couplings[0]
-        for d, letter in enumerate(word):
-            layer = self._layers.get(word[d:])
-            if layer is None:
-                a, period = (letter - 1, None) if letter else (0, self.params.L)
-                layer = _Reflection(a, self.params.k, period, unit, self._terms)
-                self._layers[word[d:]] = layer
-            layers.append(layer)
+        """Make sure (Q_word f) is stored at the given points; return the table of
+        the word's top layer (f's own table for the empty word).  The letters
+        beyond the suffix the word shares with the chain are built on it."""
+        chain, last, unit = self._chain, self._word, self.couplings[0]
+        shared = 0  # the length of the longest suffix word and the last word share
+        while shared < min(len(word), len(last)) and word[-1 - shared] == last[-1 - shared]:
+            shared += 1
+        del chain[shared:]
+        for letter in reversed(word[: len(word) - len(chain)]):
+            a, period = (letter - 1, None) if letter else (0, self.params.L)
+            chain.append(_Reflection(a, self.params.k, period, unit, self._terms))
+        self._word = word
+        layers = chain[::-1]
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}
         plans = []
@@ -291,11 +283,11 @@ class QWordEngine:
             base[x] = v.numerator * (scale // v.denominator)
 
     def _rescale(self, m):
-        """Multiply every stored int, f's table and each layer's, by m."""
+        """Multiply every stored int, f's table and the chain's, by m."""
         base = self._base
         for x, v in base.items():
             base[x] = v * m
-        for layer in self._layers.values():
+        for layer in self._chain:
             layer.rescale(m)
 
 

@@ -22,11 +22,11 @@ def propagate(f, params):
     at O(|w_x| k!) rational operations for each new word (see
     ``_plane_wave_propagation``).  Every other f, a plane wave with a
     repeated p_i included, is read through the Q-word engine's one-point
-    reads, ``values``, which keep its layers for later calls: H reads G at
-    x and its k neighbours, whose words share suffixes.
-    ``propagate_many`` always reads through the engine.  Either way this call
-    raises TypeError at a non-rational alpha or beta, and ValueError at a
-    plane wave whose length is not k."""
+    reads, ``values``, which rebuild the layers a word does not share with
+    the word read before it; ``propagate_many``, one ``walk`` over many
+    points, is the batched path.  Either way this call raises TypeError at
+    a non-rational alpha or beta, and ValueError at a plane wave whose
+    length is not k."""
     if isinstance(f, PlaneWave) and len(f.p) != params.k:
         raise ValueError("plane wave length %d is not k = %d" % (len(f.p), params.k))
     if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):

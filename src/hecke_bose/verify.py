@@ -136,9 +136,9 @@ def suite_hecke(params, window, seed):
     window as ints at one scale, so the checks are int equalities.  With the
     engine's couplings D and C = D (1 - beta), the quadratic relation
     Q_i^2 = (1 - beta) Q_i + beta reads D h = C g + (D - C) f for h, g, f
-    the ints of Q_i^2 f, Q_i f and f.  The walk drops each layer after the
-    last word that reads it, so the engine holds one word's layers at a
-    time."""
+    the ints of Q_i^2 f, Q_i f and f.  Each read of the walk cuts the
+    layers its word does not share with the word before, so the engine
+    holds one word's layers at a time."""
     k = params.k
     f = random_rational_function("hecke-%s" % seed)
     points = list(window_points(k, window))
@@ -173,8 +173,8 @@ def suite_duality(params, window, seed):
     gives every Q_i f on the window and f itself, the empty word, on the
     expansions' support, as ints q and f_T at one scale T.  Then
     (Q_i f)(x) = q / T and (f, T^check_i e^x) = sum_y c_y f_T(y) / (D T), so
-    each check is q D == sum_y c_y f_T(y).  The walk drops each letter's
-    layer after its read."""
+    each check is q D == sum_y c_y f_T(y).  Each letter's read cuts the
+    layer of the letter before."""
     k = params.k
     points = list(window_points(k, window))
     letters = range(1, k)

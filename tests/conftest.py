@@ -4,7 +4,7 @@ inverse and action on points and functions, the element of a word, the Laurent
 polynomial ring with the affine Weyl action on exponents, the undeformed
 Hamiltonian, d_i^-, the Bethe residual/Jacobian/elimination as loops, and
 the symmetrized sums of h_p and R_lambda term by term, and a Q-word engine
-layer table that records the layers it drops)."""
+layer chain that records the layers its reads cut)."""
 
 import itertools
 import math
@@ -440,20 +440,36 @@ def layer_sizes(layer):
     return len(layer.memo), sum(len(sums) for sides in layer.lines.values() for sums in sides)
 
 
-class LayerTable(dict):
-    """A Q-word engine's table of layers that records each layer it drops:
-    set as ``engine._layers``, it keeps the work of the layers a walk has
-    dropped."""
+def chain_word(engine):
+    """The word whose layers a Q-word engine's chain holds, read off the
+    layers' letters: ``engine._word`` when the engine holds exactly the chain
+    of its last word."""
+    chain = reversed(engine._chain)
+    return tuple(0 if layer.period is not None else layer.a + 1 for layer in chain)
 
-    def __init__(self):
+
+class LayerChain(list):
+    """A Q-word engine's chain of layers that records each layer a read cuts:
+    set as ``engine._chain`` on a fresh engine, it keeps the work of the
+    layers the engine has cut, by word suffix."""
+
+    def __init__(self, engine):
         super().__init__()
-        self.dropped = []  # (word, memo size, line-sum length) per drop
+        self.engine = engine
+        self.cut = []  # (suffix, memo size, line-sum length) per layer cut
 
-    def __delitem__(self, word):
-        self.dropped.append((word, *layer_sizes(self[word])))
-        super().__delitem__(word)
+    def _suffix(self, d):
+        # the chain holds the layers of the engine's last word, innermost
+        # first, until the read that cuts it has cut and built
+        word = self.engine._word
+        return word[len(word) - 1 - d :]
+
+    def __delitem__(self, cut):
+        for d in range(len(self))[cut]:
+            self.cut.append((self._suffix(d), *layer_sizes(self[d])))
+        super().__delitem__(cut)
 
     def work(self):
-        """(word, memo size, line-sum length) per layer dropped so far and
-        per layer still held."""
-        return self.dropped + [(word, *layer_sizes(layer)) for word, layer in self.items()]
+        """(suffix, memo size, line-sum length) per layer cut so far and per
+        layer still held."""
+        return self.cut + [(self._suffix(d), *layer_sizes(layer)) for d, layer in enumerate(self)]

@@ -36,10 +36,10 @@ DUALITY_CORRUPTED = V + "test_duality_suite_names_where_the_pairing_reads_a_corr
 THEOREM_CORRUPTED = V + "test_theorem_suite_names_where_H_reads_a_corrupted_G"
 LEMMA_CORRUPTED = V + "test_batched_suites_name_a_corrupted_value"
 HECKE_HELD = V + "test_hecke_suite_holds_at_most_one_relation_beyond_the_letters"
-DUALITY_HELD = V + "test_duality_suite_holds_no_layer_between_its_reads"
+DUALITY_HELD = V + "test_duality_suite_holds_one_letter_layer_at_a_time"
 WINDOW_WORK = V + "test_window_suite_engine_work_is_pinned"
 WINDOW_PEAK = V + "test_window_suites_hold_one_chain_of_layers_at_a_time"
-WALK = "tests/test_hecke.py::test_walk_hands_out_the_oracle_at_one_scale_and_drops_every_layer"
+WALK = "tests/test_hecke.py::test_walk_hands_out_the_oracle_at_one_scale_and_holds_the_last_chain"
 WORDS_ORACLE = "tests/test_hecke.py::test_engine_words_match_n_term_oracle"
 LINE_SUMS = "tests/test_hecke.py::test_Q_line_sums_match_n_term_sum"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
@@ -80,23 +80,21 @@ MUTANTS = [
     ("values divides by S only", "hecke.py",
      "scale = self._scale * self.couplings[0] ** len(word)", "scale = self._scale",
      ["tests/test_hecke.py::test_engine_rescales_when_new_denominators_arrive"]),
-    ("walk never drops a layer", "hecke.py", "del self._layers[word[d:]]", "pass",
+    ("a read keeps the previous word's layers", "hecke.py", "del chain[shared:]", "pass",
      [HECKE_HELD, DUALITY_HELD, WINDOW_PEAK]),
-    ("walk drops a layer one reader early", "hecke.py", "range(len(word) - shared)",
-     "range(len(word) - shared + 1)",
+    ("a read cuts one shared layer too many", "hecke.py", "del chain[shared:]",
+     "del chain[max(shared - 1, 0):]",
      [WINDOW_WORK, P + "test_engine_work_at_far_points_is_pinned"]),
     ("walk leaves a read's ints at the scale S of its read", "hecke.py",
      "m = self._scale // scale * unit", "m = unit", [WALK, LEMMA_CORRUPTED]),
     ("walk does not scale shorter words", "hecke.py",
      "m = self._scale // scale * unit ** (height - len(word))", "m = self._scale // scale",
      [WALK, LEMMA_CORRUPTED]),
-    ("propagate drops its layers between one-point reads", "propagation.py",
-     "            return engine.values(word, (wx,))[0]\n",
-     "            scale, ((v,),) = engine.walk([(word, (wx,))])\n"
-     "            return Fraction(v, scale)\n",
-     [P + "test_propagate_keeps_its_layers_across_one_point_reads"]),
     ("_rescale skips f's table", "hecke.py",
      "        for x, v in base.items():\n            base[x] = v * m\n", "",
+     ["tests/test_hecke.py::test_engine_rescales_every_layer_of_the_table"]),
+    ("_rescale skips the chain", "hecke.py",
+     "        for layer in self._chain:\n            layer.rescale(m)\n", "",
      ["tests/test_hecke.py::test_engine_rescales_every_layer_of_the_table"]),
     ("one-step extension adds the step before its own", "hecke.py",
      "sums.append(sums[-1] + steps[n0])", "sums.append(sums[-1] + steps[n0 - 1])",
@@ -122,6 +120,10 @@ MUTANTS = [
     ("propagate takes a wave of the wrong length", "propagation.py",
      "if isinstance(f, PlaneWave) and len(f.p) != params.k:", "if False:",
      [P + "test_propagate_rejects_a_plane_wave_of_the_wrong_length"]),
+    ("propagate builds an engine per read", "propagation.py",
+     "            return engine.values(word, (wx,))[0]\n",
+     "            return QWordEngine(f, params).values(word, (wx,))[0]\n",
+     [P + "test_propagate_one_point_reads_share_the_chain_of_the_last_word"]),
     ("propagate unmemoized", "propagation.py", "return functools.cache(G)", "return G",
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
     ("LatticeFunction export memoizes nothing", "__init__.py",

@@ -650,6 +650,40 @@ def test_residual_exact_on_int_p():
     assert res == [Fraction(3), Fraction(8)]
 
 
+@pytest.mark.parametrize("p,cause", [
+    # too few or too many values: one p_i would be read as missing, or ignored
+    ((Fraction(1, 2),), "need exactly k = 2 spectral parameters, got 1"),
+    ((1, 2, 3), "need exactly k = 2 spectral parameters, got 3"),
+    # a zero: h_p takes its negative powers
+    ((0, Fraction(1, 2)), "p_1 = 0, but h_p takes the powers p_i^(-x_i)"),
+    ((2 + 1j, 0j), "p_2 = 0, but h_p takes the powers p_i^(-x_i)"),
+    # a repeat: h_p would vanish identically
+    ((Fraction(1, 2), Fraction(1, 2)), "p_1 = p_2, so h_p vanishes identically"),
+    ((0.5 + 0.5j, 0.5 + 0.5j), "p_1 = p_2, so h_p vanishes identically"),
+    # several faults at once: the first in check order is named
+    ((0, 0, 0), "need exactly k = 2 spectral parameters, got 3"),
+    ((0, 0), "p_1 = 0, but h_p takes the powers p_i^(-x_i)"),
+])
+def test_wave_function_names_a_bad_p(p, cause):
+    # the library checks what the wavefunction command reports, in its order
+    # and words, before it computes anything
+    params = Params(2, 3, Fraction(1, 2), Fraction(2))
+    with pytest.raises(ValueError) as exc:
+        bethe_wave_function(p, params)
+    assert str(exc.value) == cause
+    with pytest.raises(ValueError) as exc:
+        bethe_wave(p, (0, 0), params)
+    assert str(exc.value) == cause
+
+
+def test_residual_rejects_a_p_of_the_wrong_length():
+    params = Params(2, 3, Fraction(1, 2), Fraction(2))
+    for p, n in [((Fraction(1, 2),), 1), ((1, 2, 3), 3), (SpectralPoint((1 + 0j,), 0.0), 1)]:
+        with pytest.raises(ValueError) as exc:
+            bethe_residual(p, params)
+        assert str(exc.value) == "need exactly k = 2 spectral parameters, got %d" % n
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_residuals_and_newton_run_the_same_residual_lines(k):
     # the residual lines are generated once: residuals' body, between the

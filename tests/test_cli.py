@@ -287,6 +287,9 @@ def test_bad_input_exits_without_traceback(capsys, argv):
          "argument --lam: invalid integer '' in '1,,2'"),
         (["bethe", "--k", "2", "--L", "2", "--seeds", "0,a"],
          "argument --seeds: invalid integer 'a' in '0,a'"),
+        # a nonzero beta below the float range: the complex pipeline would read 0
+        (["bethe", "--k", "2", "--L", "4", "--beta", "1e-400", "--seeds", "0,1"],
+         "beta is nonzero but underflows to 0 as a complex number"),
     ],
 )
 def test_bad_input_names_its_cause(capsys, argv, cause):

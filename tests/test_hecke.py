@@ -8,7 +8,7 @@ from functools import cache
 
 import pytest
 
-from conftest import descents, rand_distinct_fractions, rand_params_pair, window
+from conftest import chain_word, descents, rand_distinct_fractions, rand_params_pair, window
 from hecke_bose import weyl
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import QWordEngine, apply_Q, apply_Qw
@@ -343,9 +343,9 @@ def test_engine_rescales_when_new_denominators_arrive(word):
 
 
 def test_engine_rescales_every_layer_of_the_table():
-    # (1, 0) and (0, 1) share no suffix, so their layers sit apart in the
-    # table; the far reads of a third word rescale them all, and f's own
-    # table, which the empty word reads
+    # (0, 1) shares its suffix (1,) with the third word, whose far reads
+    # rescale the layer of (1,) the engine still holds, and f's own table,
+    # which the empty word reads
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     reads = Counter()
     engine = QWordEngine(_far_denominators("table", reads), params)
@@ -359,7 +359,7 @@ def test_engine_rescales_every_layer_of_the_table():
     engine.values((1,), [(9, -8), (-7, 10)])
     assert any(scale % plain(x).denominator for x in reads if x not in first)
     fresh = QWordEngine(plain, params)
-    for word in words + [(0,), (1,), ()]:
+    for word in [(1,), (0, 1), (1, 0), (0,), ()]:  # the held layer of (1,) first
         assert engine.values(word, near) == fresh.values(word, near)
 
 
@@ -391,13 +391,13 @@ def test_engine_hands_out_ints_of_several_words_at_one_scale():
     assert set(reads.values()) == {1}
 
 
-def test_walk_hands_out_the_oracle_at_one_scale_and_drops_every_layer():
+def test_walk_hands_out_the_oracle_at_one_scale_and_holds_the_last_chain():
     # the walk reads (), (1,), (0, 1) and (1, 0, 1) in that order, suffix-trie
     # order, and the far reads of (0, 1) bring denominators after () and (1,)
     # were read: their ints still come out at the one final scale
     # T = S * D^3 with those of the longer words, each the n-term oracle
-    # times T and what ``values`` reads on a fresh engine, and no layer the
-    # walk built outlives it
+    # times T and what ``values`` reads on a fresh engine, and the engine
+    # holds exactly the chain of the last word it read
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     D = 12  # the lcm of the denominators of alpha = -2/3 and 1 - beta = -1/4
     near = list(window(2, 1))
@@ -411,7 +411,7 @@ def test_walk_hands_out_the_oracle_at_one_scale_and_drops_every_layer():
         oracle = _explicit_word(word, plain, params)
         assert column == [oracle(x) * scale for x in points]
         assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, points)
-    assert engine._layers == {}
+    assert chain_word(engine) == engine._word == (1, 0, 1)
     first = QWordEngine(f, params).walk([((), near), ((1,), near)])[0]  # S * D
     assert scale != first * D**2  # S grew after () and (1,) were read
     assert engine.walk([]) == (scale // D**3, [])

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LayerTable, descents, rand_distinct_fractions, rand_params_pair, window
+from conftest import (
+    LayerChain,
+    chain_word,
+    descents,
+    rand_distinct_fractions,
+    rand_params_pair,
+    window,
+)
 from hecke_bose import hecke, propagation, verify, weyl
 from hecke_bose.hamiltonian import apply_H, d_plus
 from hecke_bose.hecke import QWordEngine
@@ -212,7 +219,7 @@ def test_grouped_propagation_matches_per_point(k, L):
     requests = [(word, points[::7]) for word in words] + [((), points[:3])]
     engine = QWordEngine(f, params)
     scale, grouped, columns = propagate_many(engine, read, requests)
-    assert engine._layers == {}
+    assert chain_word(engine) == engine._word
     G = propagate(f, params)
     assert grouped.keys() == set(points)
     for x, v in grouped.items():
@@ -222,42 +229,55 @@ def test_grouped_propagation_matches_per_point(k, L):
         assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, at)
 
 
-def test_propagate_keeps_its_layers_across_one_point_reads(monkeypatch):
-    # H reads G at x and at its k neighbours, whose words share suffixes, one
-    # point at a time: propagate's engine keeps its layers across those reads,
-    # so each layer enters each of its points once
-    engines = []
+@pytest.mark.parametrize("k,L,x,built,suffixes", [
+    (2, 1, (24, -24), 48, 48),
+    (3, 2, (8, 0, -8), 16, 16),
+    # H asks w_x at its points in slot order: the first word, asked again at
+    # a third point, comes after a second word that cut the chain back to the
+    # 4 letters they share, so its other 4 letters are built twice
+    (3, 2, (-4, 1, 3), 16, 12),
+], ids=["far-k2", "far-k3", "near-k3"])
+def test_propagate_one_point_reads_share_the_chain_of_the_last_word(monkeypatch, k, L, x, built,
+                                                                      suffixes):
+    # H reads G at x and its k neighbours one point at a time: each read cuts
+    # the chain back to the suffix its word shares with the word read before
+    # and builds the rest, so a word builds only the letters it does not share
+    # with its predecessor, and the engine ends holding one chain
+    engines, layers = [], []
 
     class Spy(QWordEngine):
         def __init__(self, f, params):
             super().__init__(f, params)
             engines.append(self)
 
-    entered = []
-    fill = hecke._Reflection.fill
+    init = hecke._Reflection.__init__
 
-    def counting(self, points, extensions, reads, below):
-        entered.extend(x for x, *_ in points)
-        fill(self, points, extensions, reads, below)
+    def building(self, *args):
+        init(self, *args)
+        layers.append(self)
 
     monkeypatch.setattr(propagation, "QWordEngine", Spy)
-    monkeypatch.setattr(hecke._Reflection, "fill", counting)
-    params = Params(3, 2, Fraction(-2, 3), Fraction(5, 4))
-    G = propagate(random_rational_function("one-point"), params)
-    for x in list(window(3, 1)) + [(5, 0, -5), (-4, 1, 3)]:
-        apply_H(G, x, params)
+    monkeypatch.setattr(hecke._Reflection, "__init__", building)
+    params = Params(k, L, Fraction(1, 2), Fraction(2))
+    p = (Fraction(2, 3), Fraction(-5, 4), Fraction(3))[:k]
+    G = propagate(cache(plane_wave(p)), params)
+    assert apply_H(G, x, params) == sum(p) * G(x)
+    points = {x} | {x[:i] + (x[i] - 1,) + x[i + 1 :] for i in range(k)}
+    words = {weyl.shortest_element(y, params)[1] for y in points}
+    assert len(layers) == built
+    assert len({word[d:] for word in words for d in range(len(word))}) == suffixes
     (engine,) = engines
-    assert len(engine._layers) > 20
-    assert len(entered) == sum(len(layer.memo) for layer in engine._layers.values())
+    assert chain_word(engine) == engine._word
 
 
 def _engine_work(k, L, x, p):
     """An engine after G of a plane wave at x and its neighbours: the points
     read from f, and per layer its memo size and the summed line-sum
-    lengths, read as the walk drops it; no layer is built twice."""
+    lengths, read as a read cuts it or from the chain still held; no layer
+    is built twice."""
     params = Params(k, L, Fraction(1, 2), Fraction(2))
     engine = QWordEngine(plane_wave(p), params)
-    engine._layers = table = LayerTable()
+    engine._chain = table = LayerChain(engine)
     points = {x} | {x[:i] + (x[i] - 1,) + x[i + 1 :] for i in range(k)}
     propagate_many(engine, descents(points, params))
     layers = {word: (memo, sums) for word, memo, sums in table.work()}

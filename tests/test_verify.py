@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import LayerTable, act, layer_sizes, simple_reflection_element
+from conftest import LayerChain, act, chain_word, layer_sizes, simple_reflection_element
 import hecke_bose
 from hecke_bose import bethe, hamiltonian, hecke, laurent, propagation, verify
 from hecke_bose.weyl import Params, shortest_element
@@ -45,17 +45,18 @@ def test_hecke_suite_names_a_corrupted_relation(monkeypatch):
 
 
 def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
-    # the suite's walk reads one word at a time and drops, after each, the
-    # layers no later word reads: after a read the engine never holds more
-    # than the single letters and the layers of the word it has read
+    # each read of the suite's walk cuts the chain back to the suffix its word
+    # shares with the word before and builds the rest: a read starts with the
+    # chain of the word read before it, and leaves exactly its own word's
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
-    letters = {(a,) for a in range(4)}
     evaluate = hecke.QWordEngine._evaluate
-    reads = []  # per read: its engine and word, and the layers held when it starts
+    reads = []  # per read: its engine and word, and the chains held when it starts and ends
 
     def recording(self, word, points):
-        reads.append((self, word, set(self._layers)))
-        return evaluate(self, word, points)
+        before = chain_word(self)
+        top = evaluate(self, word, points)
+        reads.append((self, word, before, chain_word(self)))
+        return top
 
     monkeypatch.setattr(hecke.QWordEngine, "_evaluate", recording)
     report = verify.run_suite("hecke", params, 1, 0)
@@ -63,31 +64,45 @@ def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
     # the distinct words of the quadratic relations (Q_i^2, Q_i and the empty
     # word), the braids and the commutations
     assert len(reads) == 4 + 4 + 1 + 8 + 4
-    (engine,) = {id(engine): engine for engine, _, _ in reads}.values()
-    held = [layers for _, _, layers in reads[1:]] + [set(engine._layers)]
-    for (_, word, _), layers in zip(reads, held):
-        assert layers <= letters | {word[d:] for d in range(len(word))}
+    (engine,) = {id(engine): engine for engine, *_ in reads}.values()
+    words = [word for _, word, _, _ in reads]
+    assert [before for _, _, before, _ in reads] == [()] + words[:-1]
+    assert [after for *_, after in reads] == words
+    assert chain_word(engine) == engine._word == words[-1]
 
 
-def test_duality_suite_holds_no_layer_between_its_reads(monkeypatch):
-    # the suite's walk reads f, the empty word, then one letter at a time, and
-    # drops each letter's layer after its read: the engine holds no layer
-    # when a read starts, and none after the last
+def test_duality_suite_holds_one_letter_layer_at_a_time(monkeypatch):
+    # the suite's walk reads f, the empty word, then one letter at a time;
+    # each read cuts the letter before, so no two letters' layers are held at
+    # once, and the last letter's layer is the one the engine keeps
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
     evaluate = hecke.QWordEngine._evaluate
-    reads = []  # per read: its engine and word, and the layers held when it starts
+    built = hecke._Reflection.__init__
+    reads = []  # per read: its engine and word, and the chains held when it starts and ends
+    reading, held = [], []  # the engine reading now; the layers it holds as each layer is built
 
     def recording(self, word, points):
-        reads.append((self, word, set(self._layers)))
-        return evaluate(self, word, points)
+        reading[:] = [self]
+        before = chain_word(self)
+        top = evaluate(self, word, points)
+        reads.append((self, word, before, chain_word(self)))
+        return top
+
+    def building(self, *args):
+        built(self, *args)
+        held.append(len(reading[0]._chain))
 
     monkeypatch.setattr(hecke.QWordEngine, "_evaluate", recording)
+    monkeypatch.setattr(hecke._Reflection, "__init__", building)
     report = verify.run_suite("duality", params, 2, 0)
     assert report["failures"] == []
-    assert [word for _, word, _ in reads] == [(), (1,), (2,), (3,)]
-    (engine,) = {id(engine): engine for engine, _, _ in reads}.values()
-    assert [layers for _, _, layers in reads] == [set()] * 4
-    assert engine._layers == {}
+    assert [word for _, word, _, _ in reads] == [(), (1,), (2,), (3,)]
+    (engine,) = {id(engine): engine for engine, *_ in reads}.values()
+    assert [(before, after) for _, _, before, after in reads] == [
+        ((), ()), ((), (1,)), ((1,), (2,)), ((2,), (3,))
+    ]
+    assert held == [0, 0, 0]  # each letter is built on a chain cut to nothing
+    assert chain_word(engine) == engine._word == (3,)
 
 
 def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
@@ -195,14 +210,14 @@ def test_verify_suites_leave_hashlib_out():
 
 
 def _recording_engines(monkeypatch):
-    """The engines the suites build from here on, each with a ``LayerTable``
-    that records the layers it drops."""
+    """The engines the suites build from here on, each with a ``LayerChain``
+    that records the layers its reads cut."""
     engines = []
     engine = hecke.QWordEngine
 
     def recording(f, params):
         engines.append(engine(f, params))
-        engines[-1]._layers = LayerTable()
+        engines[-1]._chain = LayerChain(engines[-1])
         return engines[-1]
 
     monkeypatch.setattr(hecke, "QWordEngine", recording)
@@ -212,9 +227,9 @@ def _recording_engines(monkeypatch):
 def test_window_suite_engine_work_is_pinned(monkeypatch):
     # the one engine of hecke, duality, lemma-main and theorem on the k = 4
     # benchmark grid reads f, enters points into its layers and extends its
-    # line sums exactly this often, summed over the layers its walk drops and
-    # those it still holds; a descent rule or a plan that adds work, or a walk
-    # that drops a layer before its last reader and builds it again, fails here
+    # line sums exactly this often, summed over the layers its reads cut and
+    # the chain it still holds; a descent rule or a plan that adds work, or a
+    # read that cuts a layer a later word shares and builds it again, fails here
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
     engines = _recording_engines(monkeypatch)
     for suite, work in [("hecke", (2820, 23425, 35740)), ("duality", (625, 1875, 2250)),
@@ -222,22 +237,22 @@ def test_window_suite_engine_work_is_pinned(monkeypatch):
         engines.clear()
         assert verify.run_suite(suite, params, 2, 0)["failures"] == []
         (used,) = engines
-        layers = used._layers.work()
+        layers = used._chain.work()
         entered = sum(memo for _, memo, _ in layers)
         line_sums = sum(sums for _, _, sums in layers)
         assert (len(used._base), entered, line_sums) == work
 
 
 def test_window_suites_hold_one_chain_of_layers_at_a_time(monkeypatch):
-    # the walk drops each layer after its last reader, so on the k = 4
-    # benchmark grid the engine of lemma-main and of theorem never holds more
-    # than these many memo values and line sums at once, against the 27 049
-    # and 25 011 that a table keeping every layer ends with; the entries held
-    # are counted as the layers' plans and fills add them and their drops take
-    # them away
+    # each read cuts the chain back to the suffix its word shares with the
+    # word before, so on the k = 4 benchmark grid the engine of lemma-main and
+    # of theorem never holds more than these many memo values and line sums at
+    # once, against the 27 049 and 25 011 that keeping every layer ends with;
+    # the entries held are counted as the layers' plans and fills add them and
+    # the cuts take them away
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
     engines = _recording_engines(monkeypatch)
-    plan, fill, drop = hecke._Reflection.plan, hecke._Reflection.fill, LayerTable.__delitem__
+    plan, fill, cut = hecke._Reflection.plan, hecke._Reflection.fill, LayerChain.__delitem__
     live = [0, 0]  # the entries held now, and the most held at once
 
     def planning(self, points, below):
@@ -251,21 +266,22 @@ def test_window_suites_hold_one_chain_of_layers_at_a_time(monkeypatch):
         live[0] += len(entered) + sum(n for _, n in extensions)
         live[1] = max(live)
 
-    def dropping(self, word):
-        live[0] -= sum(layer_sizes(self[word]))
-        drop(self, word)
+    def cutting(self, layers):
+        live[0] -= sum(sum(layer_sizes(layer)) for layer in self[layers])
+        cut(self, layers)
 
     monkeypatch.setattr(hecke._Reflection, "plan", planning)
     monkeypatch.setattr(hecke._Reflection, "fill", filling)
-    monkeypatch.setattr(LayerTable, "__delitem__", dropping)
+    monkeypatch.setattr(LayerChain, "__delitem__", cutting)
     for suite, peak in [("lemma-main", 6105), ("theorem", 6083)]:
         engines.clear()
         live[:] = [0, 0]
         assert verify.run_suite(suite, params, 2, 0)["failures"] == []
         (used,) = engines
-        # every layer is dropped, and the drops took away all that was added
-        assert used._layers == {}
-        assert live[0] == 0
+        # the engine holds exactly the chain of its last word, and the cuts
+        # took away all that was added to the layers it no longer holds
+        assert chain_word(used) == used._word
+        assert live[0] == sum(sum(layer_sizes(layer)) for layer in used._chain)
         assert live[1] == peak
 
 
