@@ -165,26 +165,24 @@ def exact_couplings(params):
 class QWordEngine:
     """Evaluates Q_w f = Q_{w[0]} ... Q_{w[-1]} f for words w, without recursion.
 
-    The layer of a word applies its first letter to the layer of the rest.
-    The engine holds f's table and the chain of layers of the word it last
-    read: each read cuts the chain back to the suffix its word shares with
-    that word and builds the rest on it, so after any read the engine holds
-    exactly the layers of its last word.  An evaluation plans the points
-    each layer is missing from the top layer down, then fills them from the
-    bottom up in plain loops.
+    ``walk`` is the engine's one read, for one word at one point or for many
+    words at many points.  The layer of a word applies its first letter to
+    the layer of the rest.  The engine holds f's table and the chain of
+    layers of the word it last read: each read cuts the chain back to the
+    suffix its word shares with that word and builds the rest on it, so
+    after any read the engine holds exactly the layers of its last word.
+    An evaluation plans the points each layer is missing from the top layer
+    down, then fills them from the bottom up in plain loops.
 
-    All arithmetic is on Python ints.  D, the lcm of the denominators of
-    alpha and beta, is computed once, and ``couplings`` hands it out with
-    the couplings it clears, (D, D alpha, D (1 - beta)) as ints; the layers'
-    sums are built from them.  f is read once per point, into a table of
-    the ints f(x) * S with S the least common multiple of the denominators
-    read so far; a layer of height h holds its values and line sums as ints
-    over S * D^h.  When a read brings a new denominator, S grows by a
-    factor m and every stored int is multiplied by m.  So alpha, beta and
-    the values of f must be rationals (ints or Fractions).  S stays inside
-    the engine.  ``walk`` is its one batched read: it groups its requests by
-    word, reads them in suffix-trie order and hands out every word at one
-    scale T; ``values`` reads one word and divides by its scale.
+    All arithmetic is on Python ints.  ``couplings`` is (D, D alpha,
+    D (1 - beta)) as ints, D the lcm of the denominators of alpha and beta.
+    f is read once per point, into a table of the ints f(x) * S, S the lcm
+    of the denominators read so far; a layer of height h holds its values
+    and line sums as ints over S * D^h.  A read that brings a new
+    denominator grows S by a factor m and multiplies every stored int by m.
+    So alpha, beta and the values of f must be rationals (ints or
+    Fractions).  S stays inside the engine: ``walk`` hands out its words at
+    one scale T.
     """
 
     def __init__(self, f, params):
@@ -196,13 +194,6 @@ class QWordEngine:
         self._base = {}  # point -> f(point) * S
         self._word = ()  # the word last read
         self._chain = []  # its layers, innermost first: Q_word[-1], then Q_word[-2] on it, ...
-
-    def values(self, word, points):
-        """The values (Q_word f)(x) at the given points (integer tuples), as Fractions."""
-        word = tuple(word)
-        top = self._evaluate(word, points)
-        scale = self._scale * self.couplings[0] ** len(word)  # word stored at S * D^len(word)
-        return [Fraction(top[x], scale) for x in points]
 
     def walk(self, requests):
         """The values of several words at their points, as ints at one scale.
@@ -319,11 +310,17 @@ def apply_Q(i, f, params):
 def apply_Qw(word, f, params):
     """Q_w = Q_{word[0]} ... Q_{word[-1]} for a reduced word, applied to f.
     The letters run over 0, ..., k-1; the letter 0 is Q_0 = pi^{-1} Q_1 pi,
-    conjugated by the diagram rotation."""
+    conjugated by the diagram rotation.  Each new point is one ``walk`` of
+    one engine, whose chain of the word's layers serves every read."""
     word = tuple(word)
     if not word:
         return f
     if not all(0 <= letter < params.k for letter in word):
         raise ValueError("Q_i index must satisfy 0 <= i < k")
     engine = QWordEngine(f, params)
-    return functools.cache(lambda x: engine.values(word, (x,))[0])
+
+    def Qw(x):
+        scale, ((v,),) = engine.walk([(word, (x,))])
+        return Fraction(v, scale)
+
+    return functools.cache(Qw)

@@ -21,12 +21,11 @@ def propagate(f, params):
     G reads (Q_{w_x} g_p)(w_x x) from a combination of at most k! of them,
     at O(|w_x| k!) rational operations for each new word (see
     ``_plane_wave_propagation``).  Every other f, a plane wave with a
-    repeated p_i included, is read through the Q-word engine's one-point
-    reads, ``values``, which rebuild the layers a word does not share with
-    the word read before it; ``propagate_many``, one ``walk`` over many
-    points, is the batched path.  Either way this call raises TypeError at
-    a non-rational alpha or beta, and ValueError at a plane wave whose
-    length is not k."""
+    repeated p_i included, is read through one Q-word engine, each new point
+    as ``propagate_many`` at that point alone: the read rebuilds the layers
+    its word does not share with the word read before it.  Either way this
+    call raises TypeError at a non-rational alpha or beta, and ValueError
+    at a plane wave whose length is not k."""
     if isinstance(f, PlaneWave) and len(f.p) != params.k:
         raise ValueError("plane wave length %d is not k = %d" % (len(f.p), params.k))
     if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):
@@ -35,8 +34,8 @@ def propagate(f, params):
         engine = QWordEngine(f, params)
 
         def G(x):
-            (_, wx), word = weyl.shortest_element(x, params)
-            return engine.values(word, (wx,))[0]
+            scale, read, _ = propagate_many(engine, {x: weyl.shortest_element(x, params)})
+            return Fraction(read[x], scale)
 
     return functools.cache(G)
 
@@ -122,7 +121,7 @@ class PlaneWave:
     The wave carries its p, so ``propagate`` can take it in closed form when
     the p_i are pairwise distinct.  It keeps no memo and no table: each call
     multiplies the int powers of the p_i's numerators and denominators and
-    reduces once."""
+    reduces once.  A point whose length is not len(p) raises ValueError."""
 
     __slots__ = ("p",)
 
@@ -135,6 +134,8 @@ class PlaneWave:
         self.p = p
 
     def __call__(self, x):
+        if len(x) != len(self.p):
+            raise ValueError("plane wave of length %d read at %r" % (len(self.p), x))
         num = den = 1
         for v, xi in zip(self.p, x):
             n, d = (v.numerator, v.denominator) if xi <= 0 else (v.denominator, v.numerator)

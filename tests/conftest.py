@@ -3,13 +3,15 @@ them the affine roots, the affine Weyl group as elements with their product,
 inverse and action on points and functions, the element of a word, the Laurent
 polynomial ring with the affine Weyl action on exponents, the undeformed
 Hamiltonian, d_i^-, the Bethe residual/Jacobian/elimination as loops, and
-the symmetrized sums of h_p and R_lambda term by term, and a Q-word engine
-layer chain that records the layers its reads cut)."""
+the symmetrized sums of h_p and R_lambda term by term, a Q-word engine
+layer chain that records the layers its reads cut, and one engine read as
+Fractions)."""
 
 import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from hecke_bose import hamiltonian, laurent, weyl
@@ -433,6 +435,13 @@ def seeded(name):
 def descents(points, params):
     """{x: weyl.shortest_element(x)}: what ``propagate_many`` reads G at."""
     return {x: weyl.shortest_element(x, params) for x in points}
+
+
+def word_values(engine, word, points):
+    """(Q_word f)(x) at the given points as Fractions, from one ``walk`` of a
+    Q-word engine for f: a fresh one for a reference read."""
+    scale, (column,) = engine.walk([(word, points)])
+    return [Fraction(v, scale) for v in column]
 
 
 def layer_sizes(layer):

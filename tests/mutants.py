@@ -77,9 +77,10 @@ MUTANTS = [
      "functools.cache(functools.partial(_value_at, zlib.crc32((\"%s|\" % seed).encode())))",
      "functools.partial(_value_at, zlib.crc32((\"%s|\" % seed).encode()))",
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
-    ("values divides by S only", "hecke.py",
-     "scale = self._scale * self.couplings[0] ** len(word)", "scale = self._scale",
-     ["tests/test_hecke.py::test_engine_rescales_when_new_denominators_arrive"]),
+    ("walk hands out S for T", "hecke.py", "return self._scale * unit**height, columns",
+     "return self._scale, columns",
+     ["tests/test_hecke.py::test_Q_single_step_example",
+      "tests/test_hecke.py::test_engine_rescales_when_new_denominators_arrive"]),
     ("a read keeps the previous word's layers", "hecke.py", "del chain[shared:]", "pass",
      [HECKE_HELD, DUALITY_HELD, WINDOW_PEAK]),
     ("a read cuts one shared layer too many", "hecke.py", "del chain[shared:]",
@@ -121,9 +122,12 @@ MUTANTS = [
      "if isinstance(f, PlaneWave) and len(f.p) != params.k:", "if False:",
      [P + "test_propagate_rejects_a_plane_wave_of_the_wrong_length"]),
     ("propagate builds an engine per read", "propagation.py",
-     "            return engine.values(word, (wx,))[0]\n",
-     "            return QWordEngine(f, params).values(word, (wx,))[0]\n",
+     "propagate_many(engine, {x: weyl.shortest_element(x, params)})",
+     "propagate_many(QWordEngine(f, params), {x: weyl.shortest_element(x, params)})",
      [P + "test_propagate_one_point_reads_share_the_chain_of_the_last_word"]),
+    ("plane wave reads a point of another length", "propagation.py",
+     "if len(x) != len(self.p):", "if False:",
+     [P + "test_plane_wave_rejects_a_point_of_another_length"]),
     ("propagate unmemoized", "propagation.py", "return functools.cache(G)", "return G",
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
     ("LatticeFunction export memoizes nothing", "__init__.py",

@@ -172,7 +172,7 @@ def test_w_invariance_on_regular_points(k, L):
 def test_memoized_and_unmemoized_agree(monkeypatch):
     # a lattice function agrees with its evaluator and calls it once per distinct
     # point: through the LatticeFunction export, random_rational_function and
-    # propagate, whose engine is read once per point
+    # propagate, whose engine is walked once per point
     calls = dict.fromkeys(("export", "random", "propagate"), 0)
 
     def counted(name, ev):
@@ -186,7 +186,7 @@ def test_memoized_and_unmemoized_agree(monkeypatch):
         return Fraction(sum(x), 3)
 
     monkeypatch.setattr(verify, "_value_at", counted("random", verify._value_at))
-    monkeypatch.setattr(hecke.QWordEngine, "values", counted("propagate", hecke.QWordEngine.values))
+    monkeypatch.setattr(hecke.QWordEngine, "walk", counted("propagate", hecke.QWordEngine.walk))
     memo = LatticeFunction(counted("export", ev))
     f = random_rational_function("memo")
     points = list(window(2, 3))

@@ -8,7 +8,14 @@ from functools import cache
 
 import pytest
 
-from conftest import chain_word, descents, rand_distinct_fractions, rand_params_pair, window
+from conftest import (
+    chain_word,
+    descents,
+    rand_distinct_fractions,
+    rand_params_pair,
+    window,
+    word_values,
+)
 from hecke_bose import weyl
 from hecke_bose.hamiltonian import apply_H
 from hecke_bose.hecke import QWordEngine, apply_Q, apply_Qw
@@ -134,7 +141,7 @@ def test_Q_line_sums_match_n_term_sum(k, alpha, beta):
             for x in points:
                 assert q(x) == oracle(x)
             # and all at once, so that one evaluation extends each line
-            assert QWordEngine(f, params).values((i,), points) == [oracle(x) for x in points]
+            assert word_values(QWordEngine(f, params), (i,), points) == [oracle(x) for x in points]
 
 
 def _explicit_Q0(f, params):
@@ -200,7 +207,7 @@ def test_engine_words_match_n_term_oracle(k, alpha, beta):
     words = [(i,) for i in range(k)] + [(i, j) for i in range(k) for j in range(k)]
     for word in words:
         oracle = _explicit_word(word, f, params)
-        assert engine.values(word, points) == [oracle(x) for x in points]
+        assert word_values(engine, word, points) == [oracle(x) for x in points]
 
 
 def _plane_waves(p):
@@ -270,7 +277,7 @@ def test_engine_matches_plane_wave_closed_form(k, L):
     points = list(window(k, 2))
     for word in [(i,) for i in range(k)] + [(0, 1), (1, 0), (k - 1, 0, 1)]:
         waves = _plane_wave_word(word, _plane_waves(p), params)
-        assert engine.values(word, points) == [_plane_wave_value(waves, x) for x in points]
+        assert word_values(engine, word, points) == [_plane_wave_value(waves, x) for x in points]
 
 
 @pytest.mark.parametrize(
@@ -329,16 +336,16 @@ def test_engine_rescales_when_new_denominators_arrive(word):
     near = list(window(2, 1))
     far = [(9, -8), (-7, 10), (12, 3)]
 
-    assert engine.values(word, near) == [oracle(x) for x in near]
+    assert word_values(engine, word, near) == [oracle(x) for x in near]
     scale = math.lcm(*(plain(x).denominator for x in reads))
     first = set(reads)
-    assert engine.values(word, far) == [oracle(x) for x in far]
+    assert word_values(engine, word, far) == [oracle(x) for x in far]
     # the far points bring denominators the first read had not seen
     assert any(scale % plain(x).denominator for x in reads if x not in first)
-    assert QWordEngine(plain, params).values(word, far) == [oracle(x) for x in far]
+    assert word_values(QWordEngine(plain, params), word, far) == [oracle(x) for x in far]
     # values stored before the rescale still read correctly, and f is read
     # once per point across both batches
-    assert engine.values(word, near + far) == [oracle(x) for x in near + far]
+    assert word_values(engine, word, near + far) == [oracle(x) for x in near + far]
     assert set(reads.values()) == {1}
 
 
@@ -353,14 +360,14 @@ def test_engine_rescales_every_layer_of_the_table():
     near = list(window(2, 1))
     words = [(1, 0), (0, 1)]
     for word in words:
-        engine.values(word, near)
+        word_values(engine, word, near)
     scale = math.lcm(*(plain(x).denominator for x in reads))
     first = set(reads)
-    engine.values((1,), [(9, -8), (-7, 10)])
+    word_values(engine, (1,), [(9, -8), (-7, 10)])
     assert any(scale % plain(x).denominator for x in reads if x not in first)
     fresh = QWordEngine(plain, params)
     for word in [(1,), (0, 1), (1, 0), (0,), ()]:  # the held layer of (1,) first
-        assert engine.values(word, near) == fresh.values(word, near)
+        assert word_values(engine, word, near) == word_values(fresh, word, near)
 
 
 def test_engine_hands_out_ints_of_several_words_at_one_scale():
@@ -396,7 +403,7 @@ def test_walk_hands_out_the_oracle_at_one_scale_and_holds_the_last_chain():
     # order, and the far reads of (0, 1) bring denominators after () and (1,)
     # were read: their ints still come out at the one final scale
     # T = S * D^3 with those of the longer words, each the n-term oracle
-    # times T and what ``values`` reads on a fresh engine, and the engine
+    # times T and what a one-word walk reads on a fresh engine, and the engine
     # holds exactly the chain of the last word it read
     params = Params(2, 2, Fraction(-2, 3), Fraction(5, 4))
     D = 12  # the lcm of the denominators of alpha = -2/3 and 1 - beta = -1/4
@@ -410,7 +417,8 @@ def test_walk_hands_out_the_oracle_at_one_scale_and_holds_the_last_chain():
     for (word, points), column in zip(requests, columns):
         oracle = _explicit_word(word, plain, params)
         assert column == [oracle(x) * scale for x in points]
-        assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, points)
+        fresh = QWordEngine(f, params)
+        assert [Fraction(v, scale) for v in column] == word_values(fresh, word, points)
     assert chain_word(engine) == engine._word == (1, 0, 1)
     first = QWordEngine(f, params).walk([((), near), ((1,), near)])[0]  # S * D
     assert scale != first * D**2  # S grew after () and (1,) were read
@@ -444,7 +452,43 @@ def test_engine_evaluates_each_distinct_word_once(monkeypatch):
     assert evaluated == {(1, 0): 1, (): 1, (2,): 1}
     assert len(columns) == len(requests)
     for (word, points), column in zip(requests, columns):
-        assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, points)
+        fresh = QWordEngine(f, params)
+        assert [Fraction(v, scale) for v in column] == word_values(fresh, word, points)
+
+
+def test_one_point_reads_walk_once_per_new_point(monkeypatch):
+    # apply_Q, apply_Qw and propagate's general branch read each new point as
+    # one walk of their one engine and a memo hit as none, and the engine
+    # evaluates a word only inside a walk
+    walks, depth, outside = [], [], []
+    walk, evaluate = QWordEngine.walk, QWordEngine._evaluate
+
+    def walking(self, requests):
+        walks.append(self)
+        depth.append(self)
+        try:
+            return walk(self, requests)
+        finally:
+            depth.pop()
+
+    def evaluating(self, word, points):
+        if not depth:
+            outside.append(word)
+        return evaluate(self, word, points)
+
+    monkeypatch.setattr(QWordEngine, "walk", walking)
+    monkeypatch.setattr(QWordEngine, "_evaluate", evaluating)
+    params = Params(3, 2, Fraction(-2, 3), Fraction(5, 4))
+    f = random_rational_function("one-read")
+    points = list(window(3, 1)) + [(6, 0, -6)]
+    for read in [apply_Q(2, f, params), apply_Qw((0, 2, 1), f, params), propagate(f, params)]:
+        walks.clear()
+        for _ in range(2):
+            for x in points:
+                read(x)
+        assert len(walks) == len(points)
+        assert len(set(map(id, walks))) == 1
+    assert outside == []
 
 
 @pytest.mark.parametrize(
@@ -470,7 +514,7 @@ def test_engine_couplings_are_D_D_alpha_and_D_one_minus_beta(alpha, beta, expect
     # and the terms it keeps give Q_i as the n-term oracle does
     oracle = _explicit_Q(1, engine.f, engine.params)
     points = list(window(3, 2))
-    assert engine.values((1,), points) == [oracle(x) for x in points]
+    assert word_values(engine, (1,), points) == [oracle(x) for x in points]
 
 
 @pytest.mark.parametrize(
@@ -486,7 +530,7 @@ def test_engine_rejects_inexact_input(alpha, beta, value):
     params = Params(2, 2, alpha, beta)
     for word in [(), (1,), (0, 1)]:
         with pytest.raises(TypeError):
-            QWordEngine(lambda x: value, params).values(word, [(2, -1)])
+            word_values(QWordEngine(lambda x: value, params), word, [(2, -1)])
 
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (2, 1), (4, 3), (3, 5)])

@@ -17,6 +17,7 @@ from conftest import (
     rand_distinct_fractions,
     rand_params_pair,
     window,
+    word_values,
 )
 from hecke_bose import hecke, propagation, verify, weyl
 from hecke_bose.hamiltonian import apply_H, d_plus
@@ -89,6 +90,21 @@ def test_plane_wave_rejects_zero_and_inexact_p():
     for p in [(Fraction(1, 2), 0.1), (2.0, 3), (1j, Fraction(2)), (Fraction(1, 3), 2 + 0j)]:
         with pytest.raises(TypeError):
             plane_wave(p)
+
+
+def test_plane_wave_rejects_a_point_of_another_length():
+    # zipping p with x would read (1, 2, 5) as (1, 2), 1/18 for p = (2, 3),
+    # and Q_1 at k = 3 would read a 2- or 4-entry wave without error
+    g = plane_wave((2, 3))
+    assert g((1, 2)) == Fraction(1, 18)
+    for x in [(1, 2, 5), (1,), ()]:
+        with pytest.raises(ValueError) as raised:
+            g(x)
+        assert str(raised.value) == "plane wave of length 2 read at %r" % (x,)
+    params = Params(3, 2, Fraction(1, 2), Fraction(2))
+    for p in [(2, 3), (2, 3, 5, 7)]:
+        with pytest.raises(ValueError, match="^plane wave of length %d read at " % len(p)):
+            hecke.apply_Q(1, plane_wave(p), params)((1, 0, 4))
 
 
 def test_plane_wave_exact_on_integer_p():
@@ -226,7 +242,7 @@ def test_grouped_propagation_matches_per_point(k, L):
         assert Fraction(v, scale) == G(x)
     assert len(columns) == len(requests)
     for (word, at), column in zip(requests, columns):
-        assert [Fraction(v, scale) for v in column] == QWordEngine(f, params).values(word, at)
+        assert [Fraction(v, scale) for v in column] == word_values(QWordEngine(f, params), word, at)
 
 
 @pytest.mark.parametrize("k,L,x,built,suffixes", [
