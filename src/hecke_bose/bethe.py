@@ -383,7 +383,8 @@ def bethe_wave_function(p, params):
     only its misses find the orbit's dominant point y and sum at the exponents -y.
     At rational p and couplings (ints included) the sum runs in ints over one
     common denominator and each value is one exact Fraction (see _symmetrizer).
-    A p of the wrong length, with a zero or with a repeat raises ValueError."""
+    A p of the wrong length, with a zero or with a repeat raises ValueError,
+    and so does a point whose length is not k."""
     p, L = tuple(p), params.L
     if len(p) != params.k:
         raise ValueError("need exactly k = %d spectral parameters, got %d" % (params.k, len(p)))
@@ -394,7 +395,13 @@ def bethe_wave_function(p, params):
             raise ValueError("p_%d = p_%d, so h_p vanishes identically" % (p.index(v) + 1, j + 1))
     sym = _symmetrizer(_wave_pairs(p, params.alpha, params.beta), p)
     on_orbit = functools.cache(lambda key: sym([-e for e in weyl.dominant_point(key, params)]))
-    return functools.cache(lambda x: on_orbit(weyl.orbit_key(x, L)))
+
+    def h(x):
+        if len(x) != params.k:
+            raise ValueError("point %r does not have k = %d coordinates" % (x, params.k))
+        return on_orbit(weyl.orbit_key(x, L))
+
+    return functools.cache(h)
 
 
 def hall_littlewood_R(lam, z, t):

@@ -12,9 +12,12 @@ def _d_counts(x, params):
     the multiples of L among the x_j - x_r, non-negative ones for j > r and
     positive ones for j < r; d_i^- counts the x_r - x_j with the sides swapped.
     A pair r < j with L | x_j - x_r thus adds one to d^+ at r and to d^- at j
-    when x_j >= x_r, and one to d^- at r and to d^+ at j otherwise.
+    when x_j >= x_r, and one to d^- at r and to d^+ at j otherwise.  A point
+    whose length is not k raises ValueError.
     """
     k, L = params.k, params.L
+    if len(x) != k:
+        raise ValueError("point %r does not have k = %d coordinates" % (x, k))
     plus, minus = [0] * k, [0] * k
     for r in range(k - 1):
         xr = x[r]

@@ -29,13 +29,14 @@ class _Reflection:
     None for the other letters, which enter x as it is: z = x.
     """
 
-    __slots__ = ("a", "period", "swap", "unit", "terms", "memo", "lines")
+    __slots__ = ("letter", "a", "period", "swap", "unit", "terms", "memo", "lines")
 
-    def __init__(self, a, k, period, unit, terms):
-        self.a = a  # 0-based coordinate slots (a, a + 1) of the root
-        self.period = period
+    def __init__(self, letter, params, unit, terms):
+        self.letter = letter
+        a = self.a = letter - 1 if letter else 0  # the root's 0-based slots are a and a + 1
+        self.period = None if letter else params.L
         # z -> s_a z for the letters other than 0: exchanges slots a and a + 1
-        self.swap = itemgetter(*range(a), a + 1, a, *range(a + 2, k)) if period is None else None
+        self.swap = itemgetter(*range(a), a + 1, a, *range(a + 2, params.k)) if letter else None
         self.unit = unit  # D, the common denominator of alpha and 1 - beta
         self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
         self.memo = {}
@@ -167,10 +168,10 @@ class QWordEngine:
 
     ``walk`` is the engine's one read, for one word at one point or for many
     words at many points.  The layer of a word applies its first letter to
-    the layer of the rest.  The engine holds f's table and the chain of
-    layers of the word it last read: each read cuts the chain back to the
-    suffix its word shares with that word and builds the rest on it, so
-    after any read the engine holds exactly the layers of its last word.
+    the layer of the rest.  The engine holds its scale S, f's table and the
+    chain of layers of its last word, whose letters spell that word: each
+    read cuts the chain back to the suffix its word shares with it and builds
+    the rest, so after any read the engine holds exactly its last word's layers.
     An evaluation plans the points each layer is missing from the top layer
     down, then fills them from the bottom up in plain loops.
 
@@ -192,24 +193,22 @@ class QWordEngine:
         self._terms = [(c, shift) for c, shift in zip(self.couplings[1:], (1, 0)) if c]
         self._scale = 1  # S
         self._base = {}  # point -> f(point) * S
-        self._word = ()  # the word last read
-        self._chain = []  # its layers, innermost first: Q_word[-1], then Q_word[-2] on it, ...
+        self._chain = []  # the layers of the last word read, innermost first: its letters reversed
 
     def walk(self, requests):
         """The values of several words at their points, as ints at one scale.
 
-        ``requests`` is a sequence of (word, points), points a sequence.  Each
-        distinct word is evaluated once, over all the points its requests ask
-        for.  Returns T and, per request, the list of the ints
-        (Q_word f)(x) * T at its points: T = S * D^H, with H the length of
-        the longest requested word.  The empty word reads f itself, and
-        ``walk([])`` returns (S, []).
+        ``requests`` is a sequence of (word, points), word a tuple of letters
+        and points a sequence.  Each distinct word is evaluated once, over
+        all the points its requests ask for.  Returns T and, per request, the
+        list of the ints (Q_word f)(x) * T at its points: T = S * D^H, with H
+        the length of the longest requested word.  The empty word reads f
+        itself, and ``walk([])`` returns (S, []).
 
         The words are read sorted by their reversal, depth-first in the trie
         of suffixes, so the readers of a layer come one after another and no
         layer is built twice.  Each word's ints are kept at the scale S of
         its read and multiplied up to T = S * D^H at the end."""
-        requests = [(tuple(word), points) for word, points in requests]
         asked = {}  # word -> the indices of the requests that ask it
         for n, (word, _) in enumerate(requests):
             asked.setdefault(word, []).append(n)
@@ -230,17 +229,16 @@ class QWordEngine:
 
     def _evaluate(self, word, points):
         """Make sure (Q_word f) is stored at the given points; return the table of
-        the word's top layer (f's own table for the empty word).  The letters
-        beyond the suffix the word shares with the chain are built on it."""
-        chain, last, unit = self._chain, self._word, self.couplings[0]
-        shared = 0  # the length of the longest suffix word and the last word share
-        while shared < min(len(word), len(last)) and word[-1 - shared] == last[-1 - shared]:
+        the word's top layer (f's own table for the empty word).  The chain is
+        cut back to the longest suffix of the word whose letters its layers
+        apply, and the word's other letters are built on it."""
+        chain, unit = self._chain, self.couplings[0]
+        shared = 0  # the length of that suffix
+        while shared < min(len(word), len(chain)) and word[-1 - shared] == chain[shared].letter:
             shared += 1
         del chain[shared:]
         for letter in reversed(word[: len(word) - len(chain)]):
-            a, period = (letter - 1, None) if letter else (0, self.params.L)
-            chain.append(_Reflection(a, self.params.k, period, unit, self._terms))
-        self._word = word
+            chain.append(_Reflection(letter, self.params, unit, self._terms))
         layers = chain[::-1]
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}
@@ -311,7 +309,8 @@ def apply_Qw(word, f, params):
     """Q_w = Q_{word[0]} ... Q_{word[-1]} for a reduced word, applied to f.
     The letters run over 0, ..., k-1; the letter 0 is Q_0 = pi^{-1} Q_1 pi,
     conjugated by the diagram rotation.  Each new point is one ``walk`` of
-    one engine, whose chain of the word's layers serves every read."""
+    one engine, whose chain of the word's layers serves every read.  A point
+    whose length is not k raises ValueError."""
     word = tuple(word)
     if not word:
         return f
@@ -320,6 +319,8 @@ def apply_Qw(word, f, params):
     engine = QWordEngine(f, params)
 
     def Qw(x):
+        if len(x) != params.k:
+            raise ValueError("point %r does not have k = %d coordinates" % (x, params.k))
         scale, ((v,),) = engine.walk([(word, (x,))])
         return Fraction(v, scale)
 

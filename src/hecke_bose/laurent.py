@@ -29,25 +29,25 @@ def apply_T_check(i, p, params):
     """The divided-difference operator on Laurent polynomials, index 1 <= i < k.
 
     T^check_i = s_i + (alpha e^{v_{i+1}} + 1 - beta) * (1 - s_i) / (1 - e^{v_{i+1} - v_i}),
-    written out by ``weighted_T_check`` with the weights 1, 1 - beta and alpha.
+    written out by ``weighted_T_check`` with the weights (1, alpha, 1 - beta).
     """
     if not 1 <= i < params.k:
         raise ValueError("T^check index must satisfy 1 <= i < k")
-    return LaurentPolynomial(weighted_T_check(i, p.terms, (1, 1 - params.beta, params.alpha)))
+    return LaurentPolynomial(weighted_T_check(i, p.terms, (1, params.alpha, 1 - params.beta)))
 
 
 def weighted_T_check(i, terms, weights):
     """The expansion of T^check_i p, p given and returned as its table
-    {exponent: coefficient}, with the weights (u, b, a) of its three
+    {exponent: coefficient}, with the weights (u, a, b) of its three
     kinds of terms, in one pass: c e^x adds c u at s_i x, and each step
     y = x + j (v_{i+1} - v_i) of the telescoped quotient (j in [0, a_i(x))
     with sign +, in [a_i(x), 0) with sign -) adds +-c b at y and +-c a at
-    y + v_{i+1}.  With (1, 1 - beta, alpha) it is T^check_i p; with int
-    weights D, D (1 - beta) and D alpha, D a common denominator of alpha and
-    1 - beta, it is D T^check_i p, with int coefficients when p has them.
-    The table it returns may hold zero coefficients.
+    y + v_{i+1}.  With (1, alpha, 1 - beta) it is T^check_i p; with the int
+    couplings (D, D alpha, D (1 - beta)) of ``hecke.exact_couplings`` it is
+    D T^check_i p, with int coefficients when p has them.  The table it
+    returns may hold zero coefficients.
     """
-    unit, one_minus_beta, alpha = weights
+    unit, alpha, one_minus_beta = weights
     out = {}
     for exp, c in terms.items():
         head, a, b, tail = exp[: i - 1], exp[i - 1], exp[i], exp[i + 1 :]

@@ -168,7 +168,7 @@ def suite_duality(params, window, seed):
     compared in ints.
 
     Laurent's expansion, run with the engine's int couplings
-    (D, C, A) = (D, D (1 - beta), D alpha) as weights, gives
+    (D, D alpha, D (1 - beta)) as weights, gives
     D T^check_i e^x = sum_y c_y e^y with int c_y.  One walk of the engine
     gives every Q_i f on the window and f itself, the empty word, on the
     expansions' support, as ints q and f_T at one scale T.  Then
@@ -179,8 +179,8 @@ def suite_duality(params, window, seed):
     points = list(window_points(k, window))
     letters = range(1, k)
     engine = hecke.QWordEngine(random_rational_function("duality-%s" % seed), params)
-    unit, a, c = engine.couplings
-    tables = [[laurent.weighted_T_check(i, {x: 1}, (unit, c, a)) for x in points]
+    unit = engine.couplings[0]
+    tables = [[laurent.weighted_T_check(i, {x: 1}, engine.couplings) for x in points]
               for i in letters]
     support = list({y for rows in tables for table in rows for y in table})
     _, (base, *columns) = engine.walk([((), support)] + [((i,), points) for i in letters])

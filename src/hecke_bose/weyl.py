@@ -62,13 +62,16 @@ def shortest_element(x, params):
     permutation, 0-based, sends slot i of x to slot perm[i] of w(x).
 
     Every reduced word of w gives the same Q_w, but not the same work for
-    the Q-word engine, whose layers are keyed by word suffix.  This order
+    the Q-word engine, which builds one layer per letter of a word on the
+    longest suffix it shares with the word read before it.  This order
     makes its layers enter fewer points and extend fewer line sums than
     taking s_0 first and then the smallest index: a fifth fewer for
     lemma-main at k = 4, L = 3, window 2, and 13 % fewer at the k = 3 far
-    point (8, 0, -8).
+    point (8, 0, -8).  A point whose length is not k raises ValueError.
     """
     k, L = params.k, params.L
+    if len(x) != k:
+        raise ValueError("point %r does not have k = %d coordinates" % (x, k))
     y = list(x)
     src = list(range(k))  # src[s]: the coordinate of x now in slot s
     letters = []

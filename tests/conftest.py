@@ -451,10 +451,8 @@ def layer_sizes(layer):
 
 def chain_word(engine):
     """The word whose layers a Q-word engine's chain holds, read off the
-    layers' letters: ``engine._word`` when the engine holds exactly the chain
-    of its last word."""
-    chain = reversed(engine._chain)
-    return tuple(0 if layer.period is not None else layer.a + 1 for layer in chain)
+    layers' letters, outermost first."""
+    return tuple(layer.letter for layer in reversed(engine._chain))
 
 
 class LayerChain(list):
@@ -462,16 +460,13 @@ class LayerChain(list):
     set as ``engine._chain`` on a fresh engine, it keeps the work of the
     layers the engine has cut, by word suffix."""
 
-    def __init__(self, engine):
+    def __init__(self):
         super().__init__()
-        self.engine = engine
         self.cut = []  # (suffix, memo size, line-sum length) per layer cut
 
     def _suffix(self, d):
-        # the chain holds the layers of the engine's last word, innermost
-        # first, until the read that cuts it has cut and built
-        word = self.engine._word
-        return word[len(word) - 1 - d :]
+        # the letters of layer d and of the layers it is built on, outermost first
+        return tuple(layer.letter for layer in reversed(self[: d + 1]))
 
     def __delitem__(self, cut):
         for d in range(len(self))[cut]:

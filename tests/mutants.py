@@ -40,6 +40,7 @@ DUALITY_HELD = V + "test_duality_suite_holds_one_letter_layer_at_a_time"
 WINDOW_WORK = V + "test_window_suite_engine_work_is_pinned"
 WINDOW_PEAK = V + "test_window_suites_hold_one_chain_of_layers_at_a_time"
 WALK = "tests/test_hecke.py::test_walk_hands_out_the_oracle_at_one_scale_and_holds_the_last_chain"
+SEQUENCE = "tests/test_hecke.py::test_a_sequence_of_walks_on_one_engine_matches_the_oracle"
 WORDS_ORACLE = "tests/test_hecke.py::test_engine_words_match_n_term_oracle"
 LINE_SUMS = "tests/test_hecke.py::test_Q_line_sums_match_n_term_sum"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
@@ -57,8 +58,8 @@ MUTANTS = [
      "yield x, True, detail", [THEOREM_CORRUPTED]),
     ("duality check without its factor D", "verify.py", "q * unit == sum(", "q == sum(",
      [DUALITY_CORRUPTED]),
-    ("duality weights (D, A, C)", "verify.py", "{x: 1}, (unit, c, a))", "{x: 1}, (unit, a, c))",
-     [DUALITY_CORRUPTED]),
+    ("duality weights in the order (D, C, A)", "verify.py", "{x: 1}, engine.couplings)",
+     "{x: 1}, operator.itemgetter(0, 2, 1)(engine.couplings))", [DUALITY_CORRUPTED]),
     ("quadratic relation without -C f", "verify.py", "c * g + (unit - c) * fx",
      "c * g + unit * fx", [HECKE_CORRUPTED]),
     ("hecke suite yields True", "verify.py", "yield x, holds(*ints), detail",
@@ -83,6 +84,9 @@ MUTANTS = [
       "tests/test_hecke.py::test_engine_rescales_when_new_denominators_arrive"]),
     ("a read keeps the previous word's layers", "hecke.py", "del chain[shared:]", "pass",
      [HECKE_HELD, DUALITY_HELD, WINDOW_PEAK]),
+    ("a read matches its word against the chain's letters outermost first", "hecke.py",
+     "== chain[shared].letter", "== chain[-1 - shared].letter",
+     [WINDOW_WORK, SEQUENCE, P + "test_engine_work_at_far_points_is_pinned"]),
     ("a read cuts one shared layer too many", "hecke.py", "del chain[shared:]",
      "del chain[max(shared - 1, 0):]",
      [WINDOW_WORK, P + "test_engine_work_at_far_points_is_pinned"]),
@@ -101,7 +105,8 @@ MUTANTS = [
      "sums.append(sums[-1] + steps[n0])", "sums.append(sums[-1] + steps[n0 - 1])",
      [LINE_SUMS, WORDS_ORACLE]),
     ("swap map reverses the slots after the root", "hecke.py",
-     "a + 1, a, *range(a + 2, k))", "a + 1, a, *reversed(range(a + 2, k)))", [WORDS_ORACLE]),
+     "a + 1, a, *range(a + 2, params.k))", "a + 1, a, *reversed(range(a + 2, params.k)))",
+     [WORDS_ORACLE]),
     ("h = 0 (alpha = 0, beta = 1) still builds line sums", "hecke.py",
      "if za == zb or not shifts:", "if za == zb:", [LINE_SUMS, WORDS_ORACLE]),
     ("engine term shifts swapped", "hecke.py", "zip(self.couplings[1:], (1, 0))",
@@ -128,6 +133,14 @@ MUTANTS = [
     ("plane wave reads a point of another length", "propagation.py",
      "if len(x) != len(self.p):", "if False:",
      [P + "test_plane_wave_rejects_a_point_of_another_length"]),
+    ("apply_Qw reads a point of another length", "hecke.py", "if len(x) != params.k:",
+     "if False:", ["tests/test_hecke.py::test_apply_Qw_rejects_a_point_of_another_length"]),
+    ("the descent reads a point of another length", "weyl.py", "if len(x) != k:", "if False:",
+     [P + "test_propagate_rejects_a_point_of_another_length"]),
+    ("the counts d^+- read a point of another length", "hamiltonian.py", "if len(x) != k:",
+     "if False:", ["tests/test_hamiltonian.py::test_apply_H_rejects_a_point_of_another_length"]),
+    ("h_p reads a point of another length", "bethe.py", "if len(x) != params.k:", "if False:",
+     ["tests/test_bethe.py::test_wave_function_rejects_a_point_of_another_length"]),
     ("propagate unmemoized", "propagation.py", "return functools.cache(G)", "return G",
      ["tests/test_hamiltonian.py::test_memoized_and_unmemoized_agree"]),
     ("LatticeFunction export memoizes nothing", "__init__.py",

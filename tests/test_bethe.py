@@ -676,6 +676,16 @@ def test_wave_function_names_a_bad_p(p, cause):
     assert str(exc.value) == cause
 
 
+@pytest.mark.parametrize("x", [(1,), (1, 2, 5)])
+def test_wave_function_rejects_a_point_of_another_length(x):
+    # the orbit key took (1,) at k = 2 for a point of its own, and h_p
+    # returned -1/2 there
+    h = bethe_wave_function((2, 3), Params(2, 2, Fraction(1, 2), Fraction(2)))
+    with pytest.raises(ValueError) as exc:
+        h(x)
+    assert str(exc.value) == "point %r does not have k = 2 coordinates" % (x,)
+
+
 def test_residual_rejects_a_p_of_the_wrong_length():
     params = Params(2, 3, Fraction(1, 2), Fraction(2))
     for p, n in [((Fraction(1, 2),), 1), ((1, 2, 3), 3), (SpectralPoint((1 + 0j,), 0.0), 1)]:

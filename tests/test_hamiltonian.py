@@ -169,6 +169,18 @@ def test_w_invariance_on_regular_points(k, L):
     assert found_regular
 
 
+@pytest.mark.parametrize("x", [(1, 2, 5), (1,)])
+def test_apply_H_rejects_a_point_of_another_length(x):
+    # the counts read (1, 2, 5) at k = 2 as (1, 2), so H returned 1/2, and
+    # (1,) ended in IndexError
+    params = Params(2, 2, Fraction(1, 2), Fraction(2))
+    f = random_rational_function(1)
+    for read in [lambda: apply_H(f, x, params), lambda: d_plus(1, x, params)]:
+        with pytest.raises(ValueError) as raised:
+            read()
+        assert str(raised.value) == "point %r does not have k = 2 coordinates" % (x,)
+
+
 def test_memoized_and_unmemoized_agree(monkeypatch):
     # a lattice function agrees with its evaluator and calls it once per distinct
     # point: through the LatticeFunction export, random_rational_function and

@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     chain_word,
@@ -419,10 +421,50 @@ def test_walk_hands_out_the_oracle_at_one_scale_and_holds_the_last_chain():
         assert column == [oracle(x) * scale for x in points]
         fresh = QWordEngine(f, params)
         assert [Fraction(v, scale) for v in column] == word_values(fresh, word, points)
-    assert chain_word(engine) == engine._word == (1, 0, 1)
+    assert chain_word(engine) == (1, 0, 1)
     first = QWordEngine(f, params).walk([((), near), ((1,), near)])[0]  # S * D
     assert scale != first * D**2  # S grew after () and (1,) were read
     assert engine.walk([]) == (scale // D**3, [])
+
+
+_SEQUENCE_PARAMS = Params(3, 2, Fraction(-2, 3), Fraction(5, 4))
+_sequence_f = cache(_far_denominators("sequence"))
+
+
+@cache
+def _sequence_oracle(word):
+    return _explicit_word(word, _sequence_f, _SEQUENCE_PARAMS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_sequence_of_walks_on_one_engine_matches_the_oracle(data):
+    # walk n asks words of 0-4 letters at points of radius n + 1, whose
+    # denominators the walks before had not seen, so S grows while the
+    # engine holds a chain that later words share: every column is the n-term
+    # oracle at the walk's scale, and the chain spells the word read last
+    engine = QWordEngine(_far_denominators("sequence"), _SEQUENCE_PARAMS)
+    word = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+    for n in range(data.draw(st.integers(1, 5))):
+        point = st.tuples(*[st.integers(-n - 1, n + 1)] * 3)
+        request = st.tuples(word, st.lists(point, min_size=1, max_size=3))
+        requests = data.draw(st.lists(request, min_size=1, max_size=3))
+        scale, columns = engine.walk(requests)
+        for (asked, points), column in zip(requests, columns):
+            assert column == [_sequence_oracle(asked)(x) * scale for x in points]
+        assert chain_word(engine) == max((asked for asked, _ in requests), key=lambda w: w[::-1])
+
+
+@pytest.mark.parametrize("x", [(1, 2, 5), (1,)])
+def test_apply_Qw_rejects_a_point_of_another_length(x):
+    # the engine read (1, 2, 5) at k = 2 as (1, 2), so Q_1 returned -11/15,
+    # and (1,) ended in IndexError
+    params = Params(2, 2, Fraction(1, 2), Fraction(2))
+    f = random_rational_function(1)
+    for Qw in [apply_Q(1, f, params), apply_Qw((0, 1), f, params)]:
+        with pytest.raises(ValueError) as raised:
+            Qw(x)
+        assert str(raised.value) == "point %r does not have k = 2 coordinates" % (x,)
 
 
 def test_engine_evaluates_each_distinct_word_once(monkeypatch):

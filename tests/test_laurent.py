@@ -21,6 +21,7 @@ from conftest import (
     window,
 )
 from hecke_bose import laurent
+from hecke_bose.hecke import exact_couplings
 from hecke_bose.laurent import pairing
 from hecke_bose.verify import random_rational_function
 from hecke_bose.weyl import Params
@@ -128,9 +129,10 @@ def test_T_check_on_constants_and_monomials():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_int_weights_give_D_times_T_check(k):
-    # the duality suite runs the one expansion with the int weights D, D (1 - beta)
-    # and D alpha, D the common denominator of alpha and 1 - beta: that is
-    # D T^check_i, with int coefficients on a monomial
+    # the duality suite runs the one expansion with the engine's couplings
+    # (D, D alpha, D (1 - beta)), D the common denominator of alpha and
+    # 1 - beta, as its weights: that is D T^check_i, with int coefficients on
+    # a monomial
     rng = random.Random("int-weights-%d" % k)
     couplings = [rand_params_pair(rng) for _ in range(4)]
     couplings += [(Fraction(0), Fraction(3, 4)), (Fraction(-5, 6), Fraction(1)),
@@ -140,9 +142,10 @@ def test_int_weights_give_D_times_T_check(k):
     for alpha, beta in couplings:
         params = Params(k, 2, alpha, beta)
         unit = math.lcm(Fraction(alpha).denominator, Fraction(beta).denominator)
-        weights = [unit * w for w in (1, 1 - beta, alpha)]
+        weights = [unit * w for w in (1, alpha, 1 - beta)]
         assert all(Fraction(w).denominator == 1 for w in weights)
         weights = tuple(map(int, weights))
+        assert weights == exact_couplings(params)  # what the duality suite passes
         for i in range(1, k):
             for p in polys + monomials:
                 got = LaurentPolynomial(laurent.weighted_T_check(i, p.terms, weights)).terms

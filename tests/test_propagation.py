@@ -107,6 +107,21 @@ def test_plane_wave_rejects_a_point_of_another_length():
             hecke.apply_Q(1, plane_wave(p), params)((1, 0, 4))
 
 
+@pytest.mark.parametrize("x", [(1, 2, 5), (1,)])
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed-form", "engine"])
+def test_propagate_rejects_a_point_of_another_length(x, closed_form):
+    # the descent read (1, 2, 5) at k = 2 as (1, 2) and returned -1/72 in
+    # closed form and -8/3 through the engine, and ended in IndexError at (1,)
+    params = Params(2, 2, Fraction(1, 2), Fraction(2))
+    f = plane_wave((2, 3)) if closed_form else random_rational_function(1)
+    G = propagate(f, params)
+    with pytest.raises(ValueError) as raised:
+        G(x)
+    assert str(raised.value) == "point %r does not have k = 2 coordinates" % (x,)
+    with pytest.raises(ValueError, match="^point "):
+        weyl.shortest_element(x, params)
+
+
 def test_plane_wave_exact_on_integer_p():
     g = plane_wave((2, 3))
     for x in window(2, 2):
@@ -235,7 +250,10 @@ def test_grouped_propagation_matches_per_point(k, L):
     requests = [(word, points[::7]) for word in words] + [((), points[:3])]
     engine = QWordEngine(f, params)
     scale, grouped, columns = propagate_many(engine, read, requests)
-    assert chain_word(engine) == engine._word
+    # the walk reads its words in suffix-trie order, the greatest reversal last,
+    # and holds the chain of that word
+    asked = [word for _, word in read.values()] + [word for word, _ in requests]
+    assert chain_word(engine) == max(asked, key=lambda word: word[::-1])
     G = propagate(f, params)
     assert grouped.keys() == set(points)
     for x, v in grouped.items():
@@ -259,12 +277,16 @@ def test_propagate_one_point_reads_share_the_chain_of_the_last_word(monkeypatch,
     # the chain back to the suffix its word shares with the word read before
     # and builds the rest, so a word builds only the letters it does not share
     # with its predecessor, and the engine ends holding one chain
-    engines, layers = [], []
+    engines, layers, read = [], [], []
 
     class Spy(QWordEngine):
         def __init__(self, f, params):
             super().__init__(f, params)
             engines.append(self)
+
+        def _evaluate(self, word, points):
+            read.append(word)
+            return super()._evaluate(word, points)
 
     init = hecke._Reflection.__init__
 
@@ -283,7 +305,7 @@ def test_propagate_one_point_reads_share_the_chain_of_the_last_word(monkeypatch,
     assert len(layers) == built
     assert len({word[d:] for word in words for d in range(len(word))}) == suffixes
     (engine,) = engines
-    assert chain_word(engine) == engine._word
+    assert chain_word(engine) == read[-1]
 
 
 def _engine_work(k, L, x, p):
@@ -293,7 +315,7 @@ def _engine_work(k, L, x, p):
     is built twice."""
     params = Params(k, L, Fraction(1, 2), Fraction(2))
     engine = QWordEngine(plane_wave(p), params)
-    engine._chain = table = LayerChain(engine)
+    engine._chain = table = LayerChain()
     points = {x} | {x[:i] + (x[i] - 1,) + x[i + 1 :] for i in range(k)}
     propagate_many(engine, descents(points, params))
     layers = {word: (memo, sums) for word, memo, sums in table.work()}

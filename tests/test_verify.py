@@ -1,5 +1,6 @@
 """The suite runner: one registry, and the bookkeeping every verify suite shares."""
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,30 @@ def test_suite_registry_order():
     )
     with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suite("nope", Params(2, 2, Fraction(0), Fraction(1)), 1, 0)
+
+
+def test_verify_reports_match_the_pinned_file():
+    # the seven suites on the five report grids (k, L, alpha, beta, window)
+    # at seeds 1 and 7, grid-major, then seed, then suite, vacuous
+    # w-invariance runs included: 70 reports, one JSON line each with
+    # elapsed_ms set to 0, byte for byte as tests/verify_reports.jsonl holds them
+    grids = [
+        (3, 2, Fraction(1, 2), Fraction(3), 2),
+        (4, 3, Fraction(-2, 3), Fraction(5, 4), 2),
+        (5, 2, Fraction(1, 3), Fraction(2, 7), 1),
+        (2, 2, Fraction(-1, 3), Fraction(2, 5), 3),
+        (2, 1, Fraction(1, 2), Fraction(2), 3),
+    ]
+    with open(os.path.join(os.path.dirname(__file__), "verify_reports.jsonl")) as fh:
+        pinned = fh.read().splitlines()
+    reports = []
+    for k, L, alpha, beta, window in grids:
+        for seed in (1, 7):
+            for suite in verify.SUITES:
+                report = verify.run_suite(suite, Params(k, L, alpha, beta), window, seed)
+                reports.append(json.dumps(dict(report, elapsed_ms=0)))
+    assert len(pinned) == 70
+    assert reports == pinned
 
 
 def test_run_suite_marks_a_run_without_checks_vacuous():
@@ -68,7 +93,7 @@ def test_hecke_suite_holds_at_most_one_relation_beyond_the_letters(monkeypatch):
     words = [word for _, word, _, _ in reads]
     assert [before for _, _, before, _ in reads] == [()] + words[:-1]
     assert [after for *_, after in reads] == words
-    assert chain_word(engine) == engine._word == words[-1]
+    assert chain_word(engine) == words[-1]
 
 
 def test_duality_suite_holds_one_letter_layer_at_a_time(monkeypatch):
@@ -102,7 +127,7 @@ def test_duality_suite_holds_one_letter_layer_at_a_time(monkeypatch):
         ((), ()), ((), (1,)), ((1,), (2,)), ((2,), (3,))
     ]
     assert held == [0, 0, 0]  # each letter is built on a chain cut to nothing
-    assert chain_word(engine) == engine._word == (3,)
+    assert chain_word(engine) == (3,)
 
 
 def test_duality_suite_names_where_the_pairing_reads_a_corrupted_f(monkeypatch):
@@ -217,7 +242,7 @@ def _recording_engines(monkeypatch):
 
     def recording(f, params):
         engines.append(engine(f, params))
-        engines[-1]._chain = LayerChain(engines[-1])
+        engines[-1]._chain = LayerChain()
         return engines[-1]
 
     monkeypatch.setattr(hecke, "QWordEngine", recording)
@@ -251,6 +276,14 @@ def test_window_suites_hold_one_chain_of_layers_at_a_time(monkeypatch):
     # the entries held are counted as the layers' plans and fills add them and
     # the cuts take them away
     params = Params(4, 3, Fraction(-2, 3), Fraction(5, 4))
+    evaluate = hecke.QWordEngine._evaluate
+    read = []  # the words read, in order
+
+    def reading(self, word, points):
+        read.append(word)
+        return evaluate(self, word, points)
+
+    monkeypatch.setattr(hecke.QWordEngine, "_evaluate", reading)
     engines = _recording_engines(monkeypatch)
     plan, fill, cut = hecke._Reflection.plan, hecke._Reflection.fill, LayerChain.__delitem__
     live = [0, 0]  # the entries held now, and the most held at once
@@ -280,7 +313,7 @@ def test_window_suites_hold_one_chain_of_layers_at_a_time(monkeypatch):
         (used,) = engines
         # the engine holds exactly the chain of its last word, and the cuts
         # took away all that was added to the layers it no longer holds
-        assert chain_word(used) == used._word
+        assert chain_word(used) == read[-1]
         assert live[0] == sum(sum(layer_sizes(layer)) for layer in used._chain)
         assert live[1] == peak
 
