@@ -165,8 +165,8 @@ def _kernel_source(k):
 
     unpack_p = ["[%s] = p" % ", ".join("p%d" % i for i in range(k))]
     iterate = "(%s)" % "".join("p%d, " % i for i in range(k))
-    converged = " and ".join("abs(r%d) < %r" % (i, NEWTON_TOL) for i in range(k)) or "True"
-    finite = " and ".join("isfinite(p%d)" % i for i in range(k)) or "True"
+    converged = " and ".join("abs(r%d) < %r" % (i, NEWTON_TOL) for i in range(k))
+    finite = " and ".join("isfinite(p%d)" % i for i in range(k))
     rows, jacobian = system()
     step = (rows + ["if %s:" % converged, "    return %s" % iterate] + jacobian
             + _elimination(k) + ["p%d = p%d - x%d" % (i, i, i) for i in range(k)]
@@ -249,6 +249,7 @@ def solve_bethe(params, seed_selection, homotopy_steps):
     a_t = complex(params.alpha)
     b_t = complex(params.beta)
     p = seed_roots_of_unity(seed_selection, L)
+    kernel = _kernel(k)
 
     s = 0.0
     ds = 1.0 / max(1, homotopy_steps)
@@ -269,25 +270,19 @@ def solve_bethe(params, seed_selection, homotopy_steps):
                     "continuation stalled at s = %.6g: %s" % (s_next, err), s=s_next
                 ) from err
             continue
-        _check_separation(q, s_next)
+        kernel.separation(q, s_next)
         p = q
         s = s_next
 
     # at the complex couplings the path continued to
-    residual = _max_or_nan(abs(r) for r in _kernel(k).residuals(p, L, a_t, b_t))
+    residual = _max_or_nan(abs(r) for r in kernel.residuals(p, L, a_t, b_t))
     if not (residual <= ACCEPT_RESIDUAL and all(map(cmath.isfinite, p))):
         raise BetheSolverError(
             "final residual %.3g above acceptance threshold" % residual, s=1.0
         )
     # the roots returned are distinct, whatever path led to them
-    _check_separation(p, 1.0)
+    kernel.separation(p, 1.0)
     return SpectralPoint(p, residual)
-
-
-def _check_separation(p, s):
-    """Raise the root-collision diagnostic, at homotopy parameter s, for the
-    first pair of roots closer than COLLISION_TOL (see _kernel_source)."""
-    _kernel(len(p)).separation(p, s)
 
 
 def _max_or_nan(values):

@@ -30,9 +30,13 @@ def apply_T_check(i, p, params):
 
     T^check_i = s_i + (alpha e^{v_{i+1}} + 1 - beta) * (1 - s_i) / (1 - e^{v_{i+1} - v_i}),
     written out by ``weighted_T_check`` with the weights (1, alpha, 1 - beta).
+    An exponent whose length is not k raises ValueError.
     """
     if not 1 <= i < params.k:
         raise ValueError("T^check index must satisfy 1 <= i < k")
+    for exp in p.terms:
+        if len(exp) != params.k:
+            raise ValueError("exponent %r does not have k = %d entries" % (exp, params.k))
     return LaurentPolynomial(weighted_T_check(i, p.terms, (1, params.alpha, 1 - params.beta)))
 
 

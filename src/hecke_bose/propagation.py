@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -67,7 +66,7 @@ def _plane_wave_propagation(p, params):
     the combination of the suffix one letter shorter, in a plain loop.
     The combinations sit in a trie read from the last letter, one node per
     suffix, so a word of n letters costs n nodes, not n^2/2 key slots.  The
-    weights are Fractions, so the values are exact Fractions for int p too.
+    weights are Fractions and each g_{sigma p} is a PlaneWave, exact for int p.
     """
     k, L = params.k, params.L
     D, A, C = exact_couplings(params)  # D, D alpha and D (1 - beta) as ints
@@ -85,6 +84,7 @@ def _plane_wave_propagation(p, params):
     # a trie of word suffixes read from the last letter, the empty word at the
     # root: a node is ({sigma: coefficient}, {letter: the node one letter longer})
     root = ({tuple(range(k)): Fraction(1)}, {})
+    wave = functools.cache(lambda sigma: PlaneWave([p[i] for i in sigma]))  # g_{sigma p}
 
     def G(x):
         (_, y), word = weyl.shortest_element(x, params)
@@ -105,9 +105,7 @@ def _plane_wave_propagation(p, params):
                 out[sigma] = out.get(sigma, 0) + c * stay
                 out[swapped] = out.get(swapped, 0) + c * move
             node[1][word[d]] = node = (out, {})
-        powers = [[v**-yj for yj in y] for v in p]  # powers[i][j] = p_i^{-y_j}
-        return sum(c * math.prod(powers[i][j] for j, i in enumerate(sigma))
-                   for sigma, c in node[0].items())
+        return sum(c * wave(sigma)(y) for sigma, c in node[0].items())
 
     return G
 

@@ -44,6 +44,7 @@ SEQUENCE = "tests/test_hecke.py::test_a_sequence_of_walks_on_one_engine_matches_
 WORDS_ORACLE = "tests/test_hecke.py::test_engine_words_match_n_term_oracle"
 LINE_SUMS = "tests/test_hecke.py::test_Q_line_sums_match_n_term_sum"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
+CLOSED_FORM_FAR = P + "test_closed_form_theorem_at_far_points_for_k_4_and_5"
 SOLVER_TABLE = "tests/test_bethe.py::test_solver_outcomes_pinned_per_instance"
 NEWTON_EXITS = "tests/test_bethe.py::test_compiled_newton_exits_match_the_loop_without_cycle_exit"
 NEWTON_CYCLE = "tests/test_bethe.py::test_newton_stops_at_a_cycle"
@@ -120,6 +121,10 @@ MUTANTS = [
     ("closed form trie rebinds the node before linking it", "propagation.py",
      "node[1][word[d]] = node = (out, {})", "node = node[1][word[d]] = (out, {})",
      [P + "test_closed_form_holds_each_word_suffix_once"]),
+    ("closed form reads g_p for g_{sigma p}", "propagation.py", "wave(sigma)(y)",
+     "wave(tuple(range(k)))(y)", [CLOSED_FORM, CLOSED_FORM_FAR]),
+    ("closed form builds a wave at every read", "propagation.py",
+     "wave = functools.cache(lambda sigma:", "wave = (lambda sigma:", [CLOSED_FORM_FAR]),
     ("propagate always runs the engine", "propagation.py",
      "if isinstance(f, PlaneWave) and len(set(f.p)) == len(f.p):", "if False:",
      [P + "test_propagate_chooses_the_closed_form_for_distinct_plane_waves"]),
@@ -162,6 +167,8 @@ MUTANTS = [
      "for a in range(k - 1):", [V + "test_window_suite_engine_work_is_pinned"]),
     ("T^check ignores the weight u", "laurent.py", "+ c * unit\n", "+ c\n",
      [DUALITY_CORRUPTED]),
+    ("T^check takes an exponent of another length", "laurent.py", "if len(exp) != params.k:",
+     "if False:", ["tests/test_laurent.py::test_T_check_rejects_an_exponent_of_another_length"]),
     ("T^check drops the alpha term for j >= 50", "laurent.py", "+ c * alpha\n",
      "+ c * alpha * (j < 50)\n", ["tests/test_hecke.py::test_duality_with_divided_difference"]),
     ("T^check drops the alpha term for |j| >= 50", "laurent.py", "+ c * alpha\n",

@@ -928,18 +928,19 @@ def test_compiled_newton_exits_match_the_loop_without_cycle_exit():
 def test_solver_checks_the_separation_of_the_roots_it_returns(monkeypatch):
     # the last accepted step and the return each check the roots, so that no
     # change to the path can return coincident roots, whose h_p is 0
-    real = bethe._check_separation
+    kernel = bethe._kernel(2)
+    real = kernel.separation
     calls = []
 
     def spy(p, s):
         calls.append((p, s))
         return real(p, s)
 
-    monkeypatch.setattr(bethe, "_check_separation", spy)
+    monkeypatch.setattr(kernel, "separation", spy)
     sp = solve_bethe(Params(2, 3, Fraction(0), Fraction(1, 2)), (0, 1), homotopy_steps=4)
     assert calls[-2:] == [(sp.p, 1.0)] * 2
     with pytest.raises(BetheSolverError, match="^root collision at s = 1 between p_1 and p_3$"):
-        real((1 + 0j, 2 + 0j, 1 + 1e-9j), 1.0)
+        bethe._kernel(3).separation((1 + 0j, 2 + 0j, 1 + 1e-9j), 1.0)
 
 
 def test_singular_jacobian_is_a_newton_failure():

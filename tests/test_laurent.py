@@ -127,6 +127,17 @@ def test_T_check_on_constants_and_monomials():
             apply_T_check(i, p, free)
 
 
+@pytest.mark.parametrize("x", [(1, 2, 5), (1,)])
+def test_T_check_rejects_an_exponent_of_another_length(x):
+    # unchecked, weighted_T_check reads (1, 2, 5) at k = 2 as (1, 2) with the
+    # tail 5 carried along, and (1,) ends in IndexError
+    params = Params(2, 2, Fraction(1, 2), Fraction(2))
+    p = LaurentPolynomial({(0, 1): 3, x: 1})
+    with pytest.raises(ValueError) as raised:
+        laurent.apply_T_check(1, p, params)
+    assert str(raised.value) == "exponent %r does not have k = 2 entries" % (x,)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_int_weights_give_D_times_T_check(k):
     # the duality suite runs the one expansion with the engine's couplings

@@ -1,5 +1,6 @@
 """Propagation operator, plane waves, and the eigenfunction theorem."""
 
+import itertools
 import math
 import random
 import sys
@@ -425,6 +426,32 @@ def test_closed_form_holds_each_word_suffix_once():
     for x in points:
         G(x)
     assert nodes(root) == len(suffixes)
+
+
+@pytest.mark.parametrize("L,x", [(1, (9, 3, -3, -9)), (2, (6, 3, 0, -3, -6))])
+def test_closed_form_theorem_at_far_points_for_k_4_and_5(monkeypatch, L, x):
+    # at k = 5 a trie node holds up to 5! = 120 waves: H G(g_p) = (sum p) G(g_p)
+    # exactly at a far point, G(g_p) = g_p at the dominant point of its orbit,
+    # and G builds each wave g_{sigma p} it reads once
+    built = []
+
+    class SpyWave(propagation.PlaneWave):
+        def __init__(self, p):
+            super().__init__(p)
+            built.append(self.p)
+
+    monkeypatch.setattr(propagation, "PlaneWave", SpyWave)
+    k = len(x)
+    params = Params(k, L, Fraction(-2, 3), Fraction(5, 4))
+    p = (2, Fraction(-3, 4), 5, Fraction(1, 3), Fraction(-7, 2))[:k]
+    g = SpyWave(p)
+    built.clear()
+    G = propagate(g, params)
+    (_, y), word = weyl.shortest_element(x, params)
+    assert len(word) > 20
+    assert G(y) == g(y)
+    assert apply_H(G, x, params) == sum(p) * G(x)
+    assert sorted(built) == sorted(itertools.permutations(p))
 
 
 def test_propagate_chooses_the_closed_form_for_distinct_plane_waves(monkeypatch):
