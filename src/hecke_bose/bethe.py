@@ -216,13 +216,6 @@ def bethe_residual(p, params):
     return _kernel(len(p)).residuals(p, params.L, params.alpha, params.beta)
 
 
-def _newton(p, L, a, b):
-    """Newton refinement at couplings (a, b) on a sequence of Python complex: the
-    compiled loop of _kernel(len(p)).newton, with its three errors (a vanishing
-    denominator, a step that is not finite, no convergence)."""
-    return _kernel(len(p)).newton(p, L, a, b)
-
-
 def seed_roots_of_unity(seed_selection, L):
     """Distinct L-th roots of unity, selected by index."""
     sel = tuple(seed_selection)
@@ -262,7 +255,7 @@ def solve_bethe(params, seed_selection, homotopy_steps):
         a = s_next * a_t
         b = 1.0 + s_next * (b_t - 1.0)
         try:
-            q = _newton(p, L, a, b)
+            q = kernel.newton(p, L, a, b)
         except BetheSolverError as err:
             ds /= 2
             if ds < 1e-8:

@@ -40,13 +40,13 @@ def _int_list(text):
 
 
 def _window(text):
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError("window must be a non-negative integer, got %r" % text)
     return int(text)
 
 
 def _steps(text):
-    if not text.isdigit() or int(text) == 0:
+    if not text.isdecimal() or int(text) == 0:
         raise argparse.ArgumentTypeError("steps must be a positive integer, got %r" % text)
     return int(text)
 
@@ -134,6 +134,10 @@ def _read_roots(path):
         data = json.load(fh)
     try:
         p = tuple(complex(re, im) for re, im in data["roots"])
+        # complex() reads a JSON true or false, a bool, as 1 or 0
+        for part in (v for root in data["roots"] for v in root):
+            if type(part) not in (int, float):
+                raise TypeError("root part %s is not a number" % json.dumps(part))
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(
             "%s holds no list of [re, im] roots (%s: %s)" % (path, type(err).__name__, err)

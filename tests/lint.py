@@ -1,5 +1,8 @@
 """The static checks that CI runs beside the tests.
 
+- No line in a ``*.py`` file under src/ or tests/ is longer than 100
+  columns, counted in UTF-8 bytes, as mawk (Ubuntu's default awk) counts
+  them.
 - No unused module-level import in src/ or tests/ (``__init__.py`` and
   ``conftest.py`` import names to re-export them).
 - A module-level ``_helper`` in src/ is read somewhere in src/, and an
@@ -23,10 +26,26 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def python_files():
+    """The ``*.py`` files under src/ and tests/."""
+    return sorted(p for d in ("src", "tests") for p in pathlib.Path(d).rglob("*.py"))
+
+
+def long_lines():
+    """A line longer than 100 UTF-8 bytes: a line with non-ASCII text may be
+    flagged at fewer than 101 characters."""
+    out = []
+    for path in python_files():
+        for n, line in enumerate(path.read_bytes().split(b"\n"), 1):
+            if len(line) > 100:
+                out.append("%s:%d: %d columns" % (path, n, len(line)))
+    return out
+
+
 def unused_imports():
     """A module-level import none of the file's names reads."""
     out = []
-    for path in sorted(p for d in ("src", "tests") for p in pathlib.Path(d).rglob("*.py")):
+    for path in python_files():
         if path.name in ("__init__.py", "conftest.py"):
             continue
         tree = ast.parse(path.read_text())
@@ -136,7 +155,8 @@ def main():
     os.chdir(ROOT)
     src = sorted(pathlib.Path("src").rglob("*.py"))
     bench = sorted(pathlib.Path("perfbench").rglob("*.py"))
-    found = unused_imports() + dead_code(src, bench) + unused_defaults(src, bench)
+    found = (long_lines() + unused_imports() + dead_code(src, bench)
+             + unused_defaults(src, bench))
     for line in found:
         print(line)
     return 1 if found else 0

@@ -200,6 +200,15 @@ MUTANTS = [
     ("separation names the pair backwards", "bethe.py", "% (i + 1, j + 1))]",
      "% (j + 1, i + 1))]",
      ["tests/test_bethe.py::test_solver_checks_the_separation_of_the_roots_it_returns"]),
+    ("solve_bethe looks the kernel up per Newton run", "bethe.py",
+     "q = kernel.newton(p, L, a, b)", "q = _kernel(len(p)).newton(p, L, a, b)",
+     ["tests/test_bethe.py::test_solve_looks_the_kernel_up_once"]),
+    ("--window takes a superscript digit", "cli.py", "    if not text.isdecimal():\n",
+     "    if not text.isdigit():\n",
+     ["tests/test_cli.py::test_superscript_window_names_its_cause"]),
+    ("--p-file reads a bool as a number", "cli.py", "if type(part) not in (int, float):",
+     "if type(part) not in (int, float, bool):",
+     ["tests/test_cli.py::test_wavefunction_bad_spectral_parameters_exit_2"]),
 ]
 
 

@@ -721,7 +721,7 @@ def test_solver_rejects_non_finite_roots(monkeypatch, slot, value):
         q[slot] = value
         return tuple(q)
 
-    monkeypatch.setattr(bethe, "_newton", newton)
+    monkeypatch.setattr(bethe._kernel(2), "newton", newton)
     params = Params(2, 3, Fraction(-1, 2), Fraction(3, 4))
     with pytest.raises(BetheSolverError, match="^final residual"):
         solve_bethe(params, (0, 1), 4)
@@ -776,20 +776,22 @@ def _solver_corpus():
     return corpus
 
 
-def _corpus_outcomes(newton):
+def _corpus_outcomes(newton=None):
     """Every corpus instance's outcome, bit for bit, with ``newton`` as the
-    solver's Newton loop."""
+    solver's Newton loop, or the compiled kernel's own loop when it is None."""
     outcomes = []
     for params, seeds in _solver_corpus():
         calls = count(1)
+        kernel = bethe._kernel(params.k)
+        loop = newton or kernel.newton
 
         def budgeted(*args):
             if next(calls) > NEWTON_BUDGET:
                 raise _OutOfBudget
-            return newton(*args)
+            return loop(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bethe, "_newton", budgeted)
+            mp.setattr(kernel, "newton", budgeted)
             try:
                 root = solve_bethe(params, seeds, homotopy_steps=20)
                 roots = [(v.real.hex(), v.imag.hex()) for v in root.p]
@@ -803,7 +805,7 @@ def _corpus_outcomes(newton):
 
 @functools.lru_cache(maxsize=None)
 def _package_outcomes():
-    return _corpus_outcomes(bethe._newton)
+    return _corpus_outcomes()
 
 
 def test_newton_outcomes_match_the_loop_without_cycle_exit():
@@ -846,7 +848,7 @@ def test_newton_stops_at_a_cycle():
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
         _newton_without_cycle_exit(*CORPUS_CYCLE)
     with pytest.raises(BetheSolverError, match="^Newton did not converge$"):
-        bethe._newton(*CORPUS_CYCLE)
+        bethe._kernel(2).newton(*CORPUS_CYCLE)
     # count the iterations in the compiled loop: each adds its iterate to the set
     # of seen iterates, and the loop ends at the first iterate that repeats
     iterates, outcome = _compiled_newton(*CORPUS_CYCLE)
@@ -905,7 +907,7 @@ def _seeded_newton_cases():
 
 
 def test_compiled_newton_exits_match_the_loop_without_cycle_exit():
-    # the compiled loop, bethe._newton and the loop without a cycle exit end the
+    # the compiled loop, the kernel's newton and the loop without a cycle exit end the
     # same, bit for bit, and the compiled loop goes through the loop kernels'
     # iterates; every exit is taken at each k
     taken = {2: set(), 3: set(), 4: set()}
@@ -913,7 +915,7 @@ def test_compiled_newton_exits_match_the_loop_without_cycle_exit():
     def run(p, L, a, b):
         iterates, outcome, how = _loop_newton(p, L, a, b)
         assert _compiled_newton(p, L, a, b) == (iterates, outcome)
-        assert _outcome(bethe._newton, p, L, a, b) == outcome
+        assert _outcome(bethe._kernel(len(p)).newton, p, L, a, b) == outcome
         assert _outcome(_newton_without_cycle_exit, p, L, a, b) == outcome
         taken[len(p)].add(how)
         return how, len(iterates)
@@ -943,10 +945,25 @@ def test_solver_checks_the_separation_of_the_roots_it_returns(monkeypatch):
         bethe._kernel(3).separation((1 + 0j, 2 + 0j, 1 + 1e-9j), 1.0)
 
 
+def test_solve_looks_the_kernel_up_once(monkeypatch):
+    # a solve binds _kernel(k) once and runs every Newton run, separation check
+    # and residual of its eight or more continuation steps on it
+    real = bethe._kernel
+    lookups = []
+
+    def spy(k):
+        lookups.append(k)
+        return real(k)
+
+    monkeypatch.setattr(bethe, "_kernel", spy)
+    solve_bethe(Params(3, 4, Fraction(-1, 2), Fraction(3, 4)), (0, 1, 2), homotopy_steps=8)
+    assert lookups == [3]
+
+
 def test_singular_jacobian_is_a_newton_failure():
     # at the free couplings J = diag(L p_i^{L-1}), so p_1 = 0 is a zero pivot
     with pytest.raises(BetheSolverError, match="^Newton step not finite$"):
-        bethe._newton((0j, 2 + 0j), 2, 0j, 1 + 0j)
+        bethe._kernel(2).newton((0j, 2 + 0j), 2, 0j, 1 + 0j)
 
 
 @functools.cache

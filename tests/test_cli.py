@@ -340,7 +340,17 @@ def test_negative_window_rejected(capsys, command):
     assert "window" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("steps", ["0", "-5", "x"])
+def test_superscript_window_names_its_cause(capsys):
+    # str.isdigit() passes a superscript digit, which int() then rejects
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hecke", "--k", "2", "--L", "1", "--window", "³"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "hecke-bose: error: argument --window: window must be a non-negative integer, got '³'"
+    ]
+
+
+@pytest.mark.parametrize("steps", ["0", "-5", "x", "²"])
 def test_steps_must_be_positive(capsys, steps):
     with pytest.raises(SystemExit) as exc:
         main(["bethe", "--k", "2", "--L", "2", "--seeds", "0,1", "--steps", steps])
@@ -437,9 +447,11 @@ def test_wavefunction_requires_spectral_parameters():
         (None, []),
         ('{"roots": [[1, 0], [0, 1]]}', ["--p", "3,5", "--p-file", "roots.json"]),
         ('{"roots": [[0.5, 0.25], [0.5, 0.25]]}', ["--p-file", "roots.json"]),
+        ('{"roots": [[true, 0], [0, 1]]}', ["--p-file", "roots.json"]),
     ],
     ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count",
-         "overflowing-powers", "p-count", "no-p", "p-and-p-file", "coincident-roots"],
+         "overflowing-powers", "p-count", "no-p", "p-and-p-file", "coincident-roots",
+         "boolean-root"],
 )
 def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
     monkeypatch.chdir(tmp_path)
