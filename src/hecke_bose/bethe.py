@@ -234,18 +234,23 @@ def solve_bethe(params, seed_selection, homotopy_steps):
     and so does a path that spends more than max(400, 20 * homotopy_steps)
     Newton calls, as one that creeps towards a singular coupling does.
     The roots returned are finite, pairwise at least COLLISION_TOL apart,
-    and meet the Bethe equations to ACCEPT_RESIDUAL.
+    and meet the Bethe equations to ACCEPT_RESIDUAL.  ``homotopy_steps``
+    must be a positive int: TypeError otherwise, ValueError below 1.
     """
     k, L = params.k, params.L
     if len(tuple(seed_selection)) != k:
         raise ValueError("need exactly k seed indices")
+    if not isinstance(homotopy_steps, int) or isinstance(homotopy_steps, bool):
+        raise TypeError("homotopy_steps must be an int, got %r" % (homotopy_steps,))
+    if homotopy_steps < 1:
+        raise ValueError("homotopy_steps must be positive, got %d" % homotopy_steps)
     a_t = complex(params.alpha)
     b_t = complex(params.beta)
     p = seed_roots_of_unity(seed_selection, L)
     kernel = _kernel(k)
 
     s = 0.0
-    ds = 1.0 / max(1, homotopy_steps)
+    ds = 1.0 / homotopy_steps
     budget = max(400, 20 * homotopy_steps)
     while s < 1.0:
         if budget == 0:
@@ -398,14 +403,19 @@ def hall_littlewood_R(lam, z, t):
     prod_i z_{sigma(i)}^{lambda_i}.
 
     Accepts any integer exponent tuple of length <= k (padded with zeros).
-    At rational z and t (ints included) the value is one exact Fraction, summed
-    in ints over one common denominator (see _hl_R).
+    Every z_i takes every exponent in some term, so a negative exponent with
+    some z_i = 0 raises ValueError, naming that z_i.  At rational z and t
+    (ints included) the value is one exact Fraction, summed in ints over one
+    common denominator (see _hl_R).
     """
     z = tuple(z)
     k = len(z)
     exps = tuple(lam)
     if len(exps) > k:
         raise ValueError("exponent tuple longer than variable list")
+    if min(exps, default=0) < 0 and 0 in z:
+        raise ValueError("z_%d = 0 cannot take the negative exponent %d"
+                         % (z.index(0) + 1, min(exps)))
     return _hl_R(z, t)(exps + (0,) * (k - len(exps)))
 
 

@@ -138,7 +138,7 @@ def _read_roots(path):
         for part in (v for root in data["roots"] for v in root):
             if type(part) not in (int, float):
                 raise TypeError("root part %s is not a number" % json.dumps(part))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, OverflowError, TypeError, ValueError) as err:
         raise ValueError(
             "%s holds no list of [re, im] roots (%s: %s)" % (path, type(err).__name__, err)
         )

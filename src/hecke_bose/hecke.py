@@ -8,39 +8,44 @@ import math
 from fractions import Fraction
 from itertools import accumulate, cycle
 from numbers import Rational
-from operator import itemgetter, mul
+from operator import mul
 
 
 class _Reflection:
     """One letter of a Q-word: Q_letter applied to a source function.
 
-    Holds the points evaluated so far and, for every line y_a + y_b = s (the
-    other coordinates fixed) that they lie on, the sums of
-    h(t) = alpha f(y(t) + v_b) + (1 - beta) f(y(t)) over the line's points
-    y(t) = (..., t, s - t, ...), taken outwards from m = floor(s/2):
-    ``up[j]`` sums h over m+1 .. m+j and ``down[j]`` over m-j+1 .. m.  So
-    C_s(m + j) = up[j] and C_s(m - j) = -down[j].  A line only grows, and
-    only as far as the points evaluated on it reach, so it reads the same
-    source points as the n-term sums would.
+    Points are packed ints (see ``QWordEngine``).  The letter acts on two
+    slots, a and b: slot a holds z_a, slot b holds z_b, and s_a exchanges
+    them.  The letters 1, ..., k-1 take slots a = letter and b = letter + 1
+    with z = x.  The letter 0 acts through a_0(x) = x_k - x_1 + L: slot a is
+    k, with z_a = x_k + L, slot b is 1, with z_b = x_1, and
+    s_0 x = (x_k + L, x_2, ..., x_{k-1}, x_1 - L).  With R_a and R_b the two
+    slots' weights and d = R_a - R_b, s_a z is x + (z_b - z_a) d.
 
-    The letter 0 acts through a_0(x) = x_k - x_1 + L: a point x enters with
-    z_a = x_k + L, z_b = x_1 and the other coordinates x_2, ..., x_{k-1}, and
-    s_0 x = (x_k + L, x_2, ..., x_{k-1}, x_1 - L).  ``period`` is L for it and
-    None for the other letters, which enter x as it is: z = x.
+    The layer holds the points evaluated so far and, for every line
+    z_a + z_b = s (the other coordinates fixed) that they lie on, the sums of
+    h(t) = alpha f(y(t) + v_b) + (1 - beta) f(y(t)) over the line's points
+    y(t), z_a = t, taken outwards from m = floor(s/2): ``up[j]`` sums h over
+    m+1 .. m+j and ``down[j]`` over m-j+1 .. m.  So C_s(m + j) = up[j] and
+    C_s(m - j) = -down[j].  A line is keyed by its point x + z_b d, which
+    has z_a = s and z_b = 0; y(t) is the key plus (t - s) d, and y(t) + v_b
+    adds R_b.  A line only grows, and only as far as the points evaluated on
+    it reach, so it reads the same source points as the n-term sums would.
     """
 
-    __slots__ = ("letter", "a", "period", "swap", "unit", "terms", "memo", "lines")
+    __slots__ = ("letter", "slots", "period", "unit", "terms", "width", "memo", "lines")
 
-    def __init__(self, letter, params, unit, terms):
+    def __init__(self, letter, params, unit, terms, width):
         self.letter = letter
-        a = self.a = letter - 1 if letter else 0  # the root's 0-based slots are a and a + 1
-        self.period = None if letter else params.L
-        # z -> s_a z for the letters other than 0: exchanges slots a and a + 1
-        self.swap = itemgetter(*range(a), a + 1, a, *range(a + 2, params.k)) if letter else None
+        k = params.k
+        # the fields of slots a and b, counted from slot k's, the lowest
+        self.slots = (k - letter, k - 1 - letter) if letter else (0, k - 1)
+        self.period = 0 if letter else params.L  # z_a - x_a
         self.unit = unit  # D, the common denominator of alpha and 1 - beta
-        self.terms = terms  # (D * coefficient, shift of slot a + 1) per nonzero term of h
+        self.terms = terms  # (D * coefficient, shift of slot b) per nonzero term of h
+        self.width = width  # the bits of one field
         self.memo = {}
-        self.lines = {}  # (s, coordinates before slot a, those after slot a + 1) -> (up, down)
+        self.lines = {}  # line key -> (up, down)
 
     def plan(self, points, below):
         """Enter ``points`` and build, once, every source point that
@@ -50,26 +55,25 @@ class _Reflection:
         index into up, index into down, z_a > z_b); the line extensions, as
         (sums, how many t they grow by); and the points the terms of h read at
         each of those t, one extension after the other."""
-        a, b, L, swap, lines = self.a, self.a + 2, self.period, self.swap, self.lines
-        shifts = [shift for _, shift in self.terms]
+        width, lines = self.width, self.lines
+        mask, half = (1 << width) - 1, 1 << width - 1
+        at, bt = self.slots[0] * width, self.slots[1] * width
+        rb = 1 << bt
+        d = (1 << at) - rb
+        za0 = half - self.period  # the field of slot a minus z_a
+        shifts = [shift * rb for _, shift in self.terms]
         entered = []
-        want = {}  # line whose sums must grow -> [its sums, how far up and down they must reach]
+        want = {}  # line whose sums must grow -> [its sums, how far up and down they must reach, s]
         needed = set()
         for x in points:
-            if L is None:
-                za, zb = x[a], x[a + 1]
-                y = swap(x)
-                s = za + zb
-                key = (s, x[:a], x[b:])
-            else:
-                za, zb = x[-1] + L, x[0]
-                y = (za, *x[1:-1], zb - L)
-                s = za + zb
-                key = (s, (), x[1:-1])
+            za, zb = (x >> at & mask) - za0, (x >> bt & mask) - half
+            y = x + (zb - za) * d
             needed.add(y)
             if za == zb or not shifts:  # no sum, or h = 0 (alpha = 0, beta = 1)
                 entered.append((x, y, None, 0, 0, False))
                 continue
+            s = za + zb
+            key = x + zb * d
             m = s // 2  # min(z_a, z_b) <= m < max(z_a, z_b)
             if za > zb:
                 i, j = za - m, m - zb
@@ -78,11 +82,11 @@ class _Reflection:
             sides = lines.get(key)
             if sides is None:
                 sides = lines[key] = ([0], [0])
-                want[key] = [sides, i, j]
+                want[key] = [sides, i, j, s]
             elif i >= len(sides[0]) or j >= len(sides[1]):  # the sums must grow
                 w = want.get(key)
                 if w is None:
-                    want[key] = [sides, i, j]
+                    want[key] = [sides, i, j, s]
                 else:
                     if i > w[1]:
                         w[1] = i
@@ -90,7 +94,7 @@ class _Reflection:
                         w[2] = j
             entered.append((x, y, sides, i, j, za > zb))
         extensions, reads = [], []
-        for (s, head, tail), ((up, down), i, j) in want.items():
+        for key, ((up, down), i, j, s) in want.items():
             m = s // 2
             ts = []  # the t the line's sums grow by, up and then down
             if i >= len(up):  # up reaches t = m + len(up) - 1
@@ -99,14 +103,8 @@ class _Reflection:
             if j >= len(down):  # down reaches t = m - len(down) + 2
                 extensions.append((down, j + 1 - len(down)))
                 ts += range(m - len(down) + 1, m - j, -1)
-            if L is None:
-                for t in ts:
-                    for shift in shifts:
-                        reads.append((*head, t, s - t + shift, *tail))
-            else:  # x_1 = z_b = s - t + shift, x_k = z_a - L = t - L
-                for t in ts:
-                    for shift in shifts:
-                        reads.append((s - t + shift, *tail, t - L))
+            y0 = key - s * d  # y(0)
+            reads += [y0 + t * d + shift for t in ts for shift in shifts]
         needed.update(reads)
         return (entered, extensions, reads), needed.difference(below)
 
@@ -138,6 +136,12 @@ class _Reflection:
                 v = v + d if positive else v - d
             memo[x] = v
 
+    def repack(self, move, width):
+        """Re-key the points and lines by ``move``, for fields of ``width`` bits."""
+        self.width = width
+        self.memo = {move(x): v for x, v in self.memo.items()}
+        self.lines = {move(key): sides for key, sides in self.lines.items()}
+
     def rescale(self, m):
         """Multiply every stored value and line sum by m."""
         memo = self.memo
@@ -163,6 +167,13 @@ def exact_couplings(params):
     return unit, int(unit * params.alpha), int(unit * (1 - params.beta))
 
 
+def _fields(k, width):
+    """The weights R_j = 2^(width (k - j)) of the k slots of a packed point,
+    and the bias sum_j 2^(width - 1) R_j that moves each field off zero."""
+    weights = [1 << width * (k - 1 - j) for j in range(k)]
+    return weights, sum(weights) << width - 1
+
+
 class QWordEngine:
     """Evaluates Q_w f = Q_{w[0]} ... Q_{w[-1]} f for words w, without recursion.
 
@@ -184,6 +195,17 @@ class QWordEngine:
     So alpha, beta and the values of f must be rationals (ints or
     Fractions).  S stays inside the engine: ``walk`` hands out its words at
     one scale T.
+
+    Inside the engine a point x is one int, sum_j (x_j + 2^(W-1)) R_j, with
+    one field of W bits per slot: R_j = 2^(W (k - j)), so slot 1 holds the
+    highest field.  f's table, the layers' memos and their line keys are
+    keyed by these ints; ``walk`` packs the points it is asked at, and f is
+    read at the unpacked tuple.  A field holds -2^(W-1) .. 2^(W-1) - 1.  A
+    layer reads at most L + 1 beyond the coordinates of the points it
+    enters, and a line key holds a sum z_a + z_b, so a walk of words of at
+    most H letters at points with |x_j| <= B keeps every field in range
+    when 2^(W-1) > 2 (B + H (L + 1)).  A walk that needs wider fields than
+    the engine has repacks every table once, before it reads.
     """
 
     def __init__(self, f, params):
@@ -192,6 +214,7 @@ class QWordEngine:
         self.couplings = exact_couplings(params)
         self._terms = [(c, shift) for c, shift in zip(self.couplings[1:], (1, 0)) if c]
         self._scale = 1  # S
+        self._width = 1  # W, the bits of one field of a packed point
         self._base = {}  # point -> f(point) * S
         self._chain = []  # the layers of the last word read, innermost first: its letters reversed
 
@@ -199,7 +222,7 @@ class QWordEngine:
         """The values of several words at their points, as ints at one scale.
 
         ``requests`` is a sequence of (word, points), word a tuple of letters
-        and points a sequence.  Each distinct word is evaluated once, over
+        and points a sequence of tuples of k ints.  Each distinct word is evaluated once, over
         all the points its requests ask for.  Returns T and, per request, the
         list of the ints (Q_word f)(x) * T at its points: T = S * D^H, with H
         the length of the longest requested word.  The empty word reads f
@@ -213,13 +236,24 @@ class QWordEngine:
         for n, (word, _) in enumerate(requests):
             asked.setdefault(word, []).append(n)
         order = sorted(asked, key=lambda word: word[::-1])
+        unit, height = self.couplings[0], max(map(len, asked), default=0)
+        seqs = {id(points): points for _, points in requests}.values()  # each sequence once
+        reach = max((max(max(map(max, points)), -min(map(min, points)))
+                     for points in seqs if points), default=0)
+        width = (2 * (reach + height * (self.params.L + 1))).bit_length() + 1
+        if width > self._width:
+            self._repack(width)
+        weights, bias = _fields(self.params.k, self._width)
+        packed = {}  # id of a sequence of points -> the points packed, for this word and the last
         columns, scales = [None] * len(requests), []
         for word in order:
-            top = self._evaluate(word, set().union(*(requests[n][1] for n in asked[word])))
-            for n in asked[word]:
-                columns[n] = [top[x] for x in requests[n][1]]
+            seqs = [requests[n][1] for n in asked[word]]
+            packed = {id(points): packed.get(id(points))
+                      or [sum(map(mul, x, weights)) + bias for x in points] for points in seqs}
+            top = self._evaluate(word, set().union(*packed.values()))
+            for n, points in zip(asked[word], seqs):
+                columns[n] = [top[x] for x in packed[id(points)]]
             scales.append(self._scale)
-        unit, height = self.couplings[0], max(map(len, asked), default=0)
         for word, scale in zip(order, scales):
             m = self._scale // scale * unit ** (height - len(word))
             if m != 1:
@@ -238,7 +272,7 @@ class QWordEngine:
             shared += 1
         del chain[shared:]
         for letter in reversed(word[: len(word) - len(chain)]):
-            chain.append(_Reflection(letter, self.params, unit, self._terms))
+            chain.append(_Reflection(letter, self.params, unit, self._terms, self._width))
         layers = chain[::-1]
         memos = [layer.memo for layer in layers] + [self._base]
         missing = {x for x in points if x not in memos[0]}
@@ -256,12 +290,13 @@ class QWordEngine:
     def _read(self, points):
         """Read f at the given points, none of them in the table yet, in one
         pass: at most one rescale however many new denominators they bring."""
-        read = [(x, self.f(x)) for x in points]
+        unpack = self._unpacker()
+        read = [(x, self.f(unpack(x))) for x in points]
         for x, v in read:
             if not isinstance(v, Rational):
                 raise TypeError(
                     "the Q-word engine computes exactly and needs rational values, got f%s = %r"
-                    % (x, v)
+                    % (unpack(x), v)
                 )
         scale = math.lcm(self._scale, *{v.denominator for _, v in read})
         if scale != self._scale:
@@ -270,6 +305,26 @@ class QWordEngine:
         base = self._base
         for x, v in read:
             base[x] = v.numerator * (scale // v.denominator)
+
+    def _unpacker(self):
+        """The map from a packed point, at the engine's width, to its tuple."""
+        width, k = self._width, self.params.k
+        mask, half = (1 << width) - 1, 1 << width - 1
+        shifts = [width * (k - 1 - j) for j in range(k)]
+        return lambda x: tuple([(x >> shift & mask) - half for shift in shifts])
+
+    def _repack(self, width):
+        """Widen every field to ``width`` bits: re-key f's table and the chain."""
+        unpack = self._unpacker()
+        weights, bias = _fields(self.params.k, width)
+
+        def move(x):
+            return sum(map(mul, unpack(x), weights)) + bias
+
+        self._base = {move(x): v for x, v in self._base.items()}
+        for layer in self._chain:
+            layer.repack(move, width)
+        self._width = width
 
     def _rescale(self, m):
         """Multiply every stored int, f's table and the chain's, by m."""
@@ -310,7 +365,8 @@ def apply_Qw(word, f, params):
     The letters run over 0, ..., k-1; the letter 0 is Q_0 = pi^{-1} Q_1 pi,
     conjugated by the diagram rotation.  Each new point is one ``walk`` of
     one engine, whose chain of the word's layers serves every read.  A point
-    whose length is not k raises ValueError."""
+    whose length is not k raises ValueError, and one with a coordinate that
+    is not an int TypeError: the engine packs points into ints."""
     word = tuple(word)
     if not word:
         return f
@@ -321,6 +377,8 @@ def apply_Qw(word, f, params):
     def Qw(x):
         if len(x) != params.k:
             raise ValueError("point %r does not have k = %d coordinates" % (x, params.k))
+        if not all(isinstance(c, int) for c in x):
+            raise TypeError("point %r has a coordinate that is not an int" % (x,))
         scale, ((v,),) = engine.walk([(word, (x,))])
         return Fraction(v, scale)
 

@@ -14,7 +14,9 @@ from numbers import Complex
 
 @dataclass(frozen=True)
 class Params:
-    """Global parameters: particle number k, period L, couplings alpha, beta."""
+    """Global parameters: particle number k, period L, couplings alpha, beta.
+    k and L must be ints, not bools (TypeError otherwise): the lattice
+    points and the Q-word engine's packed points shift coordinates by L."""
 
     k: int
     L: int
@@ -22,6 +24,10 @@ class Params:
     beta: Complex
 
     def __post_init__(self):
+        for name in ("k", "L"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError("%s must be an int, got %r" % (name, value))
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.L < 1:

@@ -43,6 +43,9 @@ WALK = "tests/test_hecke.py::test_walk_hands_out_the_oracle_at_one_scale_and_hol
 SEQUENCE = "tests/test_hecke.py::test_a_sequence_of_walks_on_one_engine_matches_the_oracle"
 WORDS_ORACLE = "tests/test_hecke.py::test_engine_words_match_n_term_oracle"
 LINE_SUMS = "tests/test_hecke.py::test_Q_line_sums_match_n_term_sum"
+PACKED = "tests/test_hecke.py::test_engine_packs_points_beyond_24_bit_fields_without_aliasing"
+PACKED_H0 = "tests/test_hecke.py::test_engine_at_h_zero_reflects_points_by_L_of_10_to_the_8"
+REPACK = "tests/test_hecke.py::test_engine_repacks_its_tables_when_a_walk_needs_wider_fields"
 CLOSED_FORM = P + "test_closed_form_propagation_matches_engine"
 CLOSED_FORM_FAR = P + "test_closed_form_theorem_at_far_points_for_k_4_and_5"
 SOLVER_TABLE = "tests/test_bethe.py::test_solver_outcomes_pinned_per_instance"
@@ -105,9 +108,21 @@ MUTANTS = [
     ("one-step extension adds the step before its own", "hecke.py",
      "sums.append(sums[-1] + steps[n0])", "sums.append(sums[-1] + steps[n0 - 1])",
      [LINE_SUMS, WORDS_ORACLE]),
-    ("swap map reverses the slots after the root", "hecke.py",
-     "a + 1, a, *range(a + 2, params.k))", "a + 1, a, *reversed(range(a + 2, params.k)))",
-     [WORDS_ORACLE]),
+    ("swap map moves the two slots the wrong way", "hecke.py",
+     "y = x + (zb - za) * d", "y = x + (za - zb) * d", [WORDS_ORACLE]),
+    ("a field one bit narrower than the width rule asks for", "hecke.py",
+     ").bit_length() + 1", ").bit_length()", [PACKED]),
+    ("width rule without L", "hecke.py", "height * (self.params.L + 1)", "height * 2",
+     [PACKED_H0]),
+    ("line key holds its sum in slot b (x_1's slot, not x_k's, at letter 0)", "hecke.py",
+     "key = x + zb * d", "key = x - (za - self.period) * d", [WORDS_ORACLE]),
+    ("alpha read offset by R_a instead of R_b", "hecke.py",
+     "shifts = [shift * rb for _, shift in self.terms]",
+     "shifts = [shift * (1 << at) for _, shift in self.terms]", [WORDS_ORACLE]),
+    ("_repack skips f's table", "hecke.py",
+     "        self._base = {move(x): v for x, v in self._base.items()}\n", "", [REPACK]),
+    ("_repack skips the chain", "hecke.py",
+     "        for layer in self._chain:\n            layer.repack(move, width)\n", "", [REPACK]),
     ("h = 0 (alpha = 0, beta = 1) still builds line sums", "hecke.py",
      "if za == zb or not shifts:", "if za == zb:", [LINE_SUMS, WORDS_ORACLE]),
     ("engine term shifts swapped", "hecke.py", "zip(self.couplings[1:], (1, 0))",
@@ -140,6 +155,9 @@ MUTANTS = [
      [P + "test_plane_wave_rejects_a_point_of_another_length"]),
     ("apply_Qw reads a point of another length", "hecke.py", "if len(x) != params.k:",
      "if False:", ["tests/test_hecke.py::test_apply_Qw_rejects_a_point_of_another_length"]),
+    ("apply_Qw reads a point with a float coordinate", "hecke.py",
+     "if not all(isinstance(c, int) for c in x):", "if False:",
+     ["tests/test_hecke.py::test_apply_Qw_rejects_a_point_with_a_coordinate_that_is_not_an_int"]),
     ("the descent reads a point of another length", "weyl.py", "if len(x) != k:", "if False:",
      [P + "test_propagate_rejects_a_point_of_another_length"]),
     ("the counts d^+- read a point of another length", "hamiltonian.py", "if len(x) != k:",
@@ -209,6 +227,20 @@ MUTANTS = [
     ("--p-file reads a bool as a number", "cli.py", "if type(part) not in (int, float):",
      "if type(part) not in (int, float, bool):",
      ["tests/test_cli.py::test_wavefunction_bad_spectral_parameters_exit_2"]),
+    ("--p-file lets an OverflowError out", "cli.py",
+     "except (KeyError, OverflowError, TypeError, ValueError) as err:",
+     "except (KeyError, TypeError, ValueError) as err:",
+     ["tests/test_cli.py::test_p_file_root_too_large_for_a_float_names_the_file"]),
+    ("Params takes a bool k or L", "weyl.py",
+     "if not isinstance(value, int) or isinstance(value, bool):", "if not isinstance(value, int):",
+     ["tests/test_weyl.py::test_params_rejects_a_k_or_L_that_is_not_an_int"]),
+    ("solve_bethe takes a float step count", "bethe.py",
+     "if not isinstance(homotopy_steps, int) or isinstance(homotopy_steps, bool):",
+     "if isinstance(homotopy_steps, bool):",
+     ["tests/test_bethe.py::test_solver_takes_only_a_positive_int_of_steps"]),
+    ("R_lambda takes a negative exponent at a zero variable", "bethe.py",
+     "if min(exps, default=0) < 0 and 0 in z:", "if False:",
+     ["tests/test_bethe.py::test_hall_littlewood_negative_exponent_at_a_zero_variable_rejected"]),
 ]
 
 

@@ -80,6 +80,15 @@ def test_seed_selection_validation():
         solve_bethe(params, (0,), homotopy_steps=40)
 
 
+@pytest.mark.parametrize("steps,error", [(-3, ValueError), (0, ValueError), (2.5, TypeError),
+                                         (True, TypeError), (20.0, TypeError)])
+def test_solver_takes_only_a_positive_int_of_steps(steps, error):
+    # -3 and 2.5 ran, while the CLI's --steps rejects both
+    params = Params(2, 3, Fraction(-1, 2), Fraction(3, 4))
+    with pytest.raises(error, match="^homotopy_steps must be "):
+        solve_bethe(params, (0, 1), homotopy_steps=steps)
+
+
 def test_solver_free_point_returns_seed():
     params = Params(2, 2, Fraction(0), Fraction(1))
     sp = solve_bethe(params, (0, 1), homotopy_steps=4)
@@ -235,6 +244,18 @@ def test_hall_littlewood_examples():
 def test_hall_littlewood_coincident_variables_rejected():
     with pytest.raises(ValueError):
         hall_littlewood_R((1, 0), (Fraction(2), Fraction(2)), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("z", [(0, 2), (Fraction(2), Fraction(0)), (0j, 2 + 1j)])
+def test_hall_littlewood_negative_exponent_at_a_zero_variable_rejected(z):
+    # every z_i takes the exponent -1 in some term; (0, 2) ended in
+    # ZeroDivisionError: Fraction(2, 0)
+    slot = 1 + [v == 0 for v in z].index(True)
+    with pytest.raises(ValueError) as raised:
+        hall_littlewood_R((-1,), z, Fraction(1, 3))
+    assert str(raised.value) == "z_%d = 0 cannot take the negative exponent -1" % slot
+    # with nonnegative exponents a zero variable is fine: R_(1) = z_1 + z_2 at k = 2
+    assert hall_littlewood_R((1,), z, Fraction(1, 3)) == sum(z)
 
 
 def test_hall_littlewood_symmetric():

@@ -448,10 +448,11 @@ def test_wavefunction_requires_spectral_parameters():
         ('{"roots": [[1, 0], [0, 1]]}', ["--p", "3,5", "--p-file", "roots.json"]),
         ('{"roots": [[0.5, 0.25], [0.5, 0.25]]}', ["--p-file", "roots.json"]),
         ('{"roots": [[true, 0], [0, 1]]}', ["--p-file", "roots.json"]),
+        ('{"roots": [[1%s, 0], [0, 1]]}' % ("0" * 400), ["--p-file", "roots.json"]),
     ],
     ids=["nan", "infinity", "no-roots-key", "not-pairs", "no-file", "root-count",
          "overflowing-powers", "p-count", "no-p", "p-and-p-file", "coincident-roots",
-         "boolean-root"],
+         "boolean-root", "huge-root"],
 )
 def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypatch, p_file, argv):
     monkeypatch.chdir(tmp_path)
@@ -464,6 +465,17 @@ def test_wavefunction_bad_spectral_parameters_exit_2(capsys, tmp_path, monkeypat
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("hecke-bose: error: ")
+
+
+def test_p_file_root_too_large_for_a_float_names_the_file(tmp_path, monkeypatch):
+    # a 401-digit root part ended in "OverflowError: int too large to convert
+    # to float", without the file's name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "roots.json").write_text('{"roots": [[1%s, 0], [0, 1]]}' % ("0" * 400))
+    argv = ["wavefunction", "--k", "2", "--L", "2", "--window", "1", "--p-file", "roots.json"]
+    err = ("hecke-bose: error: ValueError: roots.json holds no list of [re, im] roots "
+           "(OverflowError: int too large to convert to float)\n")
+    assert _call(argv) == (2, "", err)
 
 
 def test_memory_error_writes_one_stderr_line(monkeypatch):

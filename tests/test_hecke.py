@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     chain_word,
     descents,
+    layer_sizes,
     rand_distinct_fractions,
     rand_params_pair,
     window,
@@ -210,6 +211,64 @@ def test_engine_words_match_n_term_oracle(k, alpha, beta):
     for word in words:
         oracle = _explicit_word(word, f, params)
         assert word_values(engine, word, points) == [oracle(x) for x in points]
+
+
+def test_engine_packs_points_beyond_24_bit_fields_without_aliasing():
+    # inside the engine a point is one int with a field per slot, as wide as
+    # the walk needs; every point here has a coordinate outside a fixed
+    # field of 24 bits (-2^23 .. 2^23 - 1).  In each pair below the two line keys' sums
+    # z_a + z_b are 2^25 apart and the coordinates of the slot above differ
+    # by 1, so a field one bit narrower than the width rule asks for carries
+    # the one key into the other and the two lines share their sums
+    params = Params(3, 2, Fraction(1, 2), Fraction(3))
+    f = random_rational_function("packed")
+    n = 2**23
+    cases = [
+        ((1,), [(n + 5, n + 3, n + 4)]),
+        ((2,), [(0, n + 5, n + 3), (1, -n + 5, -n + 3)]),
+        ((0,), [(n + 5, 0, n + 1), (-n + 3, 1, -n + 3)]),
+    ]
+    for word, points in cases:
+        oracle = _explicit_word(word, f, params)
+        assert word_values(QWordEngine(f, params), word, points) == [oracle(x) for x in points]
+
+
+def test_engine_at_h_zero_reflects_points_by_L_of_10_to_the_8():
+    # at alpha = 0 and beta = 1 every term of h vanishes and Q_w f(x) reads f
+    # at s_{w[-1]} ... s_{w[0]} x: the letter 0 moves coordinates by L, so
+    # the fields must hold a few times 10^8
+    params = Params(3, 10**8, 0, 1)
+    f = random_rational_function("packed-h0")
+    engine = QWordEngine(f, params)
+    points = list(window(3, 1))
+    for word in [(0,), (1, 0), (0, 2), (2, 0, 1), (0, 1, 0, 2)]:
+        expected = []
+        for x in points:
+            for letter in word:
+                x = weyl.simple_reflection(letter, x, params.L)
+            expected.append(f(x))
+        assert word_values(engine, word, points) == expected
+
+
+def test_engine_repacks_its_tables_when_a_walk_needs_wider_fields():
+    # the walk at the far points needs wider fields than the walk before it
+    # had: the engine repacks f's table and the layer of (1,) that it holds,
+    # so reading (0, 1) at the near points again reads f at no point twice,
+    # enters no point twice and gives the oracle; an engine that read the far
+    # points first, at their width, ends with the same tables
+    params = Params(3, 2, Fraction(-2, 3), Fraction(5, 4))
+    near, far = list(window(3, 1)), [(40, -37, 3), (-38, 35, 1)]
+    oracle = _explicit_word((0, 1), cache(_far_denominators("repack")), params)
+    tables = []
+    for reads in [[((0, 1), near), ((1,), far), ((0, 1), near)], [((1,), far), ((0, 1), near)]]:
+        counted = Counter()
+        engine = QWordEngine(_far_denominators("repack", counted), params)
+        for word, points in reads:
+            values = word_values(engine, word, points)
+        assert values == [oracle(x) for x in near]
+        assert set(counted.values()) == {1}
+        tables.append([len(engine._base)] + [layer_sizes(layer) for layer in engine._chain])
+    assert tables[0] == tables[1]
 
 
 def _plane_waves(p):
@@ -465,6 +524,19 @@ def test_apply_Qw_rejects_a_point_of_another_length(x):
         with pytest.raises(ValueError) as raised:
             Qw(x)
         assert str(raised.value) == "point %r does not have k = 2 coordinates" % (x,)
+
+
+@pytest.mark.parametrize("x", [(1.0, 1.0), (1.5, 0), (1, Fraction(2))])
+def test_apply_Qw_rejects_a_point_with_a_coordinate_that_is_not_an_int(x):
+    # the engine packs points into ints, and a float does not pack; before
+    # the engine packed points, (1.0, 1.0), a wall point, read f there, and
+    # (1.5, 0) ended in a TypeError from range()
+    params = Params(2, 2, Fraction(1, 2), Fraction(2))
+    f = random_rational_function(1)
+    for Qw in [apply_Q(1, f, params), apply_Qw((0, 1), f, params)]:
+        with pytest.raises(TypeError) as raised:
+            Qw(x)
+        assert str(raised.value) == "point %r has a coordinate that is not an int" % (x,)
 
 
 def test_engine_evaluates_each_distinct_word_once(monkeypatch):

@@ -61,6 +61,14 @@ def test_params_validation():
         Params(2, 2, Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("k,L", [(2, 2.5), (2.0, 2), (True, 2), (2, True), (3, Fraction(2))])
+def test_params_rejects_a_k_or_L_that_is_not_an_int(k, L):
+    # with L = 2.5, shortest_element((3, -3)) returned the "dominant point"
+    # (0.5, -0.5); the Q-word engine shifts its packed points by L
+    with pytest.raises(TypeError, match="^(k|L) must be an int, got "):
+        Params(k, L, Fraction(1, 2), 2)
+
+
 def test_affine_root_requires_distinct_indices():
     with pytest.raises(ValueError):
         AffineRoot(1, 1, 0)
